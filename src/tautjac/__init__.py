@@ -10,10 +10,9 @@ floating-point mode.
 """
 
 from .errors import (
-    CapExceeded,
-    CapTooSmall,
     IndexZeroError,
     InvalidGenus,
+    InvalidParameter,
     NotNilpotent,
     ParseError,
     TautjacError,
@@ -41,11 +40,10 @@ from .poly import Poly, enumerate_monomials, p, q
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapExceeded",
-    "CapTooSmall",
     "FourierMap",
     "IndexZeroError",
     "InvalidGenus",
+    "InvalidParameter",
     "LieContext",
     "NotNilpotent",
     "Operator",

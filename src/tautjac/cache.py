@@ -1,11 +1,11 @@
 """On-disk cache for built relation ideals.
 
-Entries are keyed by (genus, source_cap, format version); the payload
-carries a sha256 integrity hash computed over its canonical JSON
-serialization.  A hash or key mismatch is treated as a miss and the
-ideal is recomputed - a corrupted file is never trusted.  The
-TAUTJAC_CACHE_DIR environment variable overrides any directory given
-on the command line.
+Entries are keyed by (genus, format version); the payload carries a
+sha256 integrity hash computed over its canonical JSON serialization.
+A key or hash mismatch, or any structurally malformed entry, is treated
+as a miss: the ideal is rebuilt and the entry overwritten - a corrupted
+file is never trusted.  The TAUTJAC_CACHE_DIR environment variable
+overrides any directory given on the command line.
 """
 
 import hashlib
@@ -29,10 +29,8 @@ def resolve_cache_dir(flag=None):
     return None
 
 
-def cache_path(root, genus, source_cap):
-    return Path(root) / (
-        "relideal-g%d-c%d-v%d.json" % (genus, source_cap, FORMAT_VERSION)
-    )
+def cache_path(root, genus):
+    return Path(root) / ("relideal-g%d-v%d.json" % (genus, FORMAT_VERSION))
 
 
 def _canonical_body(payload):
@@ -48,11 +46,10 @@ def store_ideal(ideal, root):
     envelope = {
         "format-version": FORMAT_VERSION,
         "genus": ideal.genus,
-        "source_cap": ideal.source_cap,
         "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
         "ideal": payload,
     }
-    path = cache_path(root, ideal.genus, ideal.source_cap)
+    path = cache_path(root, ideal.genus)
     fd, tmp = tempfile.mkstemp(dir=str(root), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -67,16 +64,16 @@ def store_ideal(ideal, root):
     return path
 
 
-def load_ideal(root, genus, source_cap):
+def load_ideal(root, genus):
     """Load a cached ideal, or None on miss / key mismatch / corruption."""
-    path = cache_path(root, genus, source_cap)
+    path = cache_path(root, genus)
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
         if (
-            data.get("format-version") != FORMAT_VERSION
+            not isinstance(data, dict)
+            or data.get("format-version") != FORMAT_VERSION
             or data.get("genus") != genus
-            or data.get("source_cap") != source_cap
         ):
             return None
         payload = data["ideal"]
@@ -84,23 +81,23 @@ def load_ideal(root, genus, source_cap):
         if hashlib.sha256(body.encode("utf-8")).hexdigest() != data.get("sha256"):
             return None
         ideal = RelationIdeal.from_json_dict(payload)
-        if ideal.genus != genus or ideal.source_cap != source_cap:
+        if ideal.genus != genus:
             return None
         return ideal
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
 
-def get_or_build(genus, source_cap, root=None):
+def get_or_build(genus, root=None):
     """Fetch from the cache when possible, otherwise build (and store
     when a cache directory is configured).  Warm and cold results are
     identical by construction (the build is deterministic)."""
     if root is None:
-        return RelationIdeal.build(genus, source_cap)
-    ideal = load_ideal(root, genus, source_cap)
+        return RelationIdeal.build(genus)
+    ideal = load_ideal(root, genus)
     if ideal is not None:
         return ideal
-    ideal = RelationIdeal.build(genus, source_cap)
+    ideal = RelationIdeal.build(genus)
     store_ideal(ideal, root)
     return ideal
 

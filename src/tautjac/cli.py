@@ -18,9 +18,7 @@ from .cache import (
     resolve_cache_dir,
 )
 from .errors import (
-    CapExceeded,
-    CapTooSmall,
-    InvalidGenus,
+    InvalidParameter,
     NotNilpotent,
     ParseError,
     TautjacError,
@@ -61,21 +59,18 @@ def _build_parser():
 
     pr = sub.add_parser("relations", help="build and export the relation ideal")
     pr.add_argument("--genus", type=int, required=True)
-    pr.add_argument("--source-cap", type=int, default=None)
-    pr.add_argument("--weight", type=int, default=None)
+    pr.add_argument("--weight", type=int, default=None, help="one weight in 0..genus")
     pr.add_argument("--format", choices=["json", "md"], default="json")
     pr.add_argument("--cache-dir", default=None)
 
     pn = sub.add_parser("normal-form", help="reduce an expression modulo the ideal")
     pn.add_argument("--genus", type=int, required=True)
     pn.add_argument("--expr", required=True)
-    pn.add_argument("--source-cap", type=int, default=None)
     pn.add_argument("--cache-dir", default=None)
 
     pm = sub.add_parser("member", help="ideal membership test for an expression")
     pm.add_argument("--genus", type=int, required=True)
     pm.add_argument("--expr", required=True)
-    pm.add_argument("--source-cap", type=int, default=None)
     pm.add_argument("--cache-dir", default=None)
 
     pf = sub.add_parser("fourier", help="transform checks on the quotient")
@@ -84,7 +79,6 @@ def _build_parser():
     pf.add_argument("--m", type=int, default=None)
     pf.add_argument("--n", type=int, default=None)
     pf.add_argument("--family", choices=["field", "density"], default="field")
-    pf.add_argument("--source-cap", type=int, default=None)
     pf.add_argument("--cache-dir", default=None)
 
     pw = sub.add_parser("newton", help="convert divisor classes to p-q differences")
@@ -115,13 +109,14 @@ def _emit_json(data):
 
 
 def _load_ideal(args):
-    cap = args.source_cap if args.source_cap is not None else args.genus + 3
-    root = resolve_cache_dir(args.cache_dir)
-    return get_or_build(args.genus, cap, root)
+    return get_or_build(args.genus, resolve_cache_dir(args.cache_dir))
 
 
 def _cmd_verify(args):
+    if args.max_order < 2:
+        raise InvalidParameter("--max-order must be >= 2, got %d" % args.max_order)
     window = args.window if args.window is not None else args.max_order + 4
+    ctx = LieContext(args.genus, window)
     reports = []
     if args.suite in ("lie", "all"):
         summary = run_bracket_suite(
@@ -147,7 +142,6 @@ def _cmd_verify(args):
         "grading": ["grading"],
         "all": ["sl2", "raw_field", "grading"],
     }.get(args.suite, [])
-    ctx = LieContext(args.genus, window)
     for kind in kinds:
         try:
             entries = verify_bracket(kind, {"max_order": args.max_order}, ctx)
@@ -167,20 +161,18 @@ def _cmd_verify(args):
 
 
 def _cmd_relations(args):
+    if args.weight is not None and not 0 <= args.weight <= args.genus:
+        raise InvalidParameter(
+            "--weight must be in 0..%d, got %d" % (args.genus, args.weight)
+        )
     ideal = _load_ideal(args)
     data = ideal.to_json_dict()
     if args.weight is not None:
-        if args.weight > ideal.source_cap:
-            print(
-                "weight %d exceeds source cap %d" % (args.weight, ideal.source_cap),
-                file=sys.stderr,
-            )
-            return 2
-        data["weights"] = [b for b in data["weights"] if b["w"] == args.weight]
+        data["weights"] = [data["weights"][args.weight]]
     if args.format == "json":
         _emit_json(data)
         return 0
-    print("# Derived relations, genus %d, cap %d" % (ideal.genus, ideal.source_cap))
+    print("# Derived relations, genus %d" % ideal.genus)
     print("")
     print("| weight | quotient dim | relations |")
     print("|---|---|---|")
@@ -227,17 +219,12 @@ def _cmd_fourier(args):
             return 0
         for failure in failures:
             print(json.dumps(failure), file=sys.stderr)
-        if args.genus >= 4:
-            print(
-                "informative at genus >= 4: ideal incomplete at tested "
-                "weights - raise source_cap",
-                file=sys.stderr,
-            )
-            return 0
         return 1
     if args.m is None or args.n is None:
         print("--check conj requires --m and --n", file=sys.stderr)
         return 2
+    if args.m < 0 or args.n < 0:
+        raise InvalidParameter("--m and --n must be >= 0, got %d, %d" % (args.m, args.n))
     try:
         entries = fmap.verify_conjugation(args.m, args.n, args.family)
     except VerificationFailure as failure:
@@ -328,7 +315,7 @@ def main(argv=None):
     except ParseError as err:
         print("expression error: %s" % err, file=sys.stderr)
         return 2
-    except (InvalidGenus, CapTooSmall, CapExceeded, NotNilpotent) as err:
+    except (InvalidParameter, NotNilpotent) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except VerificationFailure as failure:

@@ -17,23 +17,12 @@ class WindowExceeded(TautjacError):
         self.window = window
 
 
-class CapExceeded(TautjacError):
-    """A polynomial reaches weights above the source cap of a relation ideal."""
-
-    def __init__(self, weight, cap):
-        super().__init__(
-            "monomial of weight %s exceeds the source cap %s" % (weight, cap)
-        )
-        self.weight = weight
-        self.cap = cap
+class InvalidParameter(TautjacError, ValueError):
+    """A numeric parameter outside its valid range (a usage error)."""
 
 
-class InvalidGenus(TautjacError):
+class InvalidGenus(InvalidParameter):
     """Genus parameter below 2."""
-
-
-class CapTooSmall(TautjacError):
-    """Source cap must exceed the genus for the closure to see any relation."""
 
 
 class NotNilpotent(TautjacError):

@@ -7,14 +7,15 @@ exponentials below are finite sums and
 
     S = exp(e) exp(D) exp(e)
 
-is computed exactly, reducing to normal form after every step.  S sends
-a (weight w, s-degree s) class to one of bidegree (g - w + s, s), and
-S^2 = (-1)^g [-1]^* where [-1]^* scales an s-homogeneous class by
-(-1)^s.  The Pontryagin product is realized through S:
-a * b = S^{-1}(S(a) S(b)).
+is computed exactly, reducing to normal form after every step.  Normal
+forms have weight at most g, so the operators are built at window g.
+S sends a (weight w, s-degree s) class to one of bidegree
+(g - w + s, s), and S^2 = (-1)^g [-1]^* where [-1]^* scales an
+s-homogeneous class by (-1)^s.  The Pontryagin product is realized
+through S: a * b = S^{-1}(S(a) S(b)).
 """
 
-from .errors import CapExceeded, NotNilpotent, VerificationFailure
+from .errors import NotNilpotent, VerificationFailure
 from .lie import LieContext, density_op, descent_op, field_op
 from .operators import mul_op
 from .poly import P_KIND, Poly, mono_sdeg, mono_weight, p
@@ -69,8 +70,6 @@ def exp_apply(op, f, ideal=None):
             "weight-raising exponential terminates only on a quotient; "
             "supply a relation ideal"
         )
-    if ideal is not None and f.max_weight() > ideal.source_cap:
-        raise CapExceeded(f.max_weight(), ideal.source_cap)
     reduce = ideal.reduce if ideal is not None else (lambda x: x)
     current = reduce(f)
     total = current
@@ -88,7 +87,7 @@ class FourierMap:
 
     def __init__(self, ideal):
         self.ideal = ideal
-        self.ctx = LieContext(ideal.genus, ideal.source_cap)
+        self.ctx = LieContext(ideal.genus, ideal.genus)
         self.raising = mul_op(p(1))
         self.descent = descent_op(self.ctx)
 
@@ -143,8 +142,7 @@ class FourierMap:
 
     def check_s2(self):
         """S^2 = (-1)^g [-1]^* on the quotient basis.  Returns failing
-        entries; a non-empty result means the stored ideal is incomplete
-        at the tested weights - raise source_cap."""
+        entries (empty when exact)."""
         sign = -1 if self.genus % 2 else 1
         failures = []
         for w, s, m in self.quotient_basis():
@@ -194,7 +192,7 @@ class FourierMap:
             "identity": identity,
             "params": params,
             "genus": self.genus,
-            "window": self.ideal.source_cap,
+            "window": self.ctx.window,
             "status": status,
         }
         if counterexample is not None:

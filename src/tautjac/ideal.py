@@ -1,13 +1,15 @@
 """Genus-g relation ideal generated by closure under the descent operator.
 
 Every monomial of weight above the genus is a relation (codimension
-beyond g vanishes).  Starting from all monomials with weight in
-(g, source_cap], the builder repeatedly applies the descent operator D
-(one weight down) and multiplies known relations by ring variables
-(back up, capped at the genus), until the per-weight relation spaces
-stop growing.  Each graded space is kept in reduced row echelon form
-over exact rationals, with pivots on the canonically largest monomials,
-so normal forms are unique and the whole structure is deterministic.
+beyond g vanishes), so the ideal is a function of the genus alone and
+only the spaces of weights 0..g are stored.  Starting from all
+monomials of weight g+1, the builder repeatedly applies the descent
+operator D (one weight down) and multiplies known relations by ring
+variables (back up, capped at the genus), until the per-weight relation
+spaces stop growing.  Each graded space is kept in reduced row echelon
+form over exact rationals, with pivots on the canonically largest
+monomials, so normal forms are unique and the whole structure is
+deterministic.  Queries send every weight above g to zero.
 
 The result is a *derived* sub-ideal of the true relation ideal: a
 polynomial outside it is not thereby proven nonzero in the Chow ring.
@@ -17,7 +19,7 @@ import json
 from collections import deque
 from fractions import Fraction
 
-from .errors import CapExceeded, CapTooSmall, InvalidGenus, VerificationFailure
+from .errors import InvalidGenus, InvalidParameter, VerificationFailure
 from .lie import LieContext, descent_op
 from .poly import (
     MONOMIAL_ORDER_ID,
@@ -32,7 +34,7 @@ from .poly import (
     qdiv,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class _Space:
@@ -50,11 +52,6 @@ class _Space:
 
     def rank(self):
         return len(self.pivots)
-
-    def fill(self):
-        for m in enumerate_monomials(self.weight):
-            self.pivots[m] = {m: 1}
-        self.full = True
 
     def reduce(self, vec):
         """Reduce a coefficient vector modulo the stored rows.  Rows are
@@ -105,13 +102,12 @@ class RelationIdeal:
     """Per-weight RREF relation bases for a fixed genus, with quotient
     dimensions and normal-form reduction."""
 
-    def __init__(self, genus, source_cap, spaces):
+    def __init__(self, genus, spaces):
         self.genus = genus
-        self.source_cap = source_cap
         self.spaces = spaces
 
     @classmethod
-    def build(cls, genus, source_cap, check=True):
+    def build(cls, genus, check=True):
         """Close the vanishing ideal under descent and multiplication.
 
         Deterministic: the spaces are spans, and RREF with the canonical
@@ -119,18 +115,10 @@ class RelationIdeal:
         """
         if not isinstance(genus, int) or genus < 2:
             raise InvalidGenus("genus must be an integer >= 2, got %r" % (genus,))
-        if source_cap <= genus:
-            raise CapTooSmall(
-                "source_cap must exceed the genus (got cap %s for genus %s)"
-                % (source_cap, genus)
-            )
-        ctx = LieContext(genus, source_cap)
-        descent = descent_op(ctx)
-        spaces = [_Space(w) for w in range(source_cap + 1)]
-        for w in range(genus + 1, source_cap + 1):
-            spaces[w].fill()
+        descent = descent_op(LieContext(genus, genus + 1))
+        spaces = [_Space(w) for w in range(genus + 1)]
         # Descent and products out of weights above genus+1 only land in
-        # already-full spaces, so the queue starts at genus+1.
+        # weights above the genus, so the queue starts at genus+1.
         queue = deque((genus + 1, {m: 1}) for m in enumerate_monomials(genus + 1))
         while queue:
             w, vec = queue.popleft()
@@ -150,120 +138,105 @@ class RelationIdeal:
                     row = target.insert(prod)
                     if row is not None:
                         queue.append((w + idx, row))
-        ideal = cls(genus, source_cap, spaces)
+        ideal = cls(genus, spaces)
         if check:
             ideal.check_stability()
         return ideal
 
     # -- queries ---------------------------------------------------------
 
-    def _component_spaces(self, f):
-        for w, comp in f.weight_components().items():
-            if w > self.source_cap:
-                raise CapExceeded(w, self.source_cap)
-            yield self.spaces[w], comp
-
     def normal_form(self, f):
-        """Unique reduction of f modulo the stored bases; idempotent and
-        linear, and f - normal_form(f) always lies in the ideal."""
+        """Unique reduction of f modulo the stored bases, with every
+        weight above the genus sent to 0; idempotent and linear, and
+        f - normal_form(f) always lies in the ideal."""
         out = {}
-        for space, comp in self._component_spaces(f):
-            out.update(space.reduce(comp.terms))
+        for w, comp in f.weight_components().items():
+            if w <= self.genus:
+                out.update(self.spaces[w].reduce(comp.terms))
         return Poly(out)
+
+    reduce = normal_form
 
     def contains(self, f):
         """Membership in the derived ideal (graded reduction to zero)."""
-        for space, comp in self._component_spaces(f):
-            if space.reduce(comp.terms):
-                return False
-        return True
+        return self.normal_form(f).is_zero()
 
-    def reduce(self, f):
-        """Like :meth:`normal_form` but with every monomial of weight
-        above the genus dropped outright, regardless of the cap (such
-        monomials are relations for trivial reasons).  Used by the
-        transform machinery, whose intermediates can exceed the cap."""
-        out = {}
-        for w, comp in f.weight_components().items():
-            if w > self.genus:
-                continue
-            out.update(self.spaces[w].reduce(comp.terms))
-        return Poly(out)
+    def _space(self, w):
+        """The stored space of weight w, or None above the genus, where
+        every monomial is a relation."""
+        if w < 0:
+            raise InvalidParameter("weight must be >= 0, got %r" % (w,))
+        return self.spaces[w] if w <= self.genus else None
 
     def quotient_dimension(self, w):
-        if w > self.source_cap:
-            raise CapExceeded(w, self.source_cap)
-        space = self.spaces[w]
-        return space.dimension() - space.rank()
+        space = self._space(w)
+        return 0 if space is None else space.dimension() - space.rank()
 
     def quotient_dims(self):
-        return {w: self.quotient_dimension(w) for w in range(self.source_cap + 1)}
+        return {w: self.quotient_dimension(w) for w in range(self.genus + 1)}
 
     def relation_basis(self, w):
         """RREF relation rows of weight w as polynomials, leading pivot
-        first."""
-        if w > self.source_cap:
-            raise CapExceeded(w, self.source_cap)
-        return [Poly(row) for row in self.spaces[w].sorted_rows()]
+        first.  Above the genus every monomial is its own row."""
+        space = self._space(w)
+        if space is None:
+            return [Poly.monomial(m) for m in enumerate_monomials(w)]
+        return [Poly(row) for row in space.sorted_rows()]
 
     def quotient_basis(self, w):
         """Monomials of weight w that are not pivots (descending)."""
-        if w > self.source_cap:
-            raise CapExceeded(w, self.source_cap)
-        pivots = self.spaces[w].pivots
-        return [m for m in enumerate_monomials(w) if m not in pivots]
+        space = self._space(w)
+        if space is None:
+            return []
+        return [m for m in enumerate_monomials(w) if m not in space.pivots]
 
     # -- structural checks -------------------------------------------------
 
     def check_stability(self):
-        """Assert closure of the stored spaces under descent and under
-        multiplication by every variable (within the caps)."""
-        ctx = LieContext(self.genus, self.source_cap)
-        descent = descent_op(ctx)
-        for w in range(1, self.source_cap + 1):
-            src = self.spaces[w]
-            if not (src.full and self.spaces[w - 1].full):
-                for row in src.pivots.values():
-                    img = descent.apply(Poly(row))
-                    if self.spaces[w - 1].reduce(img.terms):
-                        raise VerificationFailure(
-                            {
-                                "identity": "descent stability",
-                                "params": {"weight": w},
-                                "genus": self.genus,
-                                "window": self.source_cap,
-                                "status": "fail",
-                                "counterexample": str(Poly(row)),
-                            }
-                        )
-        for w in range(self.source_cap + 1):
-            src = self.spaces[w]
-            for idx in range(1, self.source_cap - w + 1):
+        """Assert closure under descent and under multiplication by every
+        variable.  Weights above the genus are all relations, so the only
+        check that reaches them is that descent sends every weight-(g+1)
+        monomial into the ideal."""
+        g = self.genus
+        descent = descent_op(LieContext(g, g + 1))
+        top = [{m: 1} for m in enumerate_monomials(g + 1)]
+        for w in range(1, g + 2):
+            if self.spaces[w - 1].full:
+                continue
+            rows = top if w > g else self.spaces[w].pivots.values()
+            for row in rows:
+                if self.spaces[w - 1].reduce(descent.apply(Poly(row)).terms):
+                    self._unstable("descent stability", {"weight": w}, row)
+        for w in range(g + 1):
+            for idx in range(1, g - w + 1):
                 for kind in (P_KIND, Q_KIND):
                     target = self.spaces[w + idx]
                     if target.full:
                         continue
                     var = ((idx, kind, 1),)
-                    for row in src.pivots.values():
+                    for row in self.spaces[w].pivots.values():
                         prod = {mono_mul(m, var): c for m, c in row.items()}
                         if target.reduce(prod):
-                            raise VerificationFailure(
-                                {
-                                    "identity": "ideal stability",
-                                    "params": {"weight": w, "times": "%s%d" % (kind, idx)},
-                                    "genus": self.genus,
-                                    "window": self.source_cap,
-                                    "status": "fail",
-                                    "counterexample": str(Poly(row)),
-                                }
-                            )
+                            params = {"weight": w, "times": "%s%d" % (kind, idx)}
+                            self._unstable("ideal stability", params, row)
+
+    def _unstable(self, identity, params, row):
+        raise VerificationFailure(
+            {
+                "identity": identity,
+                "params": params,
+                "genus": self.genus,
+                "window": self.genus + 1,
+                "status": "fail",
+                "counterexample": str(Poly(row)),
+            }
+        )
 
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self):
         weights = []
-        for w in range(self.source_cap + 1):
-            space = self.spaces[w]
+        for w, space in enumerate(self.spaces):
             relations = [
                 [
                     {"monomial": mono_str(m), "coeff": str(c)}
@@ -281,7 +254,6 @@ class RelationIdeal:
         return {
             "format-version": FORMAT_VERSION,
             "genus": self.genus,
-            "source_cap": self.source_cap,
             "monomial_order": MONOMIAL_ORDER_ID,
             "weights": weights,
         }
@@ -291,16 +263,23 @@ class RelationIdeal:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Inverse of :meth:`to_json_dict`.  Raises ValueError (or
+        KeyError/TypeError) on any malformed payload: one block per
+        weight 0..g, in order, with pivot-normalized rows."""
+        if not isinstance(data, dict):
+            raise ValueError("ideal payload is not a JSON object")
         if data.get("format-version") != FORMAT_VERSION:
             raise ValueError("unsupported format-version %r" % (data.get("format-version"),))
         if data.get("monomial_order") != MONOMIAL_ORDER_ID:
             raise ValueError("unsupported monomial order %r" % (data.get("monomial_order"),))
         genus = data["genus"]
-        source_cap = data["source_cap"]
-        spaces = [_Space(w) for w in range(source_cap + 1)]
-        for block in data["weights"]:
-            w = block["w"]
-            space = spaces[w]
+        if not isinstance(genus, int) or genus < 2:
+            raise ValueError("bad genus %r" % (genus,))
+        blocks = data["weights"]
+        if not isinstance(blocks, list) or [b["w"] for b in blocks] != list(range(genus + 1)):
+            raise ValueError("weights must be one block per weight 0..%d" % genus)
+        spaces = [_Space(w) for w in range(genus + 1)]
+        for block, space in zip(blocks, spaces):
             for rel in block["relations"]:
                 row = {
                     mono_from_str(term["monomial"]): norm_coeff(Fraction(term["coeff"]))
@@ -311,17 +290,9 @@ class RelationIdeal:
                     raise ValueError("relation row is not pivot-normalized")
                 space.pivots[piv] = row
             if space.rank() != space.dimension() - block["quotient_dim"]:
-                raise ValueError("inconsistent quotient dimension at weight %d" % w)
+                raise ValueError("inconsistent quotient dimension at weight %d" % space.weight)
             space.full = space.rank() == space.dimension()
-        return cls(genus, source_cap, spaces)
+        return cls(genus, spaces)
 
     def __repr__(self):
-        return "RelationIdeal(genus=%d, source_cap=%d, dims=%s)" % (
-            self.genus,
-            self.source_cap,
-            self.quotient_dims(),
-        )
-
-
-def build(genus, source_cap, check=True):
-    return RelationIdeal.build(genus, source_cap, check=check)
+        return "RelationIdeal(genus=%d, dims=%s)" % (self.genus, self.quotient_dims())

@@ -35,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import InvalidGenus, VerificationFailure
+from .errors import InvalidGenus, InvalidParameter, VerificationFailure
 from .operators import Operator, mul_op
 from .poly import (
     MONO_ONE,
@@ -71,7 +71,7 @@ class LieContext:
         if not isinstance(genus, int) or genus < 2:
             raise InvalidGenus("genus must be an integer >= 2, got %r" % (genus,))
         if not isinstance(window, int) or window < 1:
-            raise ValueError("window must be a positive integer")
+            raise InvalidParameter("window must be a positive integer, got %r" % (window,))
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "_memo", {})

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from tautjac.cache import cache_path, get_or_build, load_ideal, store_ideal
 from tautjac.cli import main
+from tautjac.fourier import FourierMap
 from tautjac.ideal import RelationIdeal
 
 
@@ -44,6 +46,20 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["nonsense"])
     assert info.value.code == 2
+    capsys.readouterr()
+    bad = [
+        ["verify", "lie", "--genus", "2", "--window", "0", "--jobs", "1"],
+        ["dump-operator", "--genus", "2", "--op", "descent", "--window", "0"],
+        ["relations", "--genus", "2", "--weight", "-1"],
+        ["relations", "--genus", "2", "--weight", "3"],
+        ["verify", "lie", "--genus", "2", "--max-order", "-3", "--jobs", "1"],
+        ["verify", "sl2", "--genus", "2", "--max-order", "1"],
+        ["fourier", "--genus", "2", "--check", "conj", "--m=-1", "--n", "2"],
+    ]
+    for argv in bad:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: "), argv
 
 
 def test_verify_lie_table(capsys):
@@ -67,30 +83,31 @@ def test_verify_all_json(capsys):
 
 
 def test_relations_json_deterministic(capsys):
-    code, out1, _ = run(capsys, "relations", "--genus", "2", "--source-cap", "5")
+    code, out1, _ = run(capsys, "relations", "--genus", "2")
     assert code == 0
-    code, out2, _ = run(capsys, "relations", "--genus", "2", "--source-cap", "5")
+    code, out2, _ = run(capsys, "relations", "--genus", "2")
     assert out1 == out2
     data = json.loads(out1)
     assert data["genus"] == 2
     assert data["monomial_order"] == "plex-interleaved-v1"
-    assert data["format-version"] == 1
+    assert data["format-version"] == 2
+    assert [b["w"] for b in data["weights"]] == [0, 1, 2]
 
 
 def test_relations_weight_filter_and_md(capsys):
     code, out, _ = run(
-        capsys, "relations", "--genus", "2", "--source-cap", "5", "--weight", "2"
+        capsys, "relations", "--genus", "2", "--weight", "2"
     )
     data = json.loads(out)
     assert [b["w"] for b in data["weights"]] == [2]
     code, out, _ = run(
-        capsys, "relations", "--genus", "2", "--format", "md", "--source-cap", "5"
+        capsys, "relations", "--genus", "2", "--format", "md"
     )
     assert code == 0
     assert out.startswith("# Derived relations")
     assert "| 2 | 2 |" in out
     code, _, err = run(
-        capsys, "relations", "--genus", "2", "--source-cap", "5", "--weight", "9"
+        capsys, "relations", "--genus", "2", "--weight", "9"
     )
     assert code == 2
 
@@ -105,6 +122,16 @@ def test_fourier_commands(capsys):
     assert code == 0
     code, _, err = run(capsys, "fourier", "--genus", "2", "--check", "conj")
     assert code == 2
+
+
+@pytest.mark.parametrize("genus", [2, 4])
+def test_fourier_s2_failure_exits_1(capsys, monkeypatch, genus):
+    entry = {"identity": "S^2 = (-1)^g [-1]^*", "status": "fail"}
+    monkeypatch.setattr(FourierMap, "check_s2", lambda self: [entry])
+    code, out, err = run(capsys, "fourier", "--genus", str(genus), "--check", "s2")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == entry
 
 
 def test_newton_commands(capsys):
@@ -132,39 +159,67 @@ def test_dump_operator(capsys):
 
 
 def test_cache_round_trip(tmp_path):
-    ideal = RelationIdeal.build(2, 5)
+    ideal = RelationIdeal.build(2)
     path = store_ideal(ideal, tmp_path)
-    assert path == cache_path(tmp_path, 2, 5)
-    loaded = load_ideal(tmp_path, 2, 5)
+    assert path == cache_path(tmp_path, 2)
+    assert path.name == "relideal-g2-v2.json"
+    envelope = json.loads(path.read_text())
+    assert sorted(envelope) == ["format-version", "genus", "ideal", "sha256"]
+    loaded = load_ideal(tmp_path, 2)
     assert loaded is not None
     assert loaded.to_json() == ideal.to_json()
-    assert load_ideal(tmp_path, 3, 5) is None
+    assert load_ideal(tmp_path, 3) is None
 
 
 def test_cache_corruption_recomputes(tmp_path):
-    ideal = RelationIdeal.build(2, 5)
+    ideal = RelationIdeal.build(2)
     path = store_ideal(ideal, tmp_path)
     data = json.loads(path.read_text())
     data["ideal"]["weights"][2]["relations"][0][0]["coeff"] = "2"
     path.write_text(json.dumps(data))
-    assert load_ideal(tmp_path, 2, 5) is None  # hash mismatch, never trusted
-    rebuilt = get_or_build(2, 5, tmp_path)
+    assert load_ideal(tmp_path, 2) is None  # hash mismatch, never trusted
+    rebuilt = get_or_build(2, tmp_path)
     assert rebuilt.to_json() == ideal.to_json()
-    assert load_ideal(tmp_path, 2, 5) is not None  # restored
+    assert load_ideal(tmp_path, 2) is not None  # restored
+
+
+def _member_p1_rebuilds(capsys, tmp_path):
+    """The CLI answers right from a bad entry, and overwrites it."""
+    assert load_ideal(tmp_path, 2) is None
+    code, out, _ = run(
+        capsys, "member", "--genus", "2", "--expr", "p1", "--cache-dir", str(tmp_path)
+    )
+    assert (code, out) == (1, "false\n")
+    assert load_ideal(tmp_path, 2).to_json() == RelationIdeal.build(2).to_json()
+
+
+def test_cache_non_object_entry_is_a_miss(capsys, tmp_path):
+    cache_path(tmp_path, 2).write_text("[]")
+    _member_p1_rebuilds(capsys, tmp_path)
+
+
+def test_cache_out_of_range_weight_is_a_miss(capsys, tmp_path):
+    path = store_ideal(RelationIdeal.build(2), tmp_path)
+    data = json.loads(path.read_text())
+    data["ideal"]["weights"][2]["w"] = 7
+    body = json.dumps(data["ideal"], sort_keys=True, separators=(",", ":"))
+    data["sha256"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(data))
+    _member_p1_rebuilds(capsys, tmp_path)
 
 
 def test_cli_cache_transparency(capsys, tmp_path):
     cold = run(
-        capsys, "relations", "--genus", "2", "--source-cap", "5",
+        capsys, "relations", "--genus", "2",
         "--cache-dir", str(tmp_path),
     )
     warm = run(
-        capsys, "relations", "--genus", "2", "--source-cap", "5",
+        capsys, "relations", "--genus", "2",
         "--cache-dir", str(tmp_path),
     )
-    bare = run(capsys, "relations", "--genus", "2", "--source-cap", "5")
+    bare = run(capsys, "relations", "--genus", "2")
     assert cold == warm == bare
-    assert cache_path(tmp_path, 2, 5).exists()
+    assert cache_path(tmp_path, 2).exists()
 
 
 def test_env_var_overrides_dir(capsys, tmp_path, monkeypatch):
@@ -172,20 +227,20 @@ def test_env_var_overrides_dir(capsys, tmp_path, monkeypatch):
     flag_dir = tmp_path / "flag"
     monkeypatch.setenv("TAUTJAC_CACHE_DIR", str(env_dir))
     code, _, _ = run(
-        capsys, "relations", "--genus", "2", "--source-cap", "5",
+        capsys, "relations", "--genus", "2",
         "--cache-dir", str(flag_dir),
     )
     assert code == 0
-    assert cache_path(env_dir, 2, 5).exists()
+    assert cache_path(env_dir, 2).exists()
     assert not flag_dir.exists()
 
 
 def test_cache_command(capsys, tmp_path):
-    ideal = RelationIdeal.build(2, 5)
+    ideal = RelationIdeal.build(2)
     store_ideal(ideal, tmp_path)
     code, out, _ = run(capsys, "cache", "--dir", str(tmp_path))
     assert code == 0
-    assert "relideal-g2-c5-v1.json" in out
+    assert "relideal-g2-v2.json" in out
     code, out, _ = run(capsys, "cache", "--dir", str(tmp_path), "--clear")
     assert code == 0
     assert "removed 1" in out

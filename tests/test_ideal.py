@@ -1,9 +1,11 @@
+import hashlib
+import json
 from math import comb
 
 import pytest
 
 from helpers import random_poly, seeded
-from tautjac.errors import CapExceeded, CapTooSmall, InvalidGenus
+from tautjac.errors import InvalidGenus, InvalidParameter
 from tautjac.ideal import RelationIdeal
 from tautjac.lie import LieContext, descent_op
 from tautjac.poly import (
@@ -18,9 +20,9 @@ from tautjac.poly import (
 
 def test_build_validation():
     with pytest.raises(InvalidGenus):
-        RelationIdeal.build(1, 5)
-    with pytest.raises(CapTooSmall):
-        RelationIdeal.build(3, 3)
+        RelationIdeal.build(1)
+    with pytest.raises(InvalidGenus):
+        RelationIdeal.build("3")
 
 
 def test_descent_images_of_weight3_at_genus2():
@@ -46,7 +48,8 @@ def test_descent_images_of_weight3_at_genus2():
 def test_genus2_quotient(ideal_g2):
     dims = ideal_g2.quotient_dims()
     assert (dims[0], dims[1], dims[2]) == (1, 2, 2)
-    assert all(dims[w] == 0 for w in range(3, 6))
+    assert sorted(dims) == [0, 1, 2]
+    assert all(ideal_g2.quotient_dimension(w) == 0 for w in range(3, 6))
     basis = ideal_g2.relation_basis(2)
     assert len(basis) == 3
     for f in (q(2), q(1) ** 2, p(2) - p(1) * q(1)):
@@ -93,13 +96,13 @@ def test_genus3_descent_chain(ideal_g3):
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
 def test_qg_membership(g):
-    ideal = RelationIdeal.build(g, g + 1, check=False)
+    ideal = RelationIdeal.build(g, check=False)
     assert ideal.contains(q(g))
 
 
 def test_pg_and_piq_relations():
     for g in (2, 3, 4, 5):
-        ideal = RelationIdeal.build(g, g + 3, check=False)
+        ideal = RelationIdeal.build(g, check=False)
         assert ideal.contains(p(g) - p(1) * q(g - 1))
         for i in range(1, g):
             if i == 1:
@@ -115,21 +118,17 @@ def test_pg_and_piq_relations():
 
 def test_weight_g_pure_q_monomials_vanish():
     for g in (3, 4, 5):
-        ideal = RelationIdeal.build(g, g + 1, check=False)
+        ideal = RelationIdeal.build(g, check=False)
         for m in enumerate_monomials(g):
             if mono_pdeg(m) == 0:
                 assert ideal.contains(Poly.monomial(m)), m
 
 
-def _capped(f, cap):
-    return Poly({m: c for m, c in f.terms.items() if sum(i * e for i, _k, e in m) <= cap})
-
-
 def test_normal_form_properties(ideal_g3):
     rng = seeded(5)
     for _ in range(30):
-        f = _capped(random_poly(rng), ideal_g3.source_cap)
-        g = _capped(random_poly(rng), ideal_g3.source_cap)
+        f = random_poly(rng)
+        g = random_poly(rng)
         nf = ideal_g3.normal_form(f)
         assert ideal_g3.normal_form(nf) == nf
         assert ideal_g3.contains(f - nf)
@@ -137,16 +136,18 @@ def test_normal_form_properties(ideal_g3):
     assert ideal_g3.normal_form(Poly.zero()) == Poly.zero()
 
 
-def test_cap_errors(ideal_g2):
-    heavy = p(3) ** 2  # weight 6 > cap 5
-    with pytest.raises(CapExceeded):
-        ideal_g2.contains(heavy)
-    with pytest.raises(CapExceeded):
-        ideal_g2.normal_form(heavy)
-    with pytest.raises(CapExceeded):
-        ideal_g2.quotient_dimension(6)
-    # the vanishing-aware reducer accepts any weight
+def test_weights_above_genus_vanish(ideal_g2):
+    heavy = p(3) ** 2  # weight 6 > genus 2
+    assert ideal_g2.contains(heavy)
+    assert ideal_g2.normal_form(heavy) == Poly.zero()
+    assert ideal_g2.normal_form(heavy + p(1) ** 2) == p(1) ** 2
     assert ideal_g2.reduce(heavy) == Poly.zero()
+    assert ideal_g2.quotient_dimension(6) == 0
+    assert ideal_g2.quotient_basis(6) == []
+    assert ideal_g2.relation_basis(3) == [Poly.monomial(m) for m in enumerate_monomials(3)]
+    for query in (ideal_g2.quotient_dimension, ideal_g2.quotient_basis, ideal_g2.relation_basis):
+        with pytest.raises(InvalidParameter):
+            query(-1)
 
 
 def test_quotient_dimension_trivials(ideal_g2, ideal_g3):
@@ -155,13 +156,26 @@ def test_quotient_dimension_trivials(ideal_g2, ideal_g3):
         assert ideal.quotient_dimension(ideal.genus + 1) == 0
 
 
-def test_monotonicity_in_cap():
-    small = RelationIdeal.build(3, 4, check=False)
-    large = RelationIdeal.build(3, 6, check=False)
-    for w in range(5):
-        assert large.quotient_dimension(w) <= small.quotient_dimension(w)
-        for row in small.relation_basis(w):
-            assert large.contains(row)
+# sha256 of the canonical JSON of the (w, quotient_dim, relations) blocks
+# at weights <= g, as built with a source cap of g + 3 before the ideal
+# was made a function of the genus alone.
+PINNED_BASES = {
+    2: "60a82c756f09c244e2a3aadb4ef34db271825b36515b452a7a42a74569a948c9",
+    3: "09cd8341010e3b8efa33302220b02751e6570fddd56b0c8c6fe7e73f00f4c734",
+    4: "bfeef188ae65069f0302d1d9908477a4d34e6f31a81c706cfc93f087f220fdaa",
+    5: "8e723dd6f1371f4836e1860790b34e47403864469d7d09217da0bcad54f9b3b8",
+    6: "77a268abf7b6a2a9100d4eab1476aa788a81d8e376f142641b513a19e8fc6b62",
+    7: "8fdef31ecfaad96451c6f3f1a4d9d3c72a4f8c351945ca7867c48d17ddea865d",
+    8: "0355315687b9beceb4c7e34ebbf9eb60c495069f6705632996296ac8f1a4950f",
+}
+
+
+def test_relation_bases_match_pinned_digests(ideals):
+    for g, ideal in ideals.items():
+        blocks = ideal.to_json_dict()["weights"]
+        assert [b["w"] for b in blocks] == list(range(g + 1))
+        body = json.dumps(blocks, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(body.encode()).hexdigest() == PINNED_BASES[g], g
 
 
 def test_stability_assertions(ideal_g2, ideal_g3):
@@ -170,14 +184,14 @@ def test_stability_assertions(ideal_g2, ideal_g3):
 
 
 def test_build_is_deterministic():
-    a = RelationIdeal.build(3, 6, check=False)
-    b = RelationIdeal.build(3, 6, check=False)
+    a = RelationIdeal.build(3, check=False)
+    b = RelationIdeal.build(3, check=False)
     assert a.to_json() == b.to_json()
 
 
 def test_generator_bounds_small_genus():
     for g in (2, 3, 4, 5):
-        ideal = RelationIdeal.build(g, g + 3, check=False)
+        ideal = RelationIdeal.build(g, check=False)
         # q_n for 2n >= g+1 reduces to lower q's
         n = (g + 1 + 1) // 2
         for k in range(n, g + 1):
@@ -198,7 +212,6 @@ def test_json_round_trip(ideal_g3):
     data = ideal_g3.to_json_dict()
     clone = RelationIdeal.from_json_dict(data)
     assert clone.genus == ideal_g3.genus
-    assert clone.source_cap == ideal_g3.source_cap
     assert clone.to_json() == ideal_g3.to_json()
     assert clone.normal_form(p(2) * q(1)) == ideal_g3.normal_form(p(2) * q(1))
     assert clone.quotient_dims() == ideal_g3.quotient_dims()
@@ -206,11 +219,11 @@ def test_json_round_trip(ideal_g3):
 
 def test_json_schema_shape(ideal_g2):
     data = ideal_g2.to_json_dict()
-    assert data["format-version"] == 1
+    assert data["format-version"] == 2
     assert data["genus"] == 2
-    assert data["source_cap"] == 5
+    assert "source_cap" not in data
     assert data["monomial_order"] == "plex-interleaved-v1"
-    assert [b["w"] for b in data["weights"]] == list(range(6))
+    assert [b["w"] for b in data["weights"]] == list(range(3))
     block = data["weights"][2]
     assert block["quotient_dim"] == 2
     # rows sorted by leading (pivot) monomial, largest first: q2 > p2 > q1^2
@@ -235,10 +248,22 @@ def test_from_json_rejects_bad_data(ideal_g2):
     data["weights"][2]["quotient_dim"] = 4
     with pytest.raises(ValueError):
         RelationIdeal.from_json_dict(data)
+    with pytest.raises(ValueError):
+        RelationIdeal.from_json_dict([])
+    for weights in ({}, "w", [0, 1, 2]):
+        data = ideal_g2.to_json_dict()
+        data["weights"] = weights
+        with pytest.raises((ValueError, KeyError, TypeError)):
+            RelationIdeal.from_json_dict(data)
+    for ws in ([0, 1, 3], [0, 1], [0, 1, 2, 3], [-1, 1, 2], [0, 2, 1]):
+        data = ideal_g2.to_json_dict()
+        data["weights"] = [dict(data["weights"][0], w=w) for w in ws]
+        with pytest.raises(ValueError):
+            RelationIdeal.from_json_dict(data)
 
 
 def test_relation_rows_are_rref(ideal_g3):
-    for w in range(ideal_g3.source_cap + 1):
+    for w in range(ideal_g3.genus + 1):
         rows = ideal_g3.relation_basis(w)
         pivots = [max(r.terms) for r in rows if r.terms]
         assert len(pivots) == len(set(pivots))
