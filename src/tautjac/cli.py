@@ -51,7 +51,7 @@ def _build_parser():
     pv.add_argument("--genus", type=int, required=True)
     pv.add_argument("--max-order", type=int, default=4)
     pv.add_argument("--window", type=int, default=None)
-    pv.add_argument("--jobs", type=int, default=None)
+    pv.add_argument("--jobs", type=int, default=None, help="ignored; kept for compatibility")
     pv.add_argument("--format", choices=["table", "json"], default="table")
     pv.add_argument(
         "--verbose", action="store_true", help="list every checked bracket"
@@ -116,12 +116,16 @@ def _cmd_verify(args):
     if args.max_order < 2:
         raise InvalidParameter("--max-order must be >= 2, got %d" % args.max_order)
     window = args.window if args.window is not None else args.max_order + 4
+    needed = args.max_order + (2 if args.suite in ("sl2", "all") else 0)
+    if window < needed:
+        raise InvalidParameter(
+            "--window must be >= %d for verify %s --max-order %d, got %d"
+            % (needed, args.suite, args.max_order, window)
+        )
     ctx = LieContext(args.genus, window)
     reports = []
     if args.suite in ("lie", "all"):
-        summary = run_bracket_suite(
-            [args.genus], args.max_order, window, jobs=args.jobs
-        )
+        summary = run_bracket_suite([args.genus], args.max_order, window)
         if args.format == "json":
             reports.append(summary)
         else:
@@ -281,6 +285,8 @@ def _cmd_dump_operator(args):
     if needs_mn and (args.m is None or args.n is None):
         print("--op %s requires --m and --n" % args.op, file=sys.stderr)
         return 2
+    if needs_mn and (args.m < 0 or args.n < 0):
+        raise InvalidParameter("--m and --n must be >= 0, got %d, %d" % (args.m, args.n))
     if args.op == "descent":
         op = descent_op(ctx)
     elif args.op == "field":

@@ -38,6 +38,21 @@ class VerificationFailure(TautjacError):
         self.difference = difference
 
 
+def report_entry(identity, params, genus, window, status="ok", counterexample=None):
+    """One verification report entry.  The key order (identity, params,
+    genus, window, status[, counterexample]) is part of the output."""
+    entry = {
+        "identity": identity,
+        "params": params,
+        "genus": genus,
+        "window": window,
+        "status": status,
+    }
+    if counterexample is not None:
+        entry["counterexample"] = counterexample
+    return entry
+
+
 class ParseError(TautjacError):
     """Syntax error in a polynomial expression, tagged with a position."""
 

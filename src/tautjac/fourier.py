@@ -15,7 +15,7 @@ s-homogeneous class by (-1)^s.  The Pontryagin product is realized
 through S: a * b = S^{-1}(S(a) S(b)).
 """
 
-from .errors import NotNilpotent, VerificationFailure
+from .errors import NotNilpotent, VerificationFailure, report_entry
 from .lie import LieContext, density_op, descent_op, field_op
 from .operators import mul_op
 from .poly import P_KIND, Poly, mono_sdeg, mono_weight, p
@@ -132,9 +132,11 @@ class FourierMap:
             img = self.transform(Poly.monomial(m))
             keys = set(img.graded())
             if not keys <= {(self.genus - w + s, s)}:
-                failures.append(self._entry(
+                failures.append(report_entry(
                     "S is bigraded (w,s) -> (g-w+s,s)",
                     {"weight": w, "sdeg": s, "monomial": str(Poly.monomial(m))},
+                    self.genus,
+                    self.ctx.window,
                     "fail",
                     "components %s" % sorted(keys),
                 ))
@@ -150,9 +152,11 @@ class FourierMap:
             got = self.transform(self.transform(b))
             expected = sign * minus_one_pullback(b)
             if got != expected:
-                failures.append(self._entry(
+                failures.append(report_entry(
                     "S^2 = (-1)^g [-1]^*",
                     {"weight": w, "sdeg": s, "monomial": str(b)},
+                    self.genus,
+                    self.ctx.window,
                     "fail",
                     str(got - expected),
                 ))
@@ -165,36 +169,22 @@ class FourierMap:
         op = ctor(m, n, self.ctx)
         flipped = ctor(n, m, self.ctx)
         sign = -1 if n % 2 else 1
-        reports = []
+        name = "S %s(%d,%d) S^-1 = %s%s(%d,%d)" % (
+            family, m, n, "-" if sign < 0 else "", family, n, m
+        )
         for w, s, mono in self.quotient_basis():
             b = Poly.monomial(mono)
             left = self.transform(self.ideal.reduce(op.apply(self.inverse(b))))
             right = sign * self.ideal.reduce(flipped.apply(b))
             if left != right:
-                entry = self._entry(
-                    "S %s(%d,%d) S^-1 = %s%s(%d,%d)"
-                    % (family, m, n, "-" if sign < 0 else "", family, n, m),
+                entry = report_entry(
+                    name,
                     {"monomial": str(b), "weight": w},
+                    self.genus,
+                    self.ctx.window,
                     "fail",
                     str(left - right),
                 )
                 raise VerificationFailure(entry, None)
-        reports.append(self._entry(
-            "S %s(%d,%d) S^-1 = %s%s(%d,%d)"
-            % (family, m, n, "-" if sign < 0 else "", family, n, m),
-            {"basis_size": len(self.quotient_basis())},
-            "ok",
-        ))
-        return reports
-
-    def _entry(self, identity, params, status, counterexample=None):
-        entry = {
-            "identity": identity,
-            "params": params,
-            "genus": self.genus,
-            "window": self.ctx.window,
-            "status": status,
-        }
-        if counterexample is not None:
-            entry["counterexample"] = counterexample
-        return entry
+        params = {"basis_size": len(self.quotient_basis())}
+        return [report_entry(name, params, self.genus, self.ctx.window)]

@@ -19,7 +19,7 @@ import json
 from collections import deque
 from fractions import Fraction
 
-from .errors import InvalidGenus, InvalidParameter, VerificationFailure
+from .errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
 from .lie import LieContext, descent_op
 from .poly import (
     MONOMIAL_ORDER_ID,
@@ -222,14 +222,9 @@ class RelationIdeal:
 
     def _unstable(self, identity, params, row):
         raise VerificationFailure(
-            {
-                "identity": identity,
-                "params": params,
-                "genus": self.genus,
-                "window": self.genus + 1,
-                "status": "fail",
-                "counterexample": str(Poly(row)),
-            }
+            report_entry(
+                identity, params, self.genus, self.genus + 1, "fail", str(Poly(row))
+            )
         )
 
     # -- serialization -----------------------------------------------------

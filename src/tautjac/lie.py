@@ -26,16 +26,24 @@ differential operators:
   where h acts on a (weight w, s-degree s) monomial by 2w - s - g.
 
 Wherever a formula would produce the symbol q0 the genus scalar g is
-substituted, so the operators and all brackets stay inside Q.
+substituted, so the operators and all brackets stay inside Q.  That is
+the only way the genus enters: each member is built once per window as
+A + g*B with A and B free of g, and B is nonzero only for the descent
+operator (B = -d(p1)), field(1,1) (B = id), field(2,0) (B = -2 d(p1))
+and density(0,0) (B = id).  The public constructors return A + g*B at
+the context's genus.
+
+The bracket sweeps (``run_bracket_suite`` and the bracket kinds of
+``verify_bracket``) compute each identity [X, Y] = Z once, as residual
+parts R0 + g*R1 + g^2*R2 of [X, Y] - Z, and evaluate them inside the
+checked window at every requested genus.
 """
 
-import os
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import InvalidGenus, InvalidParameter, VerificationFailure
+from .errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
 from .operators import Operator, mul_op
 from .poly import (
     MONO_ONE,
@@ -43,7 +51,7 @@ from .poly import (
     Q_KIND,
     Poly,
     enumerate_monomials,
-    mono_from_exponents,
+    mono_mul,
     mono_sdeg,
     mono_str,
     p,
@@ -58,6 +66,13 @@ def binom(n, k):
     return comb(n, k)
 
 
+def _check_context(genus, window):
+    if not isinstance(genus, int) or genus < 2:
+        raise InvalidGenus("genus must be an integer >= 2, got %r" % (genus,))
+    if not isinstance(window, int) or window < 1:
+        raise InvalidParameter("window must be a positive integer, got %r" % (window,))
+
+
 class LieContext:
     """Fixed genus (>= 2) and truncation window for the constructors.
 
@@ -65,16 +80,14 @@ class LieContext:
     and immutable, so share one per (genus, window) where convenient.
     """
 
-    __slots__ = ("genus", "window", "_memo")
+    __slots__ = ("genus", "window", "_memo", "_parts")
 
     def __init__(self, genus, window):
-        if not isinstance(genus, int) or genus < 2:
-            raise InvalidGenus("genus must be an integer >= 2, got %r" % (genus,))
-        if not isinstance(window, int) or window < 1:
-            raise InvalidParameter("window must be a positive integer, got %r" % (window,))
+        _check_context(genus, window)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_parts", _GenusParts(window))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieContext is immutable")
@@ -89,22 +102,23 @@ class LieContext:
         return memo[key]
 
 
-def _index_tuples(count, cap):
-    """Ordered tuples of positive integers of the given length with
-    index sum <= cap."""
+def _index_multisets(count, cap, largest=None):
+    """The multisets of ``count`` positive indices with index sum <= cap,
+    as (p-monomial, index sum, product of the index factorials, number
+    of distinct orderings)."""
     if count == 0:
-        yield ()
+        yield MONO_ONE, 0, 1, 1
         return
-    for first in range(1, cap - count + 2):
-        for rest in _index_tuples(count - 1, cap - first):
-            yield (first,) + rest
-
-
-def _p_parts(indices):
-    counts = {}
-    for i in indices:
-        counts[i] = counts.get(i, 0) + 1
-    return mono_from_exponents(((i, P_KIND), e) for i, e in counts.items())
+    largest = cap if largest is None else largest
+    for first in range(min(largest, cap - count + 1), 0, -1):
+        for rest, s, denom, orderings in _index_multisets(count - 1, cap - first, first):
+            if rest and rest[0][0] == first:
+                e = rest[0][2] + 1
+                mono = ((first, P_KIND, e),) + rest[1:]
+            else:
+                e = 1
+                mono = ((first, P_KIND, 1),) + rest
+            yield mono, s + first, denom * factorial(first), orderings * count // e
 
 
 def _pvar(i):
@@ -115,33 +129,137 @@ def _qvar(i):
     return ((i, Q_KIND, 1),)
 
 
+class _GenusParts:
+    """Every family member at one window as its genus-free parts (A, B):
+    the member at genus g is A + g*B.  Memoized per member; shared by
+    all genera, so one bracket computation serves each of them."""
+
+    __slots__ = ("window", "_memo")
+
+    def __init__(self, window):
+        self.window = window
+        self._memo = {}
+
+    def __call__(self, family, m=0, n=0):
+        key = (family, m, n)
+        memo = self._memo
+        if key not in memo:
+            memo[key] = _BUILDERS[family](m, n, self)
+        return memo[key]
+
+
+def _at_genus(parts, genus):
+    """sum genus^k * parts[k]: a member (A, B), or a bracket residual
+    (R0, R1, R2), at one genus."""
+    total = parts[0]
+    for k, part in enumerate(parts[1:], 1):
+        if part.terms:
+            total = total + genus**k * part
+    return total
+
+
+def _descent_parts(_m, _n, parts):
+    W = parts.window
+    terms = {}
+    half = Fraction(1, 2)
+    for m in range(1, W + 1):
+        for n in range(1, W - m + 1):
+            key = (_pvar(m + n - 1), mono_mul(_pvar(m), _pvar(n)))
+            terms[key] = terms.get(key, 0) + half * binom(m + n, n)
+            key = (_qvar(m + n - 1), mono_mul(_qvar(m), _pvar(n)))
+            terms[key] = terms.get(key, 0) + binom(m + n - 1, n)
+    for n in range(2, W + 1):
+        key = (_qvar(n - 1), _pvar(n))
+        terms[key] = terms.get(key, 0) - 1
+    # -q0 d(p1), with q0 -> g
+    return Operator(terms, W), Operator({(MONO_ONE, _pvar(1)): -1}, W)
+
+
+def _field_parts(m, n, parts):
+    if m < 0 or n < 0 or m + n < 2:
+        return Operator.zero(), Operator.zero()
+    if m == 0:
+        return mul_op(factorial(n) * p(n - 1)), Operator.zero()
+    W = parts.window
+    sign = -1 if m % 2 else 1
+    terms = {}
+    gterms = {}
+    for parts_mono, s, denom, orderings in _index_multisets(m, W):
+        c = sign * orderings * (factorial(n + s) // denom)
+        key = (_pvar(n + s - 1), parts_mono)
+        terms[key] = terms.get(key, 0) + c
+    for base, si, denom, orderings in _index_multisets(m - 1, W - 1):
+        for j in range(1, W - si + 1):
+            c = sign * m * orderings * (
+                factorial(n + si + j - 1) // (denom * factorial(j - 1))
+            )
+            key = (_qvar(n + si + j - 1), mono_mul(base, _qvar(j)))
+            terms[key] = terms.get(key, 0) + c
+    if m == 1:
+        # Constant part of the family: n! q_{n-1}, with q0 -> g.
+        if n == 1:
+            gterms[(MONO_ONE, MONO_ONE)] = 1
+        else:
+            key = (_qvar(n - 1), MONO_ONE)
+            terms[key] = terms.get(key, 0) + factorial(n)
+    else:
+        for parts_mono, s, denom, orderings in _index_multisets(m - 1, W):
+            c = -sign * m * orderings * (factorial(n + s) // denom)
+            idx = n + s - 1
+            # q_idx, with q0 -> g
+            target = gterms if idx == 0 else terms
+            key = (_qvar(idx) if idx else MONO_ONE, parts_mono)
+            target[key] = target.get(key, 0) + c
+    a, b = Operator(terms, W), Operator(gterms, W)
+    assert (a + b).weight_shifts() in ([], [n - 1])
+    return a, b
+
+
+def _density_parts(m, n, parts):
+    if m < 0 or n < 0:
+        return Operator.zero(), Operator.zero()
+    if m == 0:
+        if n == 0:
+            return Operator.zero(), Operator.identity()
+        return mul_op(factorial(n) * q(n)), Operator.zero()
+    sign = -1 if m % 2 else 1
+    terms = {}
+    for parts_mono, s, denom, orderings in _index_multisets(m, parts.window):
+        c = sign * orderings * (factorial(n + s) // denom)
+        key = (_qvar(n + s), parts_mono)
+        terms[key] = terms.get(key, 0) + c
+    a = Operator(terms, parts.window)
+    assert a.weight_shifts() in ([], [n])
+    return a, Operator.zero()
+
+
+def _raw_field_parts(k, n, parts):
+    base = parts("field", k, n)
+    if k * n == 0:
+        return base
+    dens = parts("density", k - 1, n - 1)
+    return tuple(f + (k * n) * d for f, d in zip(base, dens))
+
+
+_BUILDERS = {
+    "descent": _descent_parts,
+    "field": _field_parts,
+    "density": _density_parts,
+    "raw_field": _raw_field_parts,
+}
+
+
+def _member(ctx, family, m=0, n=0):
+    """A family member at the context's genus: A + g*B."""
+    return ctx._cached(
+        (family, m, n), lambda: _at_genus(ctx._parts(family, m, n), ctx.genus)
+    )
+
+
 def descent_op(ctx):
     """The weight-lowering second-order operator D, truncated to the
     context window; its weight shift is -1 on every term."""
-
-    def make():
-        W, g = ctx.window, ctx.genus
-        terms = {}
-        half = Fraction(1, 2)
-        for m in range(1, W + 1):
-            for n in range(1, W - m + 1):
-                key = (_pvar(m + n - 1), _p_parts((m, n)))
-                terms[key] = terms.get(key, 0) + half * binom(m + n, n)
-                key = (
-                    _qvar(m + n - 1),
-                    mono_from_exponents((((m, Q_KIND), 1), ((n, P_KIND), 1))),
-                )
-                terms[key] = terms.get(key, 0) + binom(m + n - 1, n)
-        for n in range(1, W + 1):
-            if n == 1:
-                key = (MONO_ONE, _pvar(1))
-                terms[key] = terms.get(key, 0) - g
-            else:
-                key = (_qvar(n - 1), _pvar(n))
-                terms[key] = terms.get(key, 0) - 1
-        return Operator(terms, W)
-
-    return ctx._cached("descent", make)
+    return _member(ctx, "descent")
 
 
 def field_op(m, n, ctx):
@@ -149,97 +267,14 @@ def field_op(m, n, ctx):
     m, n >= 0 and m + n >= 2.  Weight shift n - 1, s-degree shift
     n + m - 2.  field(0, n) is multiplication by n! p_{n-1} (exact,
     unbounded window); field(2, 0) equals twice the descent operator."""
-
-    def make():
-        if m < 0 or n < 0 or m + n < 2:
-            return Operator.zero()
-        if m == 0:
-            return mul_op(factorial(n) * p(n - 1))
-        W, g = ctx.window, ctx.genus
-        sign = -1 if m % 2 else 1
-        terms = {}
-        for tup in _index_tuples(m, W):
-            s = sum(tup)
-            denom = 1
-            for i in tup:
-                denom *= factorial(i)
-            c = sign * (factorial(n + s) // denom)
-            key = (_pvar(n + s - 1), _p_parts(tup))
-            terms[key] = terms.get(key, 0) + c
-        for tup in _index_tuples(m - 1, W - 1):
-            si = sum(tup)
-            denom = 1
-            for i in tup:
-                denom *= factorial(i)
-            base = _p_parts(tup)
-            for j in range(1, W - si + 1):
-                c = sign * m * (
-                    factorial(n + si + j - 1) // (denom * factorial(j - 1))
-                )
-                key = (
-                    _qvar(n + si + j - 1),
-                    mono_from_exponents(
-                        [((i, P_KIND), e) for i, _k, e in base]
-                        + [((j, Q_KIND), 1)]
-                    ),
-                )
-                terms[key] = terms.get(key, 0) + c
-        if m == 1:
-            # Constant part of the family: n! q_{n-1}, with q0 -> g.
-            if n == 1:
-                key = (MONO_ONE, MONO_ONE)
-                terms[key] = terms.get(key, 0) + g
-            else:
-                key = (_qvar(n - 1), MONO_ONE)
-                terms[key] = terms.get(key, 0) + factorial(n)
-        else:
-            for tup in _index_tuples(m - 1, W):
-                s = sum(tup)
-                denom = 1
-                for i in tup:
-                    denom *= factorial(i)
-                c = -sign * m * (factorial(n + s) // denom)
-                idx = n + s - 1
-                if idx == 0:
-                    key = (MONO_ONE, _p_parts(tup))
-                    terms[key] = terms.get(key, 0) + c * g
-                else:
-                    key = (_qvar(idx), _p_parts(tup))
-                    terms[key] = terms.get(key, 0) + c
-        op = Operator(terms, W)
-        assert op.weight_shifts() in ([], [n - 1])
-        return op
-
-    return ctx._cached(("field", m, n), make)
+    return _member(ctx, "field", m, n)
 
 
 def density_op(m, n, ctx):
     """The commuting family member density(m, n); zero unless
     m, n >= 0.  Weight shift n, s-degree shift n + m.  density(0, n)
     is multiplication by n! q_n (with density(0, 0) = g * id)."""
-
-    def make():
-        if m < 0 or n < 0:
-            return Operator.zero()
-        if m == 0:
-            if n == 0:
-                return mul_op(Poly.constant(ctx.genus))
-            return mul_op(factorial(n) * q(n))
-        sign = -1 if m % 2 else 1
-        terms = {}
-        for tup in _index_tuples(m, ctx.window):
-            s = sum(tup)
-            denom = 1
-            for i in tup:
-                denom *= factorial(i)
-            c = sign * (factorial(n + s) // denom)
-            key = (_qvar(n + s), _p_parts(tup))
-            terms[key] = terms.get(key, 0) + c
-        op = Operator(terms, ctx.window)
-        assert op.weight_shifts() in ([], [n])
-        return op
-
-    return ctx._cached(("density", m, n), make)
+    return _member(ctx, "density", m, n)
 
 
 def raw_field_op(k, n, ctx):
@@ -249,14 +284,7 @@ def raw_field_op(k, n, ctx):
     [raw(k,n), raw(k',n')] = (nk' - n'k) raw(k+k'-1, n+n'-1)
       - 4 (C(n,2) C(k',2) - C(n',2) C(k,2)) density(k+k'-2, n+n'-2).
     """
-
-    def make():
-        base = field_op(k, n, ctx)
-        if k * n == 0:
-            return base
-        return base + (k * n) * density_op(k - 1, n - 1, ctx)
-
-    return ctx._cached(("raw_field", k, n), make)
+    return _member(ctx, "raw_field", k, n)
 
 
 Sl2 = namedtuple("Sl2", ["e", "f", "h"])
@@ -283,11 +311,16 @@ def cartan_eigenvalue(weight, sdeg, genus):
 # Identity verification sweeps
 # ---------------------------------------------------------------------------
 
-FIELD_SENSITIVE = {(1, 1), (2, 0)}  # only members whose terms involve g
-DENSITY_SENSITIVE = {(0, 0)}
-
 BRACKET_KINDS = ("field_field", "field_density", "density_density")
-ALL_KINDS = BRACKET_KINDS + ("sl2", "raw_field", "grading")
+
+# bracket kind -> (family of both operands' names in reports, member family
+# of the left and of the right operand)
+_BRACKETS = {
+    "field_field": ("field", "field", "field", "field"),
+    "field_density": ("field", "density", "field", "density"),
+    "density_density": ("density", "density", "density", "density"),
+    "raw_field": ("raw", "raw", "raw_field", "raw_field"),
+}
 
 
 def field_params(max_order):
@@ -302,175 +335,146 @@ def density_params(max_order):
     ]
 
 
+def _require_window(window, needed, max_order):
+    """A sweep up to ``max_order`` is exact only from window ``needed``
+    on; below it identities would be dropped or checked past validity."""
+    if window < needed:
+        raise InvalidParameter(
+            "window %d is too small for max_order %d: need >= %d"
+            % (window, max_order, needed)
+        )
+
+
 def _effective_window(bracket, fallback):
     w = bracket.window
     return fallback if w is None else max(w, 0)
 
 
-def _entry(identity, params, ctx, status="ok", counterexample=None):
-    entry = {
-        "identity": identity,
-        "params": params,
-        "genus": ctx.genus,
-        "window": ctx.window,
-        "status": status,
-    }
-    if counterexample is not None:
-        entry["counterexample"] = counterexample
-    return entry
+def _bracket_pairs(kind, max_order):
+    if kind == "field_density":
+        return [
+            (a, b)
+            for a in field_params(max_order)
+            for b in density_params(max_order)
+        ]
+    ps = density_params(max_order) if kind == "density_density" else field_params(max_order)
+    return [(a, b) for i, a in enumerate(ps) for b in ps[i + 1:]]
 
 
-def _check_bracket(kind, a, b, ctx):
-    """Verify one bracket identity; returns (ok, got, expected)."""
+def _bracket_residual(kind, a, b, parts):
+    """Genus parts (R0, R1, R2) of [X, Y] - (right-hand side) for one
+    bracket identity, cut to the checked window, and that window.  With
+    X = A + g*B and Y = C + g*E the bracket is
+    [A,C] + g([A,E] + [B,C]) + g^2 [B,E]."""
     m, n = a
     mp, np_ = b
+    _la, _lb, left, right = _BRACKETS[kind]
     coeff = n * mp - m * np_
     if kind == "field_field":
-        left = field_op(m, n, ctx).commutator(field_op(mp, np_, ctx))
-        expected = coeff * field_op(m + mp - 1, n + np_ - 1, ctx)
+        rhs = [(coeff, parts("field", m + mp - 1, n + np_ - 1))]
     elif kind == "field_density":
-        left = field_op(m, n, ctx).commutator(density_op(mp, np_, ctx))
-        expected = coeff * density_op(m + mp - 1, n + np_ - 1, ctx)
+        rhs = [(coeff, parts("density", m + mp - 1, n + np_ - 1))]
     elif kind == "density_density":
-        left = density_op(m, n, ctx).commutator(density_op(mp, np_, ctx))
-        expected = Operator.zero()
-    elif kind == "raw_field":
-        left = raw_field_op(m, n, ctx).commutator(raw_field_op(mp, np_, ctx))
-        corr = 4 * (
-            binom(n, 2) * binom(mp, 2) - binom(np_, 2) * binom(m, 2)
-        )
-        expected = (n * mp - np_ * m) * raw_field_op(m + mp - 1, n + np_ - 1, ctx)
-        if corr:
-            expected = expected - corr * density_op(m + mp - 2, n + np_ - 2, ctx)
+        rhs = []
     else:
-        raise ValueError("unknown bracket kind %r" % (kind,))
-    w = _effective_window(left, ctx.window)
-    ok = left.equal_within(expected, w)
-    return ok, left, expected, w
+        corr = 4 * (binom(n, 2) * binom(mp, 2) - binom(np_, 2) * binom(m, 2))
+        rhs = [
+            (coeff, parts("raw_field", m + mp - 1, n + np_ - 1)),
+            (-corr, parts("density", m + mp - 2, n + np_ - 2)),
+        ]
+    res = [Operator.zero()] * 3
+    windows = []
+    for i, u in enumerate(parts(left, m, n)):
+        for k, v in enumerate(parts(right, mp, np_)):
+            if u.terms and v.terms:
+                bracket = u.commutator(v)
+                windows.append(bracket.window)
+                res[i + k] = res[i + k] + bracket
+    for scalar, member in rhs:
+        for k, z in enumerate(member):
+            if scalar and z.terms:
+                res[k] = res[k] - scalar * z
+    finite = [w for w in windows if w is not None]
+    w = max(min(finite), 0) if finite else parts.window
+    return [r.truncated(w) for r in res], w
 
 
-def _bracket_identity_name(kind, a, b):
-    names = {
-        "field_field": ("field", "field"),
-        "field_density": ("field", "density"),
-        "density_density": ("density", "density"),
-        "raw_field": ("raw", "raw"),
-    }
-    la, lb = names[kind]
-    return "[%s(%d,%d), %s(%d,%d)]" % (la, a[0], a[1], lb, b[0], b[1])
+def _bracket_checks(kind, max_order, genera, parts):
+    """Yield (report entry arguments, difference) for every bracket
+    identity of one kind at every genus; each identity is computed once,
+    in genus parts, and evaluated at each genus.  The difference is the
+    discrepancy within the checked window, zero when the identity holds."""
+    la, lb, _left, _right = _BRACKETS[kind]
+    for a, b in _bracket_pairs(kind, max_order):
+        res, w = _bracket_residual(kind, a, b, parts)
+        name = "[%s(%d,%d), %s(%d,%d)]" % (la, a[0], a[1], lb, b[0], b[1])
+        params = {"pair": [list(a), list(b)], "checked_window": w}
+        for g in genera:
+            yield (name, params, g), _at_genus(res, g)
 
 
-def _sweep_brackets(kind, params, ctx):
-    max_order = params.get("max_order", 4)
-    if kind == "field_field":
-        left_params = right_params = field_params(max_order)
-        symmetric = True
-    elif kind == "field_density":
-        left_params = field_params(max_order)
-        right_params = density_params(max_order)
-        symmetric = False
-    elif kind == "density_density":
-        left_params = right_params = density_params(max_order)
-        symmetric = True
-    elif kind == "raw_field":
-        # members with k+n < 2 vanish identically and are outside the
-        # algebra, exactly as for the corrected family
-        left_params = right_params = field_params(max_order)
-        symmetric = True
-    else:
-        raise ValueError(kind)
-    reports = []
-    for i, a in enumerate(left_params):
-        start = i + 1 if symmetric else 0
-        for b in right_params[start:]:
-            ok, left, expected, w = _check_bracket(kind, a, b, ctx)
-            entry = _entry(
-                _bracket_identity_name(kind, a, b),
-                {"pair": [list(a), list(b)], "checked_window": w},
-                ctx,
-                status="ok" if ok else "fail",
-            )
-            if not ok:
-                entry["counterexample"] = str(left - expected)
-                raise VerificationFailure(entry, left - expected)
-            reports.append(entry)
-    return reports
+def _record(reports, ctx, name, params, diff):
+    """Append the report entry of one identity whose discrepancy is
+    ``diff`` (a Poly or an Operator); raise VerificationFailure unless
+    it is zero."""
+    ok = diff.is_zero()
+    entry = report_entry(
+        name, params, ctx.genus, ctx.window,
+        "ok" if ok else "fail", None if ok else str(diff),
+    )
+    if not ok:
+        raise VerificationFailure(entry, diff)
+    reports.append(entry)
+
+
+def _op_diff(got, expected, w):
+    """got - expected within partial index-sum w (zero when they agree
+    there); raises WindowExceeded past either operator's window."""
+    if got.equal_within(expected, w):
+        return Operator.zero()
+    return (got - expected).truncated(w)
 
 
 def _sweep_sl2(params, ctx):
     max_order = params.get("max_order", 6)
+    _require_window(ctx.window, max_order + 2, max_order)
     e, f, h = sl2_triple(ctx)
     reports = []
 
     def check(name, got, expected, w, extra=None):
-        ok = got.equal_within(expected, w)
-        entry = _entry(name, extra or {}, ctx, status="ok" if ok else "fail")
-        if not ok:
-            entry["counterexample"] = str(got - expected)
-            raise VerificationFailure(entry, got - expected)
-        reports.append(entry)
+        _record(reports, ctx, name, extra or {}, _op_diff(got, expected, w))
 
     base_w = ctx.window - 2
     check("[e,f] = h", e.commutator(f), h, base_w)
     check("[h,e] = 2e", h.commutator(e), 2 * e, base_w)
     check("[h,f] = -2f", h.commutator(f), -2 * f, base_w)
-    check(
-        "h = -field(1,1)", h, -field_op(1, 1, ctx), ctx.window
-    )
-    max_order = min(max_order, ctx.window - 2)
+    check("h = -field(1,1)", h, -field_op(1, 1, ctx), ctx.window)
     for n in range(1, max_order + 1):
-        got = f.apply(p(n))
         expected = Poly.constant(ctx.genus) if n == 1 else q(n - 1)
         name = "f(p%d) = %s" % (n, "g" if n == 1 else "q%d" % (n - 1))
-        entry = _entry(name, {"n": n}, ctx, status="ok" if got == expected else "fail")
-        if got != expected:
-            entry["counterexample"] = str(got - expected)
-            raise VerificationFailure(entry)
-        reports.append(entry)
-        got = f.apply(q(n))
-        entry = _entry("f(q%d) = 0" % n, {"n": n}, ctx, status="ok" if got.is_zero() else "fail")
-        if not got.is_zero():
-            entry["counterexample"] = str(got)
-            raise VerificationFailure(entry)
-        reports.append(entry)
+        _record(reports, ctx, name, {"n": n}, f.apply(p(n)) - expected)
+        _record(reports, ctx, "f(q%d) = 0" % n, {"n": n}, f.apply(q(n)))
     for n in range(1, max_order):
+        fp = f.commutator(mul_op(p(n)))
+        fq = f.commutator(mul_op(q(n)))
         for m in range(1, max_order - n + 1):
-            fp = f.commutator(mul_op(p(n)))
-            got = fp.commutator(mul_op(p(m)))
-            expected = mul_op(-binom(m + n, m) * p(m + n - 1))
-            w = _effective_window(got, ctx.window)
-            check(
-                "[[f,p%d.],p%d.] = -C(%d,%d) p%d." % (n, m, m + n, m, m + n - 1),
-                got,
-                expected,
-                w,
-                {"n": n, "m": m},
-            )
-            got = fp.commutator(mul_op(q(m)))
-            expected = mul_op(-binom(m + n - 1, m - 1) * q(m + n - 1))
-            w = _effective_window(got, ctx.window)
-            check(
-                "[[f,p%d.],q%d.] = -C(%d,%d) q%d." % (n, m, m + n - 1, m - 1, m + n - 1),
-                got,
-                expected,
-                w,
-                {"n": n, "m": m},
-            )
-            fq = f.commutator(mul_op(q(n)))
-            got = fq.commutator(mul_op(q(m)))
-            w = _effective_window(got, ctx.window)
-            check(
-                "[[f,q%d.],q%d.] = 0" % (n, m),
-                got,
-                Operator.zero(),
-                w,
-                {"n": n, "m": m},
-            )
+            nested = [
+                ("[[f,p%d.],p%d.] = -C(%d,%d) p%d." % (n, m, m + n, m, m + n - 1),
+                 fp, p(m), -binom(m + n, m) * p(m + n - 1)),
+                ("[[f,p%d.],q%d.] = -C(%d,%d) q%d." % (n, m, m + n - 1, m - 1, m + n - 1),
+                 fp, q(m), -binom(m + n - 1, m - 1) * q(m + n - 1)),
+                ("[[f,q%d.],q%d.] = 0" % (n, m), fq, q(m), Poly.zero()),
+            ]
+            for name, inner, var, expected in nested:
+                got = inner.commutator(mul_op(var))
+                w = _effective_window(got, ctx.window)
+                check(name, got, mul_op(expected), w, {"n": n, "m": m})
     return reports
 
 
 def _sweep_grading(params, ctx):
     max_order = params.get("max_order", 4)
+    _require_window(ctx.window, max_order, max_order)
     max_weight = min(params.get("max_weight", ctx.window), ctx.window)
     e, f, h = sl2_triple(ctx)
     reports = []
@@ -480,81 +484,62 @@ def _sweep_grading(params, ctx):
             got = h.apply(mp)
             expected = cartan_eigenvalue(w, mono_sdeg(mono), ctx.genus) * mp
             if got != expected:
-                entry = _entry(
+                entry = report_entry(
                     "h acts by 2w - s - g",
                     {"monomial": str(mp)},
-                    ctx,
+                    ctx.genus,
+                    ctx.window,
                     status="fail",
                     counterexample=str(got - expected),
                 )
                 raise VerificationFailure(entry)
     reports.append(
-        _entry("h acts by 2w - s - g", {"max_weight": max_weight}, ctx)
+        report_entry(
+            "h acts by 2w - s - g", {"max_weight": max_weight}, ctx.genus, ctx.window
+        )
     )
-    shift_weight = max_weight
-    for m, n in field_params(max_order):
-        op = field_op(m, n, ctx)
+    members = [
+        ("field", field_op, m, n, n - 1, n + m - 2) for m, n in field_params(max_order)
+    ] + [
+        ("density", density_op, m, n, n, n + m) for m, n in density_params(max_order)
+    ]
+    for family, ctor, m, n, wshift, sshift in members:
+        op = ctor(m, n, ctx)
         got = h.commutator(op)
-        expected = (n - m) * op
         w = _effective_window(got, ctx.window)
-        ok = got.equal_within(expected, w)
-        entry = _entry(
-            "[h, field(%d,%d)] = %d*field(%d,%d)" % (m, n, n - m, m, n),
-            {"checked_window": w},
+        _record(
+            reports,
             ctx,
-            status="ok" if ok else "fail",
-        )
-        if not ok:
-            entry["counterexample"] = str(got - expected)
-            raise VerificationFailure(entry, got - expected)
-        reports.append(entry)
-        _check_shifts(op, n - 1, n + m - 2, shift_weight, ctx, "field(%d,%d)" % (m, n), reports)
-    for m, n in density_params(max_order):
-        op = density_op(m, n, ctx)
-        got = h.commutator(op)
-        expected = (n - m) * op
-        w = _effective_window(got, ctx.window)
-        ok = got.equal_within(expected, w)
-        entry = _entry(
-            "[h, density(%d,%d)] = %d*density(%d,%d)" % (m, n, n - m, m, n),
+            "[h, %s(%d,%d)] = %d*%s(%d,%d)" % (family, m, n, n - m, family, m, n),
             {"checked_window": w},
-            ctx,
-            status="ok" if ok else "fail",
+            _op_diff(got, (n - m) * op, w),
         )
-        if not ok:
-            entry["counterexample"] = str(got - expected)
-            raise VerificationFailure(entry, got - expected)
-        reports.append(entry)
-        _check_shifts(op, n, n + m, shift_weight, ctx, "density(%d,%d)" % (m, n), reports)
+        label = "%s(%d,%d)" % (family, m, n)
+        _check_shifts(op, wshift, sshift, max_weight, ctx, label, reports)
     return reports
 
 
 def _check_shifts(op, wshift, sshift, max_weight, ctx, label, reports):
     """Homogeneity of the operator on the bigraded pieces."""
+    name = "%s is bigraded of shift (%d, %d)" % (label, wshift, sshift)
     for w in range(max(0, max_weight) + 1):
         for mono in enumerate_monomials(w):
             out = op.apply(Poly.monomial(mono))
             if out.is_zero():
                 continue
             s = mono_sdeg(mono)
-            expected_key = (w + wshift, s + sshift)
             keys = set(out.graded())
-            if keys != {expected_key}:
-                entry = _entry(
-                    "%s is bigraded of shift (%d, %d)" % (label, wshift, sshift),
+            if keys != {(w + wshift, s + sshift)}:
+                entry = report_entry(
+                    name,
                     {"monomial": mono_str(mono)},
-                    ctx,
+                    ctx.genus,
+                    ctx.window,
                     status="fail",
                     counterexample="%s -> components %s" % (mono_str(mono), sorted(keys)),
                 )
                 raise VerificationFailure(entry)
-    reports.append(
-        _entry(
-            "%s is bigraded of shift (%d, %d)" % (label, wshift, sshift),
-            {"max_weight": max_weight},
-            ctx,
-        )
-    )
+    reports.append(report_entry(name, {"max_weight": max_weight}, ctx.genus, ctx.window))
 
 
 def verify_bracket(kind, params, ctx):
@@ -563,10 +548,19 @@ def verify_bracket(kind, params, ctx):
     ``kind`` is one of ``field_field``, ``field_density``,
     ``density_density``, ``raw_field``, ``sl2``, ``grading``.  Returns
     the list of report entries; raises :class:`VerificationFailure`
-    (carrying the difference operator) on the first failing identity.
+    (carrying the difference operator) on the first failing identity,
+    and :class:`InvalidParameter` when the context window is too small
+    for ``max_order`` (below it for the brackets and ``grading``, below
+    it plus 2 for ``sl2``).
     """
-    if kind in ("field_field", "field_density", "density_density", "raw_field"):
-        return _sweep_brackets(kind, params, ctx)
+    if kind in _BRACKETS:
+        max_order = params.get("max_order", 4)
+        _require_window(ctx.window, max_order, max_order)
+        reports = []
+        checks = _bracket_checks(kind, max_order, [ctx.genus], ctx._parts)
+        for (name, pair_params, _g), diff in checks:
+            _record(reports, ctx, name, pair_params, diff)
+        return reports
     if kind == "sl2":
         return _sweep_sl2(params, ctx)
     if kind == "grading":
@@ -574,162 +568,32 @@ def verify_bracket(kind, params, ctx):
     raise ValueError("unknown verification kind %r" % (kind,))
 
 
-# ---------------------------------------------------------------------------
-# Parallel bracket suite (the expensive whole-family sweep)
-# ---------------------------------------------------------------------------
+def run_bracket_suite(genera, max_order, window, jobs=None):
+    """Verify every Lie bracket among the field and density families
+    for m+n, m'+n' <= max_order at each genus.
 
-
-def _pair_is_genus_sensitive(kind, a, b):
-    """Whether the bracket computation for this pair involves the genus
-    scalar anywhere (operands or expected right-hand side)."""
-    m, n = a
-    mp, np_ = b
-    coeff = n * mp - m * np_
-    result = (m + mp - 1, n + np_ - 1)
-    if kind == "field_field":
-        return (
-            a in FIELD_SENSITIVE
-            or b in FIELD_SENSITIVE
-            or (coeff != 0 and result in FIELD_SENSITIVE)
-        )
-    if kind == "field_density":
-        return (
-            a in FIELD_SENSITIVE
-            or b in DENSITY_SENSITIVE
-            or (coeff != 0 and result in DENSITY_SENSITIVE)
-        )
-    if kind == "density_density":
-        return a in DENSITY_SENSITIVE or b in DENSITY_SENSITIVE
-    raise ValueError(kind)
-
-
-def _bracket_pairs(kind, max_order):
-    if kind == "field_field":
-        ps = field_params(max_order)
-        return [(a, b) for i, a in enumerate(ps) for b in ps[i + 1:]]
-    if kind == "field_density":
-        return [
-            (a, b)
-            for a in field_params(max_order)
-            for b in density_params(max_order)
-        ]
-    if kind == "density_density":
-        ps = density_params(max_order)
-        return [(a, b) for i, a in enumerate(ps) for b in ps[i + 1:]]
-    raise ValueError(kind)
-
-
-def _bracket_chunk(args):
-    """Worker: verify a chunk of bracket pairs at one genus."""
-    genus, window, items = args
-    ctx = LieContext(genus, window)
-    results = []
-    for kind, a, b in items:
-        ok, left, expected, w = _check_bracket(kind, tuple(a), tuple(b), ctx)
-        diff = None if ok else str(left - expected)
-        results.append((kind, a, b, ok, w, diff))
-    return results
-
-
-def _op_terms_match(kind, pair, ctx, base_ctx):
-    """Operand and expected-result term dictionaries agree between two
-    contexts (used to carry genus-free verdicts across genera)."""
-    a, b = pair
-    ops = []
-    if kind == "field_field":
-        ops = [("field", a), ("field", b), ("field", _result_param(a, b))]
-    elif kind == "field_density":
-        ops = [("field", a), ("density", b), ("density", _result_param(a, b))]
-    else:
-        ops = [("density", a), ("density", b)]
-    for fam, (m, n) in ops:
-        ctor = field_op if fam == "field" else density_op
-        if ctor(m, n, ctx).terms != ctor(m, n, base_ctx).terms:
-            return False
-    return True
-
-
-def _result_param(a, b):
-    return (a[0] + b[0] - 1, a[1] + b[1] - 1)
-
-
-def run_bracket_suite(genera, max_order, window, jobs=None, kinds=BRACKET_KINDS):
-    """Verify every Lie bracket for m+n, m'+n' <= max_order at each
-    genus, in parallel.  Bracket computations that provably do not
-    involve the genus scalar are executed once and their verdict is
-    carried to the other genera after checking that the operator term
-    data is identical there.
-
-    Returns a summary dict with per-(kind, genus) counts and the list
-    of failures (empty when everything verified).
+    Each identity is computed once, in genus parts, and evaluated
+    within its checked window at every genus.  ``jobs`` is accepted for
+    compatibility and ignored: the sweep runs in this process.  Returns
+    a summary dict with per-(kind, genus) counts and the list of
+    failures (empty when everything verified).
     """
     genera = list(genera)
-    base_genus = genera[0]
-    shared_set = set()  # genus-free pairs, computed once at base_genus
-    by_genus = {g: [] for g in genera}
-    for kind in kinds:
-        for a, b in _bracket_pairs(kind, max_order):
-            if _pair_is_genus_sensitive(kind, a, b):
-                for g in genera:
-                    by_genus[g].append((kind, a, b))
-            else:
-                shared_set.add((kind, a, b))
-                by_genus[base_genus].append((kind, a, b))
-
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    chunks = []
+    if not genera:
+        raise InvalidParameter("genera must name at least one genus")
     for g in genera:
-        items = sorted(by_genus[g])
-        step = max(1, len(items) // (max(jobs, 1) * 8))
-        for i in range(0, len(items), step):
-            chunks.append((g, window, items[i : i + step]))
-
-    results = {}  # (genus, kind, a, b) -> (ok, checked window, diff text)
-    if jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_bracket_chunk, chunks))
-    else:
-        outcomes = [_bracket_chunk(chunk) for chunk in chunks]
-    for (g, _w, _items), chunk_result in zip(chunks, outcomes):
-        for kind, a, b, ok, w, diff in chunk_result:
-            results[(g, kind, a, b)] = (ok, w, diff)
-
+        _check_context(g, window)
+    _require_window(window, max_order, max_order)
+    parts = _GenusParts(window)
     counts = {}
     failures = []
-
-    def record(g, kind, a, b, ok, w, diff):
-        counts[(kind, g)] = counts.get((kind, g), 0) + 1
-        if not ok:
-            failures.append(
-                {
-                    "identity": _bracket_identity_name(kind, a, b),
-                    "params": {"pair": [list(a), list(b)], "checked_window": w},
-                    "genus": g,
-                    "window": window,
-                    "status": "fail",
-                    "counterexample": diff,
-                }
-            )
-
-    contexts = {g: LieContext(g, window) for g in genera}
-    for kind in kinds:
-        for a, b in _bracket_pairs(kind, max_order):
-            if (kind, a, b) in shared_set:
-                ok, w, diff = results[(base_genus, kind, a, b)]
-                record(base_genus, kind, a, b, ok, w, diff)
-                for g in genera[1:]:
-                    if _op_terms_match(kind, (a, b), contexts[g], contexts[base_genus]):
-                        record(g, kind, a, b, ok, w, diff)
-                    else:
-                        record(
-                            g, kind, a, b, False, w,
-                            "operator data unexpectedly varies with genus",
-                        )
-            else:
-                for g in genera:
-                    ok, w, diff = results[(g, kind, a, b)]
-                    record(g, kind, a, b, ok, w, diff)
+    for kind in BRACKET_KINDS:
+        for (name, params, g), diff in _bracket_checks(kind, max_order, genera, parts):
+            counts[(kind, g)] = counts.get((kind, g), 0) + 1
+            if not diff.is_zero():
+                failures.append(
+                    report_entry(name, params, g, window, "fail", str(diff))
+                )
     return {
         "max_order": max_order,
         "window": window,

@@ -13,9 +13,18 @@ exact.  ``window=None`` marks an operator that is stored in full
 weight.  Composition propagates windows so validity is never
 overstated, and discards product terms that fall outside the resulting
 window.
+
+A product a o b is the uncontracted products (multipliers and partials
+side by side) plus the contraction terms, where partials of a hit
+multiplier variables of b (Leibniz).  The uncontracted products of
+a o b and b o a are equal, so a commutator is formed from contraction
+terms alone, found through an index of each operator's terms by
+partial variable.  That index and the largest weight shift are
+computed once per operator, on first use.
 """
 
 from itertools import product as cartesian_product
+from math import comb, factorial, perm
 
 from .errors import WindowExceeded
 from .poly import (
@@ -35,6 +44,37 @@ def _min_window(*windows):
     return min(finite) if finite else None
 
 
+def _compose_window(a, b):
+    """Window of a o b: b's own, and a's lowered by b's largest shift."""
+    sb = b.max_weight_shift()
+    return _min_window(b.window, None if a.window is None else a.window - (sb or 0))
+
+
+def _hit_patterns(mult):
+    """Every nonzero way to differentiate the multiplier monomial
+    ``mult``: (hits as (index, kind, times), the reduced multiplier, the
+    index-sum hit, the falling factorials from differentiating)."""
+    patterns = []
+    for js in cartesian_product(*[range(e + 1) for _i, _k, e in mult]):
+        if not any(js):
+            continue
+        hits = [(i, k, j) for (i, k, _e), j in zip(mult, js) if j]
+        reduced = tuple((i, k, e - j) for (i, k, e), j in zip(mult, js) if e > j)
+        factor = 1
+        for (_i, _k, e), j in zip(mult, js):
+            factor *= perm(e, j)
+        patterns.append((hits, reduced, sum(i * j for i, _k, j in hits), factor))
+    return patterns
+
+
+def _lower(mono, index, kind, j):
+    """``mono`` with the exponent of its variable (index, kind) lowered by j."""
+    for pos, (i, k, e) in enumerate(mono):
+        if i == index and k == kind:
+            rest = ((i, k, e - j),) if e > j else ()
+            return mono[:pos] + rest + mono[pos + 1:]
+
+
 def term_weight_shift(key):
     """Weight shift of a single (multiplier, partials) term."""
     mult, parts = key
@@ -45,7 +85,7 @@ class Operator:
     """Canonical normal-ordered operator: dict (multiplier, partials) ->
     nonzero coefficient, plus a validity window."""
 
-    __slots__ = ("terms", "window")
+    __slots__ = ("terms", "window", "_cache")
 
     def __init__(self, terms=None, window=None):
         clean = {}
@@ -56,6 +96,7 @@ class Operator:
                     clean[key] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "window", window)
+        object.__setattr__(self, "_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
@@ -103,7 +144,7 @@ class Operator:
 
     def max_weight_shift(self):
         """Largest weight shift over stored terms (None when empty)."""
-        return max((term_weight_shift(k) for k in self.terms), default=None)
+        return self._lazy()[0]
 
     def weight_shifts(self):
         return sorted({term_weight_shift(k) for k in self.terms})
@@ -161,111 +202,91 @@ class Operator:
         ``(self @ other).apply(f) == self.apply(other.apply(f))``
         for every f of weight <= W.
         """
-        sb = other.max_weight_shift()
-        win = _min_window(
-            other.window,
-            None if self.window is None else self.window - (sb or 0),
-        )
+        win = _compose_window(self, other)
         out = {}
         get = out.get
-        bterms = [
-            (bmult, bparts, bc, mono_weight(bparts))
-            for (bmult, bparts), bc in other.terms.items()
-        ]
-        for (amult, aparts), ac in self.terms.items():
-            asum = mono_weight(aparts)
-            for bmult, bparts, bc, bsum in bterms:
-                total = asum + bsum
-                if len(bmult) == 1 and aparts:
-                    # Fast path: single-variable right multiplier; the left
-                    # partials hit it 0..min(ea, eb) times (Leibniz).
-                    ib, kb, eb = bmult[0]
-                    ea = 0
-                    for apos, entry in enumerate(aparts):
-                        if entry[0] == ib and entry[1] == kb:
-                            ea = entry[2]
-                            break
-                    if not ea:
-                        if win is None or total <= win:
-                            key = (mono_mul(amult, bmult), mono_mul(aparts, bparts))
-                            out[key] = get(key, 0) + ac * bc
-                        continue
-                    if win is not None and total - ib * min(ea, eb) > win:
-                        continue
-                    bfac = 1  # C(ea, j) * falling(eb, j), updated in place
-                    for j in range(min(ea, eb) + 1):
-                        if j:
-                            bfac = bfac * ((ea - j + 1) * (eb - j + 1)) // j
-                        if win is not None and total - ib * j > win:
-                            continue
-                        if ea - j:
-                            red_a = aparts[:apos] + ((ib, kb, ea - j),) + aparts[apos + 1:]
-                        else:
-                            red_a = aparts[:apos] + aparts[apos + 1:]
-                        red_b = ((ib, kb, eb - j),) if eb - j else MONO_ONE
-                        key = (mono_mul(amult, red_b), mono_mul(red_a, bparts))
-                        out[key] = get(key, 0) + ac * bc * bfac
-                    continue
-                # General path: distribute every shared variable.
-                shared = [
-                    (i, k, ea, eb)
-                    for i, k, ea in aparts
-                    for ib, kb, eb in bmult
-                    if (i, k) == (ib, kb)
-                ]
-                if win is not None:
-                    max_hit = sum(i * min(ea, eb) for i, _k, ea, eb in shared)
-                    if total - max_hit > win:
-                        continue
-                if not shared:
+        bterms = other._lazy()[2]
+        for amult, aparts, ac, asum, _patterns in self._lazy()[2]:
+            for bmult, bparts, bc, bsum, _patterns in bterms:
+                if win is None or asum + bsum <= win:
                     key = (mono_mul(amult, bmult), mono_mul(aparts, bparts))
                     out[key] = get(key, 0) + ac * bc
-                    continue
-                shared_vars = {(i, k) for i, k, _ea, _eb in shared}
-                ranges = [range(min(ea, eb) + 1) for _i, _k, ea, eb in shared]
-                for hits in cartesian_product(*ranges):
-                    factor = 1
-                    hit_weight = 0
-                    for (i, _k, ea, eb), j in zip(shared, hits):
-                        if not j:
-                            continue
-                        hit_weight += i * j
-                        # C(ea, j) ways to pick the partials, falling
-                        # factorial from differentiating the power j times.
-                        for t in range(1, j + 1):
-                            factor = factor * ((ea - t + 1) * (eb - t + 1)) // t
-                    if win is not None and total - hit_weight > win:
-                        continue
-                    rem_a = [
-                        (i, k, ea - j)
-                        for (i, k, ea, _eb), j in zip(shared, hits)
-                        if ea - j
-                    ]
-                    rem_a.extend(
-                        e for e in aparts if (e[0], e[1]) not in shared_vars
-                    )
-                    rem_a.sort(reverse=True)
-                    red_b = [
-                        (i, k, eb - j)
-                        for (i, k, _ea, eb), j in zip(shared, hits)
-                        if eb - j
-                    ]
-                    red_b.extend(
-                        e for e in bmult if (e[0], e[1]) not in shared_vars
-                    )
-                    red_b.sort(reverse=True)
-                    key = (
-                        mono_mul(amult, tuple(red_b)),
-                        mono_mul(tuple(rem_a), bparts),
-                    )
-                    out[key] = get(key, 0) + ac * bc * factor
+        self._contract(other, win, out, 1)
         return Operator(out, win)
 
     def __matmul__(self, other):
         return self.compose(other)
 
     def commutator(self, other):
-        return self.compose(other) - other.compose(self)
+        """[self, other] = self o other - other o self.
+
+        The uncontracted products of the two orders are equal, so only
+        the contraction terms are formed; the window is the smaller of
+        the two compositions' windows."""
+        win = _min_window(_compose_window(self, other), _compose_window(other, self))
+        out = {}
+        self._contract(other, win, out, 1)
+        other._contract(self, win, out, -1)
+        return Operator(out, win)
+
+    def _contract(self, other, win, out, sign):
+        """Add ``sign`` times the contraction terms of self o other (the
+        partials of self hit at least one multiplier variable of other)
+        with partial index-sum <= win into the dict ``out``.
+
+        For each term of other and each nonzero way to hit its
+        multiplier, the candidate terms of self come from the index of
+        self's terms by partial variable."""
+        index = self._lazy()[1]
+        get = out.get
+        for _bmult, bparts, bc, bsum, patterns in other._lazy()[2]:
+            bc *= sign
+            for hits, red_b, hit_weight, bfactor in patterns:
+                i, k, j = hits[0]
+                limit = None if win is None else win - bsum + hit_weight
+                for asum, ea, amult, lowered, ac in index.get((i, k), ()):
+                    if limit is not None and asum > limit:
+                        break  # entries are sorted by asum
+                    if ea < j:
+                        continue
+                    # C(ea, j) ways to pick the partials that hit
+                    factor = bfactor * comb(ea, j)
+                    red_a = lowered[j - 1]
+                    for i2, k2, j2 in hits[1:]:
+                        d = mono_diff(red_a, ((i2, k2, j2),))
+                        if d is None:
+                            break
+                        # C(e2, j2): the falling factorial over j2!
+                        factor *= d[0] // factorial(j2)
+                        red_a = d[1]
+                    else:
+                        mult = mono_mul(amult, red_b) if red_b else amult
+                        key = (mult, mono_mul(red_a, bparts))
+                        out[key] = get(key, 0) + ac * bc * factor
+
+    def _lazy(self):
+        """(max weight shift, index, term list), computed on first use.
+        The index maps each partial variable to the terms whose partials
+        contain it, as (partial index-sum, exponent e, multiplier, the
+        partials with that variable lowered by 1..e, coeff) sorted by
+        index-sum.  The term list holds (multiplier, partials, coeff,
+        partial index-sum, the multiplier's hit patterns)."""
+        lazy = self._cache
+        if lazy is None:
+            index = {}
+            listed = []
+            for (mult, parts), c in self.terms.items():
+                psum = mono_weight(parts)
+                listed.append((mult, parts, c, psum, _hit_patterns(mult)))
+                for i, k, e in parts:
+                    lowered = [_lower(parts, i, k, j) for j in range(1, e + 1)]
+                    index.setdefault((i, k), []).append((psum, e, mult, lowered, c))
+            for entries in index.values():
+                entries.sort(key=lambda entry: entry[0])
+            shift = max((term_weight_shift(k) for k in self.terms), default=None)
+            lazy = (shift, index, listed)
+            object.__setattr__(self, "_cache", lazy)
+        return lazy
 
     def equal_within(self, other, w):
         """Exact term agreement up to partial index-sum w (equivalently,

@@ -27,8 +27,9 @@ Q_KIND = "q"
 
 def norm_coeff(c):
     """Collapse integral Fractions to plain int (keeps arithmetic on the
-    fast integer path whenever denominators are 1)."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    fast integer path whenever denominators are 1).  An exact type test:
+    isinstance against the Fraction ABC is slow on this hot path."""
+    if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
 

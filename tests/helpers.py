@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from tautjac.operators import Operator
-from tautjac.poly import P_KIND, Q_KIND, Poly, mono_from_exponents
+from tautjac.poly import P_KIND, Q_KIND, Poly, enumerate_monomials, mono_from_exponents
 
 
 @lru_cache(maxsize=None)
@@ -87,3 +87,32 @@ def random_operator(rng, max_index=3, max_terms=3):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def all_monomials_up_to(w):
+    for weight in range(w + 1):
+        for m in enumerate_monomials(weight):
+            yield Poly.monomial(m)
+
+
+class ApplyOracle:
+    """Oracle for products and commutators on polynomials through
+    Operator.apply alone: a(b(f)) - b(a(f)).  Images of monomials are
+    memoized per operator, so sweeping many pairs applies each operator
+    once per monomial."""
+
+    def __init__(self):
+        self._images = {}  # (id(op), monomial) -> (op, image)
+
+    def apply(self, op, f):
+        out = {}
+        for m, c in f.terms.items():
+            key = (id(op), m)
+            if key not in self._images:
+                self._images[key] = (op, op.apply(Poly.monomial(m)))
+            for m2, c2 in self._images[key][1].terms.items():
+                out[m2] = out.get(m2, 0) + c * c2
+        return Poly(out)
+
+    def commutator(self, a, b, f):
+        return self.apply(a, self.apply(b, f)) - self.apply(b, self.apply(a, f))

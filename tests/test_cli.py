@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tautjac
 from tautjac.cache import cache_path, get_or_build, load_ideal, store_ideal
 from tautjac.cli import main
 from tautjac.fourier import FourierMap
@@ -55,11 +59,37 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "lie", "--genus", "2", "--max-order", "-3", "--jobs", "1"],
         ["verify", "sl2", "--genus", "2", "--max-order", "1"],
         ["fourier", "--genus", "2", "--check", "conj", "--m=-1", "--n", "2"],
+        ["dump-operator", "--genus", "2", "--op", "field", "--m=-1", "--n", "2"],
+        ["dump-operator", "--genus", "2", "--op", "density", "--m", "0", "--n=-2"],
     ]
+    # --window must reach --max-order (lie, tilde, grading) or
+    # --max-order + 2 (sl2, all): the bound passes, one below exits 2
+    verify = ["verify", "--genus", "2", "--max-order", "4", "--jobs", "1", "--window"]
+    bounds = {"lie": 4, "tilde": 4, "grading": 4, "sl2": 6, "all": 6}
+    for suite, bound in bounds.items():
+        argv = verify[:1] + [suite] + verify[1:]
+        code, out, _ = run(capsys, *argv, str(bound))
+        assert code == 0 and out, suite
+        bad.append(argv + [str(bound - 1)])
     for argv in bad:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: "), argv
+
+
+def test_cli_import_starts_no_process_machinery():
+    # the CLI runs in one process; importing it must not pay for the
+    # multiprocessing or concurrent.futures modules
+    code = (
+        "import sys, tautjac.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tautjac.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_verify_lie_table(capsys):

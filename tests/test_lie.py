@@ -2,20 +2,30 @@ from math import comb, factorial
 
 import pytest
 
-from tautjac.errors import InvalidGenus, VerificationFailure
+from helpers import ApplyOracle, all_monomials_up_to
+from tautjac import lie
+from tautjac.errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
 from tautjac.lie import (
     LieContext,
+    _at_genus,
+    _bracket_pairs,
+    _bracket_residual,
+    _GenusParts,
     cartan_eigenvalue,
     density_op,
+    density_params,
     descent_op,
     field_op,
+    field_params,
     raw_field_op,
     run_bracket_suite,
     sl2_triple,
     verify_bracket,
 )
 from tautjac.operators import Operator, commutator, mul_op, op_equal
-from tautjac.poly import Poly, enumerate_monomials, mono_sdeg, p, q
+from tautjac.poly import MONO_ONE, P_KIND, Poly, enumerate_monomials, mono_sdeg, p, q
+
+ENTRY_KEYS = ["identity", "params", "genus", "window", "status"]
 
 
 def test_context_validation():
@@ -178,15 +188,156 @@ def test_descent_preserves_p1_free_subring():
             assert all(not (i == 1 and k == "p") for i, k, _e in m), (f, m)
 
 
-def test_operators_genus_free_except_known_members():
-    base = LieContext(2, 8)
-    other = LieContext(10, 8)
-    for m in range(5):
-        for n in range(5 - m):
-            fsame = field_op(m, n, base).terms == field_op(m, n, other).terms
-            assert fsame == ((m, n) not in {(1, 1), (2, 0)}) or m + n < 2
-            dsame = density_op(m, n, base).terms == density_op(m, n, other).terms
-            assert dsame == ((m, n) != (0, 0))
+def test_genus_parts_nonzero_exactly_for_four_members():
+    # every member is A + g*B with A, B free of g; B is nonzero only for
+    # these four, and each of those B is a multiple of id or of d(p1)
+    parts = _GenusParts(8)
+    members = [("descent", 0, 0)]
+    members += [(family, m, n) for family in ("field", "density")
+                for m in range(6) for n in range(6 - m)]
+    ctors = {
+        "descent": lambda m, n, ctx: descent_op(ctx),
+        "field": field_op,
+        "density": density_op,
+    }
+    identity, d_p1 = (MONO_ONE, MONO_ONE), (MONO_ONE, ((1, P_KIND, 1),))
+    sensitive = set()
+    for family, m, n in members:
+        a, b = parts(family, m, n)
+        if b.terms:
+            sensitive.add((family, m, n))
+            assert len(b.terms) == 1 and set(b.terms) <= {identity, d_p1}
+        for g in (2, 3, 10):
+            op = ctors[family](m, n, LieContext(g, 8))
+            assert op == (a + g * b if b.terms else a), (family, m, n, g)
+    assert sensitive == {
+        ("descent", 0, 0), ("field", 1, 1), ("field", 2, 0), ("density", 0, 0)
+    }
+
+
+def _family_ops(ctx, max_order):
+    return [field_op(m, n, ctx) for m, n in field_params(max_order)] + [
+        density_op(m, n, ctx) for m, n in density_params(max_order)
+    ]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("window", [4, 7])
+def test_family_commutators_match_apply_oracle(g, window):
+    ctx = LieContext(g, window)
+    ops = _family_ops(ctx, 4)
+    oracle = ApplyOracle()
+    monomials = list(all_monomials_up_to(window))
+    checked = 0
+    for i, a in enumerate(ops):
+        for b in ops[i:]:
+            bracket = a.commutator(b)
+            w = window if bracket.window is None else bracket.window
+            for f in monomials:
+                if f.max_weight() > w:
+                    break
+                assert bracket.apply(f) == oracle.commutator(a, b, f), (a, b, f)
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_sl2_nested_commutators_match_apply_oracle(g):
+    ctx = LieContext(g, 7)
+    e, f, h = sl2_triple(ctx)
+    oracle = ApplyOracle()
+    pairs = [(e, f), (h, e), (h, f)]
+    for n in range(1, 5):
+        for var_n in (mul_op(p(n)), mul_op(q(n))):
+            inner = f.commutator(var_n)
+            pairs.append((f, var_n))
+            for m in range(1, 6 - n):
+                pairs += [(inner, mul_op(p(m))), (inner, mul_op(q(m)))]
+    for a, b in pairs:
+        bracket = a.commutator(b)
+        for x in all_monomials_up_to(max(bracket.window, 0)):
+            assert bracket.apply(x) == oracle.commutator(a, b, x), (a, b, x)
+
+
+@pytest.mark.parametrize("kind", ["field_field", "field_density", "density_density", "raw_field"])
+def test_genus_residuals_match_direct_brackets(kind):
+    # R0 + g R1 + g^2 R2, computed once, against [X(g), Y(g)] - c Z(g)
+    # computed at each genus from the public constructors
+    window = 7
+    parts = _GenusParts(window)
+    ctor = raw_field_op if kind == "raw_field" else field_op
+    for g in (2, 3, 5, 10):
+        ctx = LieContext(g, window)
+        for a, b in _bracket_pairs(kind, 4):
+            (m, n), (mp, np_) = a, b
+            coeff = n * mp - m * np_
+            r = (m + mp - 1, n + np_ - 1)
+            if kind == "density_density":
+                bracket = density_op(m, n, ctx).commutator(density_op(mp, np_, ctx))
+                expected = Operator.zero()
+            elif kind == "field_density":
+                bracket = field_op(m, n, ctx).commutator(density_op(mp, np_, ctx))
+                expected = coeff * density_op(*r, ctx)
+            else:
+                bracket = ctor(m, n, ctx).commutator(ctor(mp, np_, ctx))
+                expected = coeff * ctor(*r, ctx)
+            if kind == "raw_field":
+                corr = 4 * (comb(n, 2) * comb(mp, 2) - comb(np_, 2) * comb(m, 2))
+                expected = expected - corr * density_op(m + mp - 2, n + np_ - 2, ctx)
+            res, w = _bracket_residual(kind, a, b, parts)
+            assert w == (window if bracket.window is None else max(bracket.window, 0))
+            direct = (bracket - expected).truncated(w)
+            assert _at_genus(res, g).terms == direct.terms, (kind, a, b, g)
+
+
+def test_planted_genus_part_error_names_exactly_the_affected_genera(monkeypatch):
+    # shift field(1,1) by (2g - 6) id: wrong at every genus except 3
+    build = lie._BUILDERS["field"]
+
+    def planted(m, n, parts):
+        a, b = build(m, n, parts)
+        if (m, n) == (1, 1):
+            return a - 6 * Operator.identity(), b + 2 * Operator.identity()
+        return a, b
+
+    monkeypatch.setitem(lie._BUILDERS, "field", planted)
+    summary = run_bracket_suite([2, 3, 5, 10], max_order=3, window=6, jobs=1)
+    failures = summary["failures"]
+    assert failures and {f["genus"] for f in failures} == {2, 5, 10}
+    by_genus = {g: sorted(f["identity"] for f in failures if f["genus"] == g) for g in (2, 5, 10)}
+    assert by_genus[2] == by_genus[5] == by_genus[10]
+    assert "[field(0,2), field(2,0)]" in by_genus[2]
+    assert all(list(f) == ENTRY_KEYS + ["counterexample"] for f in failures)
+    with pytest.raises(VerificationFailure) as info:
+        verify_bracket("field_field", {"max_order": 3}, LieContext(5, 6))
+    assert info.value.entry["genus"] == 5 and info.value.entry["status"] == "fail"
+    assert verify_bracket("field_field", {"max_order": 3}, LieContext(3, 6))
+
+
+def test_run_bracket_suite_ignores_jobs():
+    assert run_bracket_suite([2, 5], 3, 6, jobs=1) == run_bracket_suite([2, 5], 3, 6, jobs=4)
+
+
+def test_sweep_parameter_errors():
+    with pytest.raises(InvalidParameter):
+        run_bracket_suite([], 4, 8)
+    with pytest.raises(InvalidParameter):
+        run_bracket_suite([2], 4, 3)
+    run_bracket_suite([2], 4, 4)
+    for kind in ("field_field", "raw_field", "grading"):
+        with pytest.raises(InvalidParameter):
+            verify_bracket(kind, {"max_order": 4}, LieContext(2, 3))
+        assert verify_bracket(kind, {"max_order": 4}, LieContext(2, 4))
+    with pytest.raises(InvalidParameter):
+        verify_bracket("sl2", {"max_order": 4}, LieContext(2, 5))
+    assert len(verify_bracket("sl2", {"max_order": 4}, LieContext(2, 6))) == 30
+
+
+def test_report_entry_key_order():
+    assert list(report_entry("x", {}, 2, 5)) == ENTRY_KEYS
+    assert list(report_entry("x", {}, 2, 5, "fail", "d")) == ENTRY_KEYS + ["counterexample"]
+    for entry in verify_bracket("sl2", {"max_order": 2}, LieContext(2, 4)):
+        assert list(entry) == ENTRY_KEYS
 
 
 def test_run_bracket_suite_small():

@@ -1,16 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
-from helpers import random_operator, seeded
+from helpers import ApplyOracle, all_monomials_up_to, random_operator, seeded
 from tautjac.errors import WindowExceeded
 from tautjac.lie import LieContext, field_op
 from tautjac.operators import Operator, commutator, diff_op, mul_op, op_equal
-from tautjac.poly import Poly, enumerate_monomials, p, q
-
-
-def all_monomials_up_to(w):
-    for weight in range(w + 1):
-        for m in enumerate_monomials(weight):
-            yield Poly.monomial(m)
+from tautjac.poly import Poly, enumerate_monomials, mono_from_str, p, q
 
 
 def test_apply_examples():
@@ -47,6 +43,43 @@ def test_compose_apply_consistency_randomized():
         ab = a @ b
         for f in all_monomials_up_to(6):
             assert ab.apply(f) == a.apply(b.apply(f)), (a, b, f)
+
+
+def test_commutator_apply_oracle_randomized():
+    # [a, b] is formed from contraction terms alone; a(b(f)) - b(a(f))
+    # through apply is the oracle, with multi-variable multipliers and
+    # repeated variables (hits of order 2) in the mix
+    rng = seeded(17)
+    oracle = ApplyOracle()
+    multi = 0
+    for _ in range(60):
+        a = random_operator(rng, max_terms=4)
+        b = random_operator(rng, max_terms=4)
+        multi += sum(len(mult) > 1 for mult, _parts in b.terms)
+        bracket = a.commutator(b)
+        assert bracket.window is None
+        for f in all_monomials_up_to(6):
+            assert bracket.apply(f) == oracle.commutator(a, b, f), (a, b, f)
+        assert bracket == (a @ b) - (b @ a)
+    assert multi >= 10
+
+
+def test_products_apply_oracle_repeated_hits():
+    # several multiplier variables hit more than once each
+    mono = mono_from_str
+    ops = [
+        Operator.single(2, mono("p2^2*q1^3"), mono("p1")),
+        Operator.single(-3, mono("p1"), mono("p2^2*q1^2")),
+        Operator.single(Fraction(1, 2), mono("p1^2*q1^2"), mono("p1*q1")),
+        Operator.single(5, mono("p2*q1"), mono("p2*q1^2")),
+    ]
+    oracle = ApplyOracle()
+    for a in ops:
+        for b in ops:
+            ab, bracket = a @ b, a.commutator(b)
+            for f in all_monomials_up_to(7):
+                assert ab.apply(f) == oracle.apply(a, oracle.apply(b, f)), (a, b, f)
+                assert bracket.apply(f) == oracle.commutator(a, b, f), (a, b, f)
 
 
 def test_compose_apply_consistency_windowed():
