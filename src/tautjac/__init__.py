@@ -33,7 +33,7 @@ from .lie import (
     verify_bracket,
 )
 from .newton import d_to_w, w_to_d
-from .operators import Operator, commutator, diff_op, mul_op, op_equal
+from .operators import Operator, mul_op
 from .parse import parse_poly
 from .poly import Poly, enumerate_monomials, p, q
 
@@ -54,17 +54,14 @@ __all__ = [
     "VerificationFailure",
     "WindowExceeded",
     "cartan_eigenvalue",
-    "commutator",
     "d_to_w",
     "density_op",
     "descent_op",
-    "diff_op",
     "enumerate_monomials",
     "exp_apply",
     "field_op",
     "minus_one_pullback",
     "mul_op",
-    "op_equal",
     "p",
     "parse_poly",
     "q",

@@ -211,8 +211,9 @@ def _cmd_member(args):
 
 
 def _cmd_fourier(args):
-    ideal = _load_ideal(args)
-    fmap = FourierMap(ideal)
+    if args.check == "conj" and (args.m is None or args.n is None):
+        raise InvalidParameter("--check conj requires --m and --n")
+    fmap = FourierMap(_load_ideal(args))
     if args.check == "s2":
         failures = fmap.check_s2()
         if not failures:
@@ -224,11 +225,6 @@ def _cmd_fourier(args):
         for failure in failures:
             print(json.dumps(failure), file=sys.stderr)
         return 1
-    if args.m is None or args.n is None:
-        print("--check conj requires --m and --n", file=sys.stderr)
-        return 2
-    if args.m < 0 or args.n < 0:
-        raise InvalidParameter("--m and --n must be >= 0, got %d, %d" % (args.m, args.n))
     try:
         entries = fmap.verify_conjugation(args.m, args.n, args.family)
     except VerificationFailure as failure:
@@ -248,14 +244,11 @@ def _cmd_newton(args):
     try:
         values = _parse_rational_list(raw)
     except (ValueError, ZeroDivisionError) as err:
-        print("bad rational list: %s" % err, file=sys.stderr)
-        return 2
+        raise InvalidParameter("bad rational list: %s" % err) from err
     if len(values) != args.genus:
-        print(
-            "expected %d comma-separated values, got %d" % (args.genus, len(values)),
-            file=sys.stderr,
+        raise InvalidParameter(
+            "expected %d comma-separated values, got %d" % (args.genus, len(values))
         )
-        return 2
     out = w_to_d(values) if args.to_d is not None else d_to_w(values)
     print(",".join(str(v) for v in out))
     return 0
@@ -283,8 +276,7 @@ def _cmd_dump_operator(args):
     ctx = LieContext(args.genus, args.window)
     needs_mn = args.op in ("field", "density", "raw")
     if needs_mn and (args.m is None or args.n is None):
-        print("--op %s requires --m and --n" % args.op, file=sys.stderr)
-        return 2
+        raise InvalidParameter("--op %s requires --m and --n" % args.op)
     if needs_mn and (args.m < 0 or args.n < 0):
         raise InvalidParameter("--m and --n must be >= 0, got %d, %d" % (args.m, args.n))
     if args.op == "descent":

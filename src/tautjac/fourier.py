@@ -15,7 +15,7 @@ s-homogeneous class by (-1)^s.  The Pontryagin product is realized
 through S: a * b = S^{-1}(S(a) S(b)).
 """
 
-from .errors import NotNilpotent, VerificationFailure, report_entry
+from .errors import InvalidParameter, NotNilpotent, VerificationFailure, report_entry
 from .lie import LieContext, density_op, descent_op, field_op
 from .operators import mul_op
 from .poly import P_KIND, Poly, mono_sdeg, mono_weight, p
@@ -164,8 +164,15 @@ class FourierMap:
 
     def verify_conjugation(self, m, n, family="field"):
         """Check S o op(m,n) o S^{-1} = (-1)^n op(n,m) on every quotient
-        basis element; raises VerificationFailure on the first mismatch."""
+        basis element; raises VerificationFailure on the first mismatch.
+        Raises InvalidParameter for a pair whose member is zero by
+        definition: a negative index, or a field pair with m + n < 2."""
         ctor = {"field": field_op, "density": density_op}[family]
+        if min(m, n) < 0 or (family == "field" and m + n < 2):
+            raise InvalidParameter(
+                "%s(%d,%d) is zero by definition: indices must be >= 0%s"
+                % (family, m, n, " with m + n >= 2" if family == "field" else "")
+            )
         op = ctor(m, n, self.ctx)
         flipped = ctor(n, m, self.ctx)
         sign = -1 if n % 2 else 1

@@ -6,10 +6,12 @@ only the spaces of weights 0..g are stored.  Starting from all
 monomials of weight g+1, the builder repeatedly applies the descent
 operator D (one weight down) and multiplies known relations by ring
 variables (back up, capped at the genus), until the per-weight relation
-spaces stop growing.  Each graded space is kept in reduced row echelon
-form over exact rationals, with pivots on the canonically largest
-monomials, so normal forms are unique and the whole structure is
-deterministic.  Queries send every weight above g to zero.
+spaces stop growing.  One closure step lists these images of a row:
+the build inserts them, and the stability check that ends every build
+asserts that each of them reduces to zero.  Each graded space is kept
+in reduced row echelon form over exact rationals, with pivots on the
+canonically largest monomials, so normal forms are unique and the whole
+structure is deterministic.  Queries send every weight above g to zero.
 
 The result is a *derived* sub-ideal of the true relation ideal: a
 polynomial outside it is not thereby proven nonzero in the Chow ring.
@@ -107,41 +109,42 @@ class RelationIdeal:
         self.spaces = spaces
 
     @classmethod
-    def build(cls, genus, check=True):
-        """Close the vanishing ideal under descent and multiplication.
+    def build(cls, genus):
+        """Close the vanishing ideal under descent and multiplication,
+        then check that the result is stable.
 
         Deterministic: the spaces are spans, and RREF with the canonical
         monomial order is unique for a given span.
         """
         if not isinstance(genus, int) or genus < 2:
             raise InvalidGenus("genus must be an integer >= 2, got %r" % (genus,))
+        ideal = cls(genus, [_Space(w) for w in range(genus + 1)])
         descent = descent_op(LieContext(genus, genus + 1))
-        spaces = [_Space(w) for w in range(genus + 1)]
         # Descent and products out of weights above genus+1 only land in
         # weights above the genus, so the queue starts at genus+1.
         queue = deque((genus + 1, {m: 1}) for m in enumerate_monomials(genus + 1))
         while queue:
             w, vec = queue.popleft()
-            if w >= 1 and not spaces[w - 1].full:
-                img = descent.apply(Poly(vec))
-                if img.terms:
-                    row = spaces[w - 1].insert(dict(img.terms))
-                    if row is not None:
-                        queue.append((w - 1, row))
-            for idx in range(1, genus - w + 1):
-                for kind in (P_KIND, Q_KIND):
-                    target = spaces[w + idx]
-                    if target.full:
-                        continue
-                    var = ((idx, kind, 1),)
-                    prod = {mono_mul(m, var): c for m, c in vec.items()}
-                    row = target.insert(prod)
-                    if row is not None:
-                        queue.append((w + idx, row))
-        ideal = cls(genus, spaces)
-        if check:
-            ideal.check_stability()
+            for target, image, _var in ideal._images(descent, w, vec):
+                row = ideal.spaces[target].insert(image)
+                if row is not None:
+                    queue.append((target, row))
+        ideal.check_stability()
         return ideal
+
+    def _images(self, descent, w, row):
+        """The images of a relation row of weight w that must again be
+        relations, as (target weight, vector, variable): its descent
+        (variable None), and its product with each variable up to weight
+        g.  Targets that are already full are skipped."""
+        spaces = self.spaces
+        if w >= 1 and not spaces[w - 1].full:
+            yield w - 1, descent.apply(Poly(row)).terms, None
+        for idx in range(1, self.genus - w + 1):
+            for kind in (P_KIND, Q_KIND):
+                if not spaces[w + idx].full:
+                    var = ((idx, kind, 1),)
+                    yield w + idx, {mono_mul(m, var): c for m, c in row.items()}, var
 
     # -- queries ---------------------------------------------------------
 
@@ -200,25 +203,17 @@ class RelationIdeal:
         g = self.genus
         descent = descent_op(LieContext(g, g + 1))
         top = [{m: 1} for m in enumerate_monomials(g + 1)]
-        for w in range(1, g + 2):
-            if self.spaces[w - 1].full:
-                continue
-            rows = top if w > g else self.spaces[w].pivots.values()
-            for row in rows:
-                if self.spaces[w - 1].reduce(descent.apply(Poly(row)).terms):
-                    self._unstable("descent stability", {"weight": w}, row)
-        for w in range(g + 1):
-            for idx in range(1, g - w + 1):
-                for kind in (P_KIND, Q_KIND):
-                    target = self.spaces[w + idx]
-                    if target.full:
+        for w in range(g + 2):
+            for row in top if w > g else self.spaces[w].pivots.values():
+                for target, image, var in self._images(descent, w, row):
+                    if not self.spaces[target].reduce(image):
                         continue
-                    var = ((idx, kind, 1),)
-                    for row in self.spaces[w].pivots.values():
-                        prod = {mono_mul(m, var): c for m, c in row.items()}
-                        if target.reduce(prod):
-                            params = {"weight": w, "times": "%s%d" % (kind, idx)}
-                            self._unstable("ideal stability", params, row)
+                    if var is None:
+                        identity, params = "descent stability", {"weight": w}
+                    else:
+                        identity = "ideal stability"
+                        params = {"weight": w, "times": mono_str(var)}
+                    self._unstable(identity, params, row)
 
     def _unstable(self, identity, params, row):
         raise VerificationFailure(

@@ -22,8 +22,9 @@ differential operators:
       [field(m,n), density(m',n')] = (nm' - mn') density(m+m'-1, n+n'-1),
       [density, density] = 0;
 
-* the sl2 triple e (multiplication by p1), f = -D, and h = -field(1,1),
-  where h acts on a (weight w, s-degree s) monomial by 2w - s - g.
+* the sl2 triple e (multiplication by p1), f = -D, and
+  h = sum_n ((n+1) p_n d(p_n) + n q_n d(q_n)) - g, which acts on a
+  (weight w, s-degree s) monomial by 2w - s - g and equals -field(1,1).
 
 Wherever a formula would produce the symbol q0 the genus scalar g is
 substituted, so the operators and all brackets stay inside Q.  That is
@@ -33,10 +34,12 @@ operator (B = -d(p1)), field(1,1) (B = id), field(2,0) (B = -2 d(p1))
 and density(0,0) (B = id).  The public constructors return A + g*B at
 the context's genus.
 
-The bracket sweeps (``run_bracket_suite`` and the bracket kinds of
-``verify_bracket``) compute each identity [X, Y] = Z once, as residual
-parts R0 + g*R1 + g^2*R2 of [X, Y] - Z, and evaluate them inside the
-checked window at every requested genus.
+Every operator identity that ``verify_bracket`` and
+``run_bracket_suite`` check is a bracket [X, Y] = sum c*Z in this
+algebra (or, for h = -field(1,1), X = sum c*Z), and all of them take
+one path: the residual parts R0 + g*R1 + g^2*R2 of [X, Y] - sum c*Z are
+computed once from the genus parts of the operands, cut to the smallest
+window of the part commutators, and evaluated there at each genus.
 """
 
 from collections import namedtuple
@@ -76,17 +79,17 @@ def _check_context(genus, window):
 class LieContext:
     """Fixed genus (>= 2) and truncation window for the constructors.
 
-    Construction results are memoized per context; contexts are cheap
-    and immutable, so share one per (genus, window) where convenient.
+    The genus parts of each member are memoized per context; contexts
+    are cheap and immutable, so share one per (genus, window) where
+    convenient.
     """
 
-    __slots__ = ("genus", "window", "_memo", "_parts")
+    __slots__ = ("genus", "window", "_parts")
 
     def __init__(self, genus, window):
         _check_context(genus, window)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "window", window)
-        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_parts", _GenusParts(window))
 
     def __setattr__(self, name, value):
@@ -94,12 +97,6 @@ class LieContext:
 
     def __repr__(self):
         return "LieContext(genus=%d, window=%d)" % (self.genus, self.window)
-
-    def _cached(self, key, make):
-        memo = self._memo
-        if key not in memo:
-            memo[key] = make()
-        return memo[key]
 
 
 def _index_multisets(count, cap, largest=None):
@@ -251,9 +248,7 @@ _BUILDERS = {
 
 def _member(ctx, family, m=0, n=0):
     """A family member at the context's genus: A + g*B."""
-    return ctx._cached(
-        (family, m, n), lambda: _at_genus(ctx._parts(family, m, n), ctx.genus)
-    )
+    return _at_genus(ctx._parts(family, m, n), ctx.genus)
 
 
 def descent_op(ctx):
@@ -290,17 +285,25 @@ def raw_field_op(k, n, ctx):
 Sl2 = namedtuple("Sl2", ["e", "f", "h"])
 
 
+def _sl2_parts(parts):
+    """Genus parts of the triple at the window of ``parts``: e = p1.,
+    f = -D and h = sum_n ((n+1) p_n d(p_n) + n q_n d(q_n)) - g id."""
+    W = parts.window
+    h = {}
+    for n in range(1, W + 1):
+        h[(_pvar(n), _pvar(n))] = n + 1
+        h[(_qvar(n), _qvar(n))] = n
+    return Sl2(
+        (mul_op(p(1)),),
+        tuple(-x for x in parts("descent")),
+        (Operator(h, W), -Operator.identity()),
+    )
+
+
 def sl2_triple(ctx):
     """The triple (e, f, h): e = multiplication by p1 (exact), f = -D,
-    h = -field(1,1), acting on a (w, s) monomial by 2w - s - g."""
-
-    def make():
-        e = mul_op(p(1))
-        f = -descent_op(ctx)
-        h = -field_op(1, 1, ctx)
-        return Sl2(e, f, h)
-
-    return ctx._cached("sl2", make)
+    h acting on a (w, s) monomial by 2w - s - g (equal to -field(1,1))."""
+    return Sl2(*(_at_genus(x, ctx.genus) for x in _sl2_parts(ctx._parts)))
 
 
 def cartan_eigenvalue(weight, sdeg, genus):
@@ -335,19 +338,17 @@ def density_params(max_order):
     ]
 
 
-def _require_window(window, needed, max_order):
-    """A sweep up to ``max_order`` is exact only from window ``needed``
-    on; below it identities would be dropped or checked past validity."""
-    if window < needed:
+def _require_window(window, max_order, extra=0):
+    """A sweep up to ``max_order`` (>= 2) is exact only from window
+    ``max_order + extra`` on; below it identities would be dropped or
+    checked past validity, and below order 2 no field member exists."""
+    if max_order < 2:
+        raise InvalidParameter("max_order must be >= 2, got %r" % (max_order,))
+    if window < max_order + extra:
         raise InvalidParameter(
             "window %d is too small for max_order %d: need >= %d"
-            % (window, max_order, needed)
+            % (window, max_order, max_order + extra)
         )
-
-
-def _effective_window(bracket, fallback):
-    w = bracket.window
-    return fallback if w is None else max(w, 0)
 
 
 def _bracket_pairs(kind, max_order):
@@ -361,42 +362,56 @@ def _bracket_pairs(kind, max_order):
     return [(a, b) for i, a in enumerate(ps) for b in ps[i + 1:]]
 
 
-def _bracket_residual(kind, a, b, parts):
-    """Genus parts (R0, R1, R2) of [X, Y] - (right-hand side) for one
-    bracket identity, cut to the checked window, and that window.  With
-    X = A + g*B and Y = C + g*E the bracket is
-    [A,C] + g([A,E] + [B,C]) + g^2 [B,E]."""
-    m, n = a
-    mp, np_ = b
+def _bracket(x, y):
+    """Genus parts of [X, Y] from those of X and Y, and the windows of
+    the part commutators.  With X = A + g*B and Y = C + g*E the bracket
+    is [A,C] + g([A,E] + [B,C]) + g^2 [B,E]."""
+    out = [Operator.zero()] * (len(x) + len(y) - 1)
+    windows = []
+    for i, u in enumerate(x):
+        for k, v in enumerate(y):
+            if u.terms and v.terms:
+                bracket = u.commutator(v)
+                windows.append(bracket.window)
+                out[i + k] = out[i + k] + bracket
+    return out, windows
+
+
+def _residual(x, y, rhs, fallback):
+    """Genus parts of [X, Y] - sum c*Z over ``rhs`` = [(c, parts of Z)],
+    cut to the checked window, and that window: the smallest window of
+    the part commutators, or ``fallback`` when none is bounded.  With
+    ``y`` None the left-hand side is X itself."""
+    res, windows = _bracket(x, y) if y is not None else (list(x), [])
+    for c, z in rhs:
+        for k, part in enumerate(z):
+            if c and part.terms:
+                res[k] = res[k] - c * part
+    finite = [w for w in windows if w is not None]
+    w = max(min(finite), 0) if finite else fallback
+    return [r.truncated(w) for r in res], w
+
+
+def _bracket_identity(kind, a, b, parts):
+    """(x, y, rhs) of one bracket identity [X, Y] = sum c*Z, in genus
+    parts."""
+    (m, n), (mp, np_) = a, b
     _la, _lb, left, right = _BRACKETS[kind]
     coeff = n * mp - m * np_
+    r = (m + mp - 1, n + np_ - 1)
     if kind == "field_field":
-        rhs = [(coeff, parts("field", m + mp - 1, n + np_ - 1))]
+        rhs = [(coeff, parts("field", *r))]
     elif kind == "field_density":
-        rhs = [(coeff, parts("density", m + mp - 1, n + np_ - 1))]
+        rhs = [(coeff, parts("density", *r))]
     elif kind == "density_density":
         rhs = []
     else:
         corr = 4 * (binom(n, 2) * binom(mp, 2) - binom(np_, 2) * binom(m, 2))
         rhs = [
-            (coeff, parts("raw_field", m + mp - 1, n + np_ - 1)),
+            (coeff, parts("raw_field", *r)),
             (-corr, parts("density", m + mp - 2, n + np_ - 2)),
         ]
-    res = [Operator.zero()] * 3
-    windows = []
-    for i, u in enumerate(parts(left, m, n)):
-        for k, v in enumerate(parts(right, mp, np_)):
-            if u.terms and v.terms:
-                bracket = u.commutator(v)
-                windows.append(bracket.window)
-                res[i + k] = res[i + k] + bracket
-    for scalar, member in rhs:
-        for k, z in enumerate(member):
-            if scalar and z.terms:
-                res[k] = res[k] - scalar * z
-    finite = [w for w in windows if w is not None]
-    w = max(min(finite), 0) if finite else parts.window
-    return [r.truncated(w) for r in res], w
+    return parts(left, m, n), parts(right, mp, np_), rhs
 
 
 def _bracket_checks(kind, max_order, genera, parts):
@@ -406,57 +421,52 @@ def _bracket_checks(kind, max_order, genera, parts):
     discrepancy within the checked window, zero when the identity holds."""
     la, lb, _left, _right = _BRACKETS[kind]
     for a, b in _bracket_pairs(kind, max_order):
-        res, w = _bracket_residual(kind, a, b, parts)
+        res, w = _residual(*_bracket_identity(kind, a, b, parts), parts.window)
         name = "[%s(%d,%d), %s(%d,%d)]" % (la, a[0], a[1], lb, b[0], b[1])
         params = {"pair": [list(a), list(b)], "checked_window": w}
         for g in genera:
             yield (name, params, g), _at_genus(res, g)
 
 
+def _fail(ctx, name, params, counterexample, difference=None):
+    entry = report_entry(
+        name, params, ctx.genus, ctx.window, "fail", counterexample
+    )
+    raise VerificationFailure(entry, difference)
+
+
 def _record(reports, ctx, name, params, diff):
     """Append the report entry of one identity whose discrepancy is
     ``diff`` (a Poly or an Operator); raise VerificationFailure unless
     it is zero."""
-    ok = diff.is_zero()
-    entry = report_entry(
-        name, params, ctx.genus, ctx.window,
-        "ok" if ok else "fail", None if ok else str(diff),
-    )
-    if not ok:
-        raise VerificationFailure(entry, diff)
-    reports.append(entry)
-
-
-def _op_diff(got, expected, w):
-    """got - expected within partial index-sum w (zero when they agree
-    there); raises WindowExceeded past either operator's window."""
-    if got.equal_within(expected, w):
-        return Operator.zero()
-    return (got - expected).truncated(w)
+    if not diff.is_zero():
+        _fail(ctx, name, params, str(diff), diff)
+    reports.append(report_entry(name, params, ctx.genus, ctx.window))
 
 
 def _sweep_sl2(params, ctx):
     max_order = params.get("max_order", 6)
-    _require_window(ctx.window, max_order + 2, max_order)
-    e, f, h = sl2_triple(ctx)
+    _require_window(ctx.window, max_order, 2)
+    e, f, h = _sl2_parts(ctx._parts)
     reports = []
 
-    def check(name, got, expected, w, extra=None):
-        _record(reports, ctx, name, extra or {}, _op_diff(got, expected, w))
+    def check(name, x, y, rhs, extra=None):
+        res, _w = _residual(x, y, rhs, ctx.window)
+        _record(reports, ctx, name, extra or {}, _at_genus(res, ctx.genus))
 
-    base_w = ctx.window - 2
-    check("[e,f] = h", e.commutator(f), h, base_w)
-    check("[h,e] = 2e", h.commutator(e), 2 * e, base_w)
-    check("[h,f] = -2f", h.commutator(f), -2 * f, base_w)
-    check("h = -field(1,1)", h, -field_op(1, 1, ctx), ctx.window)
+    check("[e,f] = h", e, f, [(1, h)])
+    check("[h,e] = 2e", h, e, [(2, e)])
+    check("[h,f] = -2f", h, f, [(-2, f)])
+    check("h = -field(1,1)", h, None, [(-1, ctx._parts("field", 1, 1))])
+    f_at_g = _at_genus(f, ctx.genus)
     for n in range(1, max_order + 1):
         expected = Poly.constant(ctx.genus) if n == 1 else q(n - 1)
         name = "f(p%d) = %s" % (n, "g" if n == 1 else "q%d" % (n - 1))
-        _record(reports, ctx, name, {"n": n}, f.apply(p(n)) - expected)
-        _record(reports, ctx, "f(q%d) = 0" % n, {"n": n}, f.apply(q(n)))
+        _record(reports, ctx, name, {"n": n}, f_at_g.apply(p(n)) - expected)
+        _record(reports, ctx, "f(q%d) = 0" % n, {"n": n}, f_at_g.apply(q(n)))
     for n in range(1, max_order):
-        fp = f.commutator(mul_op(p(n)))
-        fq = f.commutator(mul_op(q(n)))
+        fp = _bracket(f, (mul_op(p(n)),))[0]
+        fq = _bracket(f, (mul_op(q(n)),))[0]
         for m in range(1, max_order - n + 1):
             nested = [
                 ("[[f,p%d.],p%d.] = -C(%d,%d) p%d." % (n, m, m + n, m, m + n - 1),
@@ -466,56 +476,43 @@ def _sweep_sl2(params, ctx):
                 ("[[f,q%d.],q%d.] = 0" % (n, m), fq, q(m), Poly.zero()),
             ]
             for name, inner, var, expected in nested:
-                got = inner.commutator(mul_op(var))
-                w = _effective_window(got, ctx.window)
-                check(name, got, mul_op(expected), w, {"n": n, "m": m})
+                rhs = [(1, (mul_op(expected),))]
+                check(name, inner, (mul_op(var),), rhs, {"n": n, "m": m})
     return reports
 
 
 def _sweep_grading(params, ctx):
     max_order = params.get("max_order", 4)
-    _require_window(ctx.window, max_order, max_order)
+    _require_window(ctx.window, max_order)
     max_weight = min(params.get("max_weight", ctx.window), ctx.window)
-    e, f, h = sl2_triple(ctx)
+    h = _sl2_parts(ctx._parts).h
+    h_at_g = _at_genus(h, ctx.genus)
     reports = []
+    name = "h acts by 2w - s - g"
     for w in range(max_weight + 1):
         for mono in enumerate_monomials(w):
             mp = Poly.monomial(mono)
-            got = h.apply(mp)
-            expected = cartan_eigenvalue(w, mono_sdeg(mono), ctx.genus) * mp
-            if got != expected:
-                entry = report_entry(
-                    "h acts by 2w - s - g",
-                    {"monomial": str(mp)},
-                    ctx.genus,
-                    ctx.window,
-                    status="fail",
-                    counterexample=str(got - expected),
-                )
-                raise VerificationFailure(entry)
-    reports.append(
-        report_entry(
-            "h acts by 2w - s - g", {"max_weight": max_weight}, ctx.genus, ctx.window
-        )
-    )
+            diff = h_at_g.apply(mp) - cartan_eigenvalue(w, mono_sdeg(mono), ctx.genus) * mp
+            if not diff.is_zero():
+                _fail(ctx, name, {"monomial": str(mp)}, str(diff), diff)
+    reports.append(report_entry(name, {"max_weight": max_weight}, ctx.genus, ctx.window))
     members = [
-        ("field", field_op, m, n, n - 1, n + m - 2) for m, n in field_params(max_order)
+        ("field", m, n, n - 1, n + m - 2) for m, n in field_params(max_order)
     ] + [
-        ("density", density_op, m, n, n, n + m) for m, n in density_params(max_order)
+        ("density", m, n, n, n + m) for m, n in density_params(max_order)
     ]
-    for family, ctor, m, n, wshift, sshift in members:
-        op = ctor(m, n, ctx)
-        got = h.commutator(op)
-        w = _effective_window(got, ctx.window)
+    for family, m, n, wshift, sshift in members:
+        op = ctx._parts(family, m, n)
+        res, w = _residual(h, op, [(n - m, op)], ctx.window)
         _record(
             reports,
             ctx,
             "[h, %s(%d,%d)] = %d*%s(%d,%d)" % (family, m, n, n - m, family, m, n),
             {"checked_window": w},
-            _op_diff(got, (n - m) * op, w),
+            _at_genus(res, ctx.genus),
         )
         label = "%s(%d,%d)" % (family, m, n)
-        _check_shifts(op, wshift, sshift, max_weight, ctx, label, reports)
+        _check_shifts(_at_genus(op, ctx.genus), wshift, sshift, max_weight, ctx, label, reports)
     return reports
 
 
@@ -527,18 +524,10 @@ def _check_shifts(op, wshift, sshift, max_weight, ctx, label, reports):
             out = op.apply(Poly.monomial(mono))
             if out.is_zero():
                 continue
-            s = mono_sdeg(mono)
             keys = set(out.graded())
-            if keys != {(w + wshift, s + sshift)}:
-                entry = report_entry(
-                    name,
-                    {"monomial": mono_str(mono)},
-                    ctx.genus,
-                    ctx.window,
-                    status="fail",
-                    counterexample="%s -> components %s" % (mono_str(mono), sorted(keys)),
-                )
-                raise VerificationFailure(entry)
+            if keys != {(w + wshift, mono_sdeg(mono) + sshift)}:
+                counterexample = "%s -> components %s" % (mono_str(mono), sorted(keys))
+                _fail(ctx, name, {"monomial": mono_str(mono)}, counterexample)
     reports.append(report_entry(name, {"max_weight": max_weight}, ctx.genus, ctx.window))
 
 
@@ -548,14 +537,14 @@ def verify_bracket(kind, params, ctx):
     ``kind`` is one of ``field_field``, ``field_density``,
     ``density_density``, ``raw_field``, ``sl2``, ``grading``.  Returns
     the list of report entries; raises :class:`VerificationFailure`
-    (carrying the difference operator) on the first failing identity,
-    and :class:`InvalidParameter` when the context window is too small
-    for ``max_order`` (below it for the brackets and ``grading``, below
-    it plus 2 for ``sl2``).
+    (carrying the difference) on the first failing identity, and
+    :class:`InvalidParameter` when ``max_order`` is below 2 or the
+    context window is too small for it (below it for the brackets and
+    ``grading``, below it plus 2 for ``sl2``).
     """
     if kind in _BRACKETS:
         max_order = params.get("max_order", 4)
-        _require_window(ctx.window, max_order, max_order)
+        _require_window(ctx.window, max_order)
         reports = []
         checks = _bracket_checks(kind, max_order, [ctx.genus], ctx._parts)
         for (name, pair_params, _g), diff in checks:
@@ -583,7 +572,7 @@ def run_bracket_suite(genera, max_order, window, jobs=None):
         raise InvalidParameter("genera must name at least one genus")
     for g in genera:
         _check_context(g, window)
-    _require_window(window, max_order, max_order)
+    _require_window(window, max_order)
     parts = _GenusParts(window)
     counts = {}
     failures = []

@@ -337,18 +337,5 @@ class Operator:
         return "Operator(%s; window=%s)" % (self, self.window)
 
 
-def commutator(a, b):
-    """[a, b] = a o b - b o a."""
-    return a.commutator(b)
-
-
-def op_equal(a, b, w):
-    return a.equal_within(b, w)
-
-
 def mul_op(f, window=None):
     return Operator.multiplication(f, window)
-
-
-def diff_op(*names, window=None):
-    return Operator.derivative(*names, window=window)

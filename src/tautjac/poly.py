@@ -306,18 +306,6 @@ class Poly:
             n >>= 1
         return out
 
-    def partial(self, var):
-        """Formal partial derivative with respect to one variable."""
-        index, kind = var
-        out = {}
-        for m, c in self.terms.items():
-            for pos, (i, k, e) in enumerate(m):
-                if (i, k) == (index, kind):
-                    rest = m[:pos] + (((i, k, e - 1),) if e > 1 else ()) + m[pos + 1:]
-                    out[rest] = out.get(rest, 0) + c * e
-                    break
-        return Poly(out)
-
     def max_weight(self):
         """Largest monomial weight present (0 for the zero polynomial)."""
         return max((mono_weight(m) for m in self.terms), default=0)

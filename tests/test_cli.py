@@ -61,6 +61,11 @@ def test_usage_errors_exit_2(capsys):
         ["fourier", "--genus", "2", "--check", "conj", "--m=-1", "--n", "2"],
         ["dump-operator", "--genus", "2", "--op", "field", "--m=-1", "--n", "2"],
         ["dump-operator", "--genus", "2", "--op", "density", "--m", "0", "--n=-2"],
+        ["fourier", "--genus", "2", "--check", "conj", "--m", "1", "--n", "0"],
+        ["fourier", "--genus", "2", "--check", "conj", "--m", "1"],
+        ["dump-operator", "--genus", "2", "--op", "raw", "--n", "1"],
+        ["newton", "--genus", "2", "--to-d", "1,x"],
+        ["newton", "--genus", "4", "--to-d", "1,2,3"],
     ]
     # --window must reach --max-order (lie, tilde, grading) or
     # --max-order + 2 (sl2, all): the bound passes, one below exits 2

@@ -1,10 +1,10 @@
 import pytest
 
 from helpers import random_poly, seeded
-from tautjac.errors import NotNilpotent
+from tautjac.errors import InvalidParameter, NotNilpotent
 from tautjac.fourier import FourierMap, exp_apply, minus_one_pullback
 from tautjac.lie import LieContext, density_op, descent_op
-from tautjac.operators import Operator, diff_op, mul_op
+from tautjac.operators import Operator, mul_op
 from tautjac.poly import Poly, p, q
 
 
@@ -44,7 +44,7 @@ def test_exp_apply_heavy_input_vanishes(ideal_g2, fmap_g2):
 
 def test_exp_apply_nilpotence_guards(ideal_g2):
     # weight-preserving term that keeps the p-degree
-    bad = mul_op(p(1)) @ diff_op("p1")
+    bad = mul_op(p(1)) @ Operator.derivative("p1")
     with pytest.raises(NotNilpotent):
         exp_apply(bad, p(1), ideal_g2)
     # raising needs a quotient
@@ -106,6 +106,11 @@ def test_conjugation_examples(fmap_g2):
     assert fmap_g2.verify_conjugation(1, 0, "density")[0]["status"] == "ok"
     # conjugation fixes the Cartan member up to the sign (-1)^1
     assert fmap_g2.verify_conjugation(1, 1, "field")[0]["status"] == "ok"
+    # members that are zero by definition are rejected, not verified
+    for m, n, family in ((1, 0, "field"), (0, 1, "field"), (0, 0, "field"),
+                         (-1, 3, "field"), (2, -1, "density"), (-1, 0, "density")):
+        with pytest.raises(InvalidParameter):
+            fmap_g2.verify_conjugation(m, n, family)
 
 
 def test_conjugation_sweep_small(fmap_g3):

@@ -96,13 +96,13 @@ def test_genus3_descent_chain(ideal_g3):
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
 def test_qg_membership(g):
-    ideal = RelationIdeal.build(g, check=False)
+    ideal = RelationIdeal.build(g)
     assert ideal.contains(q(g))
 
 
 def test_pg_and_piq_relations():
     for g in (2, 3, 4, 5):
-        ideal = RelationIdeal.build(g, check=False)
+        ideal = RelationIdeal.build(g)
         assert ideal.contains(p(g) - p(1) * q(g - 1))
         for i in range(1, g):
             if i == 1:
@@ -118,7 +118,7 @@ def test_pg_and_piq_relations():
 
 def test_weight_g_pure_q_monomials_vanish():
     for g in (3, 4, 5):
-        ideal = RelationIdeal.build(g, check=False)
+        ideal = RelationIdeal.build(g)
         for m in enumerate_monomials(g):
             if mono_pdeg(m) == 0:
                 assert ideal.contains(Poly.monomial(m)), m
@@ -184,14 +184,14 @@ def test_stability_assertions(ideal_g2, ideal_g3):
 
 
 def test_build_is_deterministic():
-    a = RelationIdeal.build(3, check=False)
-    b = RelationIdeal.build(3, check=False)
+    a = RelationIdeal.build(3)
+    b = RelationIdeal.build(3)
     assert a.to_json() == b.to_json()
 
 
 def test_generator_bounds_small_genus():
     for g in (2, 3, 4, 5):
-        ideal = RelationIdeal.build(g, check=False)
+        ideal = RelationIdeal.build(g)
         # q_n for 2n >= g+1 reduces to lower q's
         n = (g + 1 + 1) // 2
         for k in range(n, g + 1):

@@ -8,9 +8,10 @@ from tautjac.errors import InvalidGenus, InvalidParameter, VerificationFailure, 
 from tautjac.lie import (
     LieContext,
     _at_genus,
+    _bracket_identity,
     _bracket_pairs,
-    _bracket_residual,
     _GenusParts,
+    _residual,
     cartan_eigenvalue,
     density_op,
     density_params,
@@ -22,7 +23,7 @@ from tautjac.lie import (
     sl2_triple,
     verify_bracket,
 )
-from tautjac.operators import Operator, commutator, mul_op, op_equal
+from tautjac.operators import Operator, mul_op
 from tautjac.poly import MONO_ONE, P_KIND, Poly, enumerate_monomials, mono_sdeg, p, q
 
 ENTRY_KEYS = ["identity", "params", "genus", "window", "status"]
@@ -71,7 +72,7 @@ def test_field_constructors():
     ctx = LieContext(3, 10)
     assert field_op(0, 3, ctx) == mul_op(factorial(3) * p(2))
     assert field_op(0, 3, ctx).window is None
-    assert op_equal(field_op(2, 0, ctx), 2 * descent_op(ctx), 10)
+    assert field_op(2, 0, ctx).equal_within(2 * descent_op(ctx), 10)
     assert field_op(1, 1, ctx).apply(p(2)) == (3 - 3) * p(2)
     assert field_op(1, 1, LieContext(5, 10)).apply(p(2)) == 2 * p(2)
     # zero outside the admissible range
@@ -103,8 +104,8 @@ def test_density_constructors():
         assert y10.apply(q(i)) == Poly.zero()
     assert density_op(-1, 0, ctx).is_zero()
     assert density_op(0, -1, ctx).is_zero()
-    got = commutator(density_op(1, 2, ctx), density_op(2, 1, ctx))
-    assert op_equal(got, Operator.zero(), got.window)
+    got = density_op(1, 2, ctx).commutator(density_op(2, 1, ctx))
+    assert got.equal_within(Operator.zero(), got.window)
 
 
 def test_raw_field_members():
@@ -113,7 +114,7 @@ def test_raw_field_members():
         assert raw_field_op(0, n, ctx) == field_op(0, n, ctx)
     e, f, h = sl2_triple(ctx)
     expected = (-h) + mul_op(Poly.constant(3))
-    assert op_equal(raw_field_op(1, 1, ctx), expected, 8)
+    assert raw_field_op(1, 1, ctx).equal_within(expected, 8)
 
 
 @pytest.mark.parametrize("g", [2, 3, 5])
@@ -141,13 +142,13 @@ def test_sl2_actions_explicit():
         assert f.apply(q(n)) == Poly.zero()
     assert h.apply(p(1)) == (2 - g) * p(1)
     # double bracket values on specific orders
-    fp2 = commutator(f, mul_op(p(2)))
-    got = commutator(fp2, mul_op(p(3)))
+    fp2 = f.commutator(mul_op(p(2)))
+    got = fp2.commutator(mul_op(p(3)))
     expected = mul_op(-comb(5, 3) * p(4))
-    assert op_equal(got, expected, got.window)
-    got = commutator(fp2, mul_op(q(3)))
+    assert got.equal_within(expected, got.window)
+    got = fp2.commutator(mul_op(q(3)))
     expected = mul_op(-comb(4, 2) * q(4))
-    assert op_equal(got, expected, got.window)
+    assert got.equal_within(expected, got.window)
 
 
 def test_cartan_diagonal_action():
@@ -168,10 +169,10 @@ def test_grading_sweep():
 
 def test_structure_constant_examples():
     ctx = LieContext(3, 10)
-    got = commutator(field_op(1, 2, ctx), field_op(2, 1, ctx))
-    assert op_equal(got, 3 * field_op(2, 2, ctx), got.window)
-    got = commutator(field_op(0, 2, ctx), field_op(2, 0, ctx))
-    assert op_equal(got, 4 * field_op(1, 1, ctx), got.window)
+    got = field_op(1, 2, ctx).commutator(field_op(2, 1, ctx))
+    assert got.equal_within(3 * field_op(2, 2, ctx), got.window)
+    got = field_op(0, 2, ctx).commutator(field_op(2, 0, ctx))
+    assert got.equal_within(4 * field_op(1, 1, ctx), got.window)
 
 
 def test_descent_preserves_p1_free_subring():
@@ -284,7 +285,7 @@ def test_genus_residuals_match_direct_brackets(kind):
             if kind == "raw_field":
                 corr = 4 * (comb(n, 2) * comb(mp, 2) - comb(np_, 2) * comb(m, 2))
                 expected = expected - corr * density_op(m + mp - 2, n + np_ - 2, ctx)
-            res, w = _bracket_residual(kind, a, b, parts)
+            res, w = _residual(*_bracket_identity(kind, a, b, parts), window)
             assert w == (window if bracket.window is None else max(bracket.window, 0))
             direct = (bracket - expected).truncated(w)
             assert _at_genus(res, g).terms == direct.terms, (kind, a, b, g)
@@ -314,6 +315,31 @@ def test_planted_genus_part_error_names_exactly_the_affected_genera(monkeypatch)
     assert verify_bracket("field_field", {"max_order": 3}, LieContext(3, 6))
 
 
+@pytest.mark.parametrize("g", [2, 3, 7])
+def test_h_from_its_definition_equals_minus_field11(g):
+    for window in (1, 2, 4, 8, 10):
+        ctx = LieContext(g, window)
+        assert sl2_triple(ctx).h == -field_op(1, 1, ctx), window
+
+
+def test_planted_field11_error_fails_the_h_identity(monkeypatch):
+    # h is built from its definition, so an error in field(1,1) is caught
+    # by h = -field(1,1) and not by the brackets of the triple
+    build = lie._BUILDERS["field"]
+
+    def planted(m, n, parts):
+        a, b = build(m, n, parts)
+        if (m, n) == (1, 1):
+            return a + Operator.single(1, ((2, "q", 1),), ((2, "q", 1),), 8), b
+        return a, b
+
+    monkeypatch.setitem(lie._BUILDERS, "field", planted)
+    with pytest.raises(VerificationFailure) as info:
+        verify_bracket("sl2", {"max_order": 4}, LieContext(3, 8))
+    assert info.value.entry["identity"] == "h = -field(1,1)"
+    assert info.value.entry["counterexample"] == "1 * q2 * d(q2)"
+
+
 def test_run_bracket_suite_ignores_jobs():
     assert run_bracket_suite([2, 5], 3, 6, jobs=1) == run_bracket_suite([2, 5], 3, 6, jobs=4)
 
@@ -331,6 +357,12 @@ def test_sweep_parameter_errors():
     with pytest.raises(InvalidParameter):
         verify_bracket("sl2", {"max_order": 4}, LieContext(2, 5))
     assert len(verify_bracket("sl2", {"max_order": 4}, LieContext(2, 6))) == 30
+    # below order 2 there is no field member: an error, not a vacuous pass
+    with pytest.raises(InvalidParameter):
+        run_bracket_suite([2], 1, 5)
+    for kind in ("field_field", "field_density", "raw_field", "sl2", "grading"):
+        with pytest.raises(InvalidParameter):
+            verify_bracket(kind, {"max_order": 1}, LieContext(2, 5))
 
 
 def test_report_entry_key_order():

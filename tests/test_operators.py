@@ -5,30 +5,34 @@ import pytest
 from helpers import ApplyOracle, all_monomials_up_to, random_operator, seeded
 from tautjac.errors import WindowExceeded
 from tautjac.lie import LieContext, field_op
-from tautjac.operators import Operator, commutator, diff_op, mul_op, op_equal
+from tautjac.operators import Operator, mul_op
 from tautjac.poly import Poly, enumerate_monomials, mono_from_str, p, q
 
 
 def test_apply_examples():
-    assert (mul_op(q(1)) @ diff_op("p1")).apply(p(1) ** 2) == 2 * p(1) * q(1)
-    assert (mul_op(p(2)) @ diff_op("p1")).apply(p(1) * q(1)) == p(2) * q(1)
-    assert diff_op("p1", "p2").apply(p(1) * p(2) * q(1)) == q(1)
+    assert (mul_op(q(1)) @ Operator.derivative("p1")).apply(p(1) ** 2) == 2 * p(1) * q(1)
+    assert (mul_op(p(2)) @ Operator.derivative("p1")).apply(p(1) * q(1)) == p(2) * q(1)
+    assert Operator.derivative("p1", "p2").apply(p(1) * p(2) * q(1)) == q(1)
 
 
 def test_compose_leibniz():
-    got = diff_op("p1") @ mul_op(p(1))
-    expected = (mul_op(p(1)) @ diff_op("p1")) + Operator.identity()
+    got = Operator.derivative("p1") @ mul_op(p(1))
+    expected = (mul_op(p(1)) @ Operator.derivative("p1")) + Operator.identity()
     assert got == expected
-    got = diff_op("p1", "p1") @ mul_op(p(1))
-    expected = (mul_op(p(1)) @ diff_op("p1", "p1")) + 2 * diff_op("p1")
+    got = Operator.derivative("p1", "p1") @ mul_op(p(1))
+    expected = (mul_op(p(1)) @ Operator.derivative("p1", "p1")) + 2 * Operator.derivative("p1")
     assert got == expected
 
 
 def test_commutator_examples():
-    assert commutator(diff_op("p1"), mul_op(p(1))) == Operator.identity()
-    assert commutator(diff_op("p1", "p1"), mul_op(p(1))) == 2 * diff_op("p1")
-    got = commutator(mul_op(q(1)) @ diff_op("p1"), mul_op(p(1)) @ diff_op("q1"))
-    expected = (mul_op(q(1)) @ diff_op("q1")) - (mul_op(p(1)) @ diff_op("p1"))
+    assert Operator.derivative("p1").commutator(mul_op(p(1))) == Operator.identity()
+    assert Operator.derivative("p1", "p1").commutator(mul_op(p(1))) == 2 * Operator.derivative("p1")
+    a = mul_op(q(1)) @ Operator.derivative("p1")
+    b = mul_op(p(1)) @ Operator.derivative("q1")
+    got = a.commutator(b)
+    expected = (mul_op(q(1)) @ Operator.derivative("q1")) - (
+        mul_op(p(1)) @ Operator.derivative("p1")
+    )
     # derived oracle: agree on every monomial of weight <= 4
     for f in all_monomials_up_to(4):
         assert got.apply(f) == expected.apply(f)
@@ -120,7 +124,7 @@ def test_composition_associative_windowed():
                 right = a @ (b @ c)
                 finite = [x for x in (left.window, right.window) if x is not None]
                 if finite:
-                    assert op_equal(left, right, max(min(finite), 0))
+                    assert left.equal_within(right, max(min(finite), 0))
                 else:
                     assert left == right  # all factors exact, no window
 
@@ -130,9 +134,9 @@ def test_jacobi_identity():
     for _ in range(20):
         a, b, c = (random_operator(rng) for _ in range(3))
         total = (
-            commutator(a, commutator(b, c))
-            + commutator(b, commutator(c, a))
-            + commutator(c, commutator(a, b))
+            a.commutator(b.commutator(c))
+            + b.commutator(c.commutator(a))
+            + c.commutator(a.commutator(b))
         )
         assert total.is_zero(), (a, b, c)
 
@@ -144,30 +148,30 @@ def test_jacobi_identity_windowed():
         for b in ops[i + 1:]:
             for c in ops:
                 total = (
-                    commutator(a, commutator(b, c))
-                    + commutator(b, commutator(c, a))
-                    + commutator(c, commutator(a, b))
+                    a.commutator(b.commutator(c))
+                    + b.commutator(c.commutator(a))
+                    + c.commutator(a.commutator(b))
                 )
                 w = total.window if total.window is not None else 9
-                assert op_equal(total, Operator.zero(), max(w, 0))
+                assert total.equal_within(Operator.zero(), max(w, 0))
 
 
 def test_op_equal_examples():
-    a = diff_op("p1") @ mul_op(p(1))
-    b = (mul_op(p(1)) @ diff_op("p1")) + Operator.identity()
+    a = Operator.derivative("p1") @ mul_op(p(1))
+    b = (mul_op(p(1)) @ Operator.derivative("p1")) + Operator.identity()
     for w in (0, 3, 9):
-        assert op_equal(a, b, w)
-    assert op_equal(a, a, 5)
+        assert a.equal_within(b, w)
+    assert a.equal_within(a, 5)
     # bracket of the weight-two family members, genus 3, window 8:
     # the exact identity is [field(0,2), field(2,0)] = 4 field(1,1)
     ctx = LieContext(3, 8)
-    got = commutator(field_op(0, 2, ctx), field_op(2, 0, ctx))
+    got = field_op(0, 2, ctx).commutator(field_op(2, 0, ctx))
     w = got.window
-    assert op_equal(got, 4 * field_op(1, 1, ctx), w)
-    assert not op_equal(got, -4 * field_op(1, 1, ctx), w)
+    assert got.equal_within(4 * field_op(1, 1, ctx), w)
+    assert not got.equal_within(-4 * field_op(1, 1, ctx), w)
     # and antisymmetry gives the reversed order the opposite sign
-    got = commutator(field_op(2, 0, ctx), field_op(0, 2, ctx))
-    assert op_equal(got, -4 * field_op(1, 1, ctx), got.window)
+    got = field_op(2, 0, ctx).commutator(field_op(0, 2, ctx))
+    assert got.equal_within(-4 * field_op(1, 1, ctx), got.window)
 
 
 def test_window_enforcement():
@@ -176,7 +180,7 @@ def test_window_enforcement():
     with pytest.raises(WindowExceeded):
         d.apply(p(1) * p(2) ** 2)  # weight 5 > window 4
     with pytest.raises(WindowExceeded):
-        op_equal(d, d, 5)
+        d.equal_within(d, 5)
     # window None operators never raise
     mul_op(p(1)).apply(p(4) ** 3)
 
@@ -187,7 +191,7 @@ def test_window_propagation_through_compose():
     e = mul_op(p(1))  # shift +1, window None
     assert (d @ e).window == 6 - 1
     assert (e @ d).window == 6
-    assert commutator(d, e).window == 5
+    assert d.commutator(e).window == 5
     # composing with a lowering operator can extend validity
     assert (e @ d @ d).window == 6
 
@@ -198,7 +202,7 @@ def test_truncated():
     t = d.truncated(3)
     assert t.window == 3
     assert all(sum(i * e for i, _k, e in parts) <= 3 for _m, parts in t.terms)
-    assert op_equal(t, d, 3)
+    assert t.equal_within(d, 3)
 
 
 def test_zero_and_scalar_algebra():
@@ -213,15 +217,15 @@ def test_zero_and_scalar_algebra():
 
 
 def test_debug_text_form():
-    term = 3 * (mul_op(p(1) * q(2)) @ diff_op("p1", "p3"))
+    term = 3 * (mul_op(p(1) * q(2)) @ Operator.derivative("p1", "p3"))
     assert str(term) == "3 * p1*q2 * d(p1)d(p3)"
     assert str(Operator.zero()) == "0"
     assert str(Operator.identity()) == "1"
-    assert str(-2 * diff_op("p1")) == "-2 * d(p1)"
-    assert str(diff_op("q1", "q1")) == "1 * d(q1)d(q1)"
+    assert str(-2 * Operator.derivative("p1")) == "-2 * d(p1)"
+    assert str(Operator.derivative("q1", "q1")) == "1 * d(q1)d(q1)"
 
 
 def test_term_order_in_text_form():
-    a = mul_op(q(1)) @ diff_op("p2")
-    b = mul_op(p(2)) @ diff_op("p1")
+    a = mul_op(q(1)) @ Operator.derivative("p2")
+    b = mul_op(p(2)) @ Operator.derivative("p1")
     assert str(a + b) == str(b + a)  # canonical term order, not insertion order

@@ -38,20 +38,6 @@ def test_scalar_coercion_and_division():
     assert Poly.constant(Fraction(6, 2)) == 3
 
 
-def test_partial_derivatives():
-    v_p2 = variable("p", 2)
-    assert (p(2) ** 2 * q(1)).partial(v_p2) == 2 * p(2) * q(1)
-    assert p(3).partial(variable("q", 1)) == Poly.zero()
-    assert p(1) ** 3 == (p(1) ** 3)
-    assert (p(1) ** 3).partial(variable("p", 1)).partial(variable("p", 1)) == 6 * p(1)
-
-
-def test_partials_commute():
-    f = p(1) ** 2 * p(2) * q(1) ** 3 + q(2) * p(1)
-    u, v = variable("p", 1), variable("q", 1)
-    assert f.partial(u).partial(v) == f.partial(v).partial(u)
-
-
 def test_grading():
     comps = (p(1) * q(1)).graded()
     assert list(comps) == [(2, 1)]
@@ -166,13 +152,3 @@ def test_gradings_additive_under_multiplication(m1, m2):
     assert mono_weight(m) == mono_weight(m1) + mono_weight(m2)
     assert mono_sdeg(m) == mono_sdeg(m1) + mono_sdeg(m2)
     assert mono_pdeg(m) == mono_pdeg(m1) + mono_pdeg(m2)
-
-
-def test_partial_lowers_weight_and_pdeg():
-    for i in (1, 2, 3):
-        f = p(i) ** 2 * q(1)
-        df = f.partial(variable("p", i))
-        for m in df.terms:
-            base = next(iter(f.terms))
-            assert mono_weight(m) == mono_weight(base) - i
-            assert mono_pdeg(m) == mono_pdeg(base) - 1
