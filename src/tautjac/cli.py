@@ -27,6 +27,7 @@ from .errors import (
 from .fourier import FourierMap
 from .lie import (
     LieContext,
+    _require_window,
     density_op,
     descent_op,
     field_op,
@@ -113,15 +114,8 @@ def _load_ideal(args):
 
 
 def _cmd_verify(args):
-    if args.max_order < 2:
-        raise InvalidParameter("--max-order must be >= 2, got %d" % args.max_order)
     window = args.window if args.window is not None else args.max_order + 4
-    needed = args.max_order + (2 if args.suite in ("sl2", "all") else 0)
-    if window < needed:
-        raise InvalidParameter(
-            "--window must be >= %d for verify %s --max-order %d, got %d"
-            % (needed, args.suite, args.max_order, window)
-        )
+    _require_window(window, args.max_order, 2 if args.suite in ("sl2", "all") else 0)
     ctx = LieContext(args.genus, window)
     reports = []
     if args.suite in ("lie", "all"):
@@ -219,7 +213,7 @@ def _cmd_fourier(args):
         if not failures:
             print(
                 "S^2 = (-1)^g [-1]^* on all %d quotient basis elements"
-                % len(fmap.quotient_basis())
+                % len(fmap.images)
             )
             return 0
         for failure in failures:

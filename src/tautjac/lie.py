@@ -485,6 +485,8 @@ def _sweep_grading(params, ctx):
     max_order = params.get("max_order", 4)
     _require_window(ctx.window, max_order)
     max_weight = min(params.get("max_weight", ctx.window), ctx.window)
+    if max_weight < 0:
+        raise InvalidParameter("max_weight must be >= 0, got %r" % (max_weight,))
     h = _sl2_parts(ctx._parts).h
     h_at_g = _at_genus(h, ctx.genus)
     reports = []

@@ -30,7 +30,6 @@ from .errors import WindowExceeded
 from .poly import (
     MONO_ONE,
     Poly,
-    coeff_str,
     mono_diff,
     mono_mul,
     mono_str,
@@ -317,7 +316,7 @@ class Operator:
         for (mult, parts), c in self.sorted_terms():
             neg = c < 0
             mag = -c if neg else c
-            bits = [coeff_str(mag)]
+            bits = [str(mag)]
             if mult:
                 bits.append(mono_str(mult))
             if parts:

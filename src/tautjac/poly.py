@@ -41,11 +41,6 @@ def qdiv(a, b):
     return norm_coeff(a / b)
 
 
-def coeff_str(c):
-    """Canonical text for a rational coefficient: "a" or "a/b"."""
-    return str(c)
-
-
 def variable(kind, index):
     """A variable as an ``(index, kind)`` pair; index must be >= 1."""
     if kind not in (P_KIND, Q_KIND):
@@ -53,11 +48,6 @@ def variable(kind, index):
     if index < 1:
         raise ValueError("variable index must be >= 1, got %r" % (index,))
     return (index, kind)
-
-
-def var_name(var):
-    index, kind = var
-    return "%s%d" % (kind, index)
 
 
 def var_from_name(name):
@@ -337,11 +327,11 @@ class Poly:
             neg = c < 0
             mag = -c if neg else c
             if not m:
-                body = coeff_str(mag)
+                body = str(mag)
             elif mag == 1:
                 body = mono_str(m)
             else:
-                body = "%s*%s" % (coeff_str(mag), mono_str(m))
+                body = "%s*%s" % (mag, mono_str(m))
             if not pieces:
                 pieces.append("-" + body if neg else body)
             else:

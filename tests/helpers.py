@@ -9,8 +9,10 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from tautjac.operators import Operator
-from tautjac.poly import P_KIND, Q_KIND, Poly, enumerate_monomials, mono_from_exponents
+from tautjac.fourier import exp_apply
+from tautjac.lie import LieContext, descent_op
+from tautjac.operators import Operator, mul_op
+from tautjac.poly import P_KIND, Q_KIND, Poly, enumerate_monomials, mono_from_exponents, p
 
 
 @lru_cache(maxsize=None)
@@ -116,3 +118,13 @@ class ApplyOracle:
 
     def commutator(self, a, b, f):
         return self.apply(a, self.apply(b, f)) - self.apply(b, self.apply(a, f))
+
+
+def series_transform(ideal, f):
+    """Oracle for FourierMap.transform: S(f) = exp(e) exp(D) exp(e) f
+    by the three exponential series, reducing after every step."""
+    raising = mul_op(p(1))
+    descent = descent_op(LieContext(ideal.genus, ideal.genus))
+    out = exp_apply(raising, f, ideal)
+    out = exp_apply(descent, out, ideal)
+    return exp_apply(raising, out, ideal)

@@ -1,11 +1,14 @@
 import pytest
 
-from helpers import random_poly, seeded
+from fractions import Fraction
+
+import tautjac.fourier
+from helpers import random_poly, seeded, series_transform
 from tautjac.errors import InvalidParameter, NotNilpotent
 from tautjac.fourier import FourierMap, exp_apply, minus_one_pullback
 from tautjac.lie import LieContext, density_op, descent_op
 from tautjac.operators import Operator, mul_op
-from tautjac.poly import Poly, p, q
+from tautjac.poly import Poly, enumerate_monomials, p, q
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +27,8 @@ def test_exp_apply_zero_operator(ideal_g2):
     assert exp_apply(Operator.zero(), f) == f
 
 
-def test_exp_apply_raising_mod_genus2(ideal_g2, fmap_g2):
-    assert exp_apply(fmap_g2.raising, q(1), ideal_g2) == q(1) + p(1) * q(1)
+def test_exp_apply_raising_mod_genus2(ideal_g2):
+    assert exp_apply(mul_op(p(1)), q(1), ideal_g2) == q(1) + p(1) * q(1)
 
 
 def test_exp_apply_translation_identity():
@@ -36,10 +39,10 @@ def test_exp_apply_translation_identity():
         assert exp_apply(2 * y10, q(i)) == q(i)
 
 
-def test_exp_apply_heavy_input_vanishes(ideal_g2, fmap_g2):
+def test_exp_apply_heavy_input_vanishes(ideal_g2):
     # weight 6 > genus 2: zero on the quotient, so its exponential is too
-    assert exp_apply(fmap_g2.raising, p(3) ** 2, ideal_g2) == Poly.zero()
-    assert exp_apply(fmap_g2.raising, p(3) ** 2 + q(1), ideal_g2) == q(1) + p(1) * q(1)
+    assert exp_apply(mul_op(p(1)), p(3) ** 2, ideal_g2) == Poly.zero()
+    assert exp_apply(mul_op(p(1)), p(3) ** 2 + q(1), ideal_g2) == q(1) + p(1) * q(1)
 
 
 def test_exp_apply_nilpotence_guards(ideal_g2):
@@ -61,6 +64,55 @@ def test_transform_hand_values_genus2(fmap_g2):
     assert fmap_g2.transform(q(1)) == p(1) * q(1)
     assert fmap_g2.transform(fmap_g2.transform(q(1))) == -q(1)
     assert fmap_g2.transform(fmap_g2.transform(Poly.one())) == Poly.one()
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 6])
+def test_transform_matches_series_oracle(genus, ideals):
+    ideal = ideals[genus]
+    fmap = FourierMap(ideal)
+    basis = [Poly.monomial(m) for _w, _s, m in fmap.quotient_basis()]
+    rows = [Poly(row) for w in range(genus + 1) for row in ideal.spaces[w].sorted_rows()]
+    pivots = [Poly.monomial(m) for w in range(genus + 1) for m in ideal.spaces[w].pivots]
+    heavy = [Poly.monomial(m) for w in (genus + 1, genus + 2) for m in enumerate_monomials(w)]
+    rng = seeded(41 + genus)
+
+    def combination(pool, k):
+        return sum(
+            (Fraction(rng.randint(-5, 5), rng.randint(1, 3)) * rng.choice(pool)
+             for _ in range(k)),
+            Poly.zero(),
+        )
+
+    inputs = basis + rows + pivots + heavy[:20] + [Poly.zero()]
+    for _ in range(10):
+        inputs.append(combination(basis, 4))
+        inputs.append(combination(pivots, 2) + combination(basis, 2))
+        inputs.append(combination(heavy, 2) + combination(basis + pivots, 2))
+    for f in inputs:
+        assert fmap.transform(f) == series_transform(ideal, f), f
+    for row in rows:
+        assert fmap.transform(row) == Poly.zero(), row
+
+
+def test_series_run_once_per_basis_monomial(monkeypatch, ideal_g3):
+    calls = []
+    series = tautjac.fourier.exp_apply
+
+    def counted(*args):
+        calls.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(tautjac.fourier, "exp_apply", counted)
+    fmap = FourierMap(ideal_g3)
+    assert calls == []
+    assert fmap.transform(q(1)) == series_transform(ideal_g3, q(1))
+    assert len(calls) == 3 * len(fmap.quotient_basis()) == 30
+    fmap.transform(p(1) + q(2))
+    fmap.inverse(q(1))
+    fmap.pontryagin(q(1), p(1))
+    assert fmap.check_s2() == [] and fmap.check_degree_law() == []
+    fmap.verify_conjugation(0, 2, "field")
+    assert len(calls) == 30
 
 
 def test_minus_one_pullback():
@@ -111,6 +163,10 @@ def test_conjugation_examples(fmap_g2):
                          (-1, 3, "field"), (2, -1, "density"), (-1, 0, "density")):
         with pytest.raises(InvalidParameter):
             fmap_g2.verify_conjugation(m, n, family)
+    # an unknown family is a typed error, checked before the indices
+    for m, n in ((0, 2), (-1, 0)):
+        with pytest.raises(InvalidParameter, match="field or density"):
+            fmap_g2.verify_conjugation(m, n, "raw")
 
 
 def test_conjugation_sweep_small(fmap_g3):

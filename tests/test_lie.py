@@ -363,6 +363,9 @@ def test_sweep_parameter_errors():
     for kind in ("field_field", "field_density", "raw_field", "sl2", "grading"):
         with pytest.raises(InvalidParameter):
             verify_bracket(kind, {"max_order": 1}, LieContext(2, 5))
+    # a negative max_weight checks no monomial: an error, not a vacuous pass
+    with pytest.raises(InvalidParameter):
+        verify_bracket("grading", {"max_order": 2, "max_weight": -1}, LieContext(2, 4))
 
 
 def test_report_entry_key_order():
