@@ -18,6 +18,7 @@ from .cache import (
     resolve_cache_dir,
 )
 from .errors import (
+    InvalidGenus,
     InvalidParameter,
     NotNilpotent,
     ParseError,
@@ -234,6 +235,8 @@ def _parse_rational_list(text):
 
 
 def _cmd_newton(args):
+    if args.genus < 2:
+        raise InvalidGenus("genus must be an integer >= 2, got %r" % (args.genus,))
     raw = args.to_d if args.to_d is not None else args.to_w
     try:
         values = _parse_rational_list(raw)

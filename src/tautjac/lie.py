@@ -45,6 +45,7 @@ window of the part commutators, and evaluated there at each genus.
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
+from weakref import WeakValueDictionary
 
 from .errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
 from .operators import Operator, mul_op
@@ -79,9 +80,8 @@ def _check_context(genus, window):
 class LieContext:
     """Fixed genus (>= 2) and truncation window for the constructors.
 
-    The genus parts of each member are memoized per context; contexts
-    are cheap and immutable, so share one per (genus, window) where
-    convenient.
+    The genus parts of each member are memoized per window and shared
+    by every live context and bracket sweep at that window.
     """
 
     __slots__ = ("genus", "window", "_parts")
@@ -90,7 +90,7 @@ class LieContext:
         _check_context(genus, window)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "window", window)
-        object.__setattr__(self, "_parts", _GenusParts(window))
+        object.__setattr__(self, "_parts", _genus_parts(window))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieContext is immutable")
@@ -131,7 +131,7 @@ class _GenusParts:
     the member at genus g is A + g*B.  Memoized per member; shared by
     all genera, so one bracket computation serves each of them."""
 
-    __slots__ = ("window", "_memo")
+    __slots__ = ("window", "_memo", "__weakref__")
 
     def __init__(self, window):
         self.window = window
@@ -143,6 +143,15 @@ class _GenusParts:
         if key not in memo:
             memo[key] = _BUILDERS[family](m, n, self)
         return memo[key]
+
+
+# window -> the _GenusParts that every live context and sweep at that
+# window shares; held weakly, so members are freed with their last user
+_LIVE_PARTS = WeakValueDictionary()
+
+
+def _genus_parts(window):
+    return _LIVE_PARTS.setdefault(window, _GenusParts(window))
 
 
 def _at_genus(parts, genus):
@@ -564,7 +573,8 @@ def run_bracket_suite(genera, max_order, window, jobs=None):
     for m+n, m'+n' <= max_order at each genus.
 
     Each identity is computed once, in genus parts, and evaluated
-    within its checked window at every genus.  ``jobs`` is accepted for
+    within its checked window at every genus; the members are those of
+    any live context at ``window``.  ``jobs`` is accepted for
     compatibility and ignored: the sweep runs in this process.  Returns
     a summary dict with per-(kind, genus) counts and the list of
     failures (empty when everything verified).
@@ -575,7 +585,7 @@ def run_bracket_suite(genera, max_order, window, jobs=None):
     for g in genera:
         _check_context(g, window)
     _require_window(window, max_order)
-    parts = _GenusParts(window)
+    parts = _genus_parts(window)
     counts = {}
     failures = []
     for kind in BRACKET_KINDS:

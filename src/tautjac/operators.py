@@ -14,23 +14,27 @@ weight.  Composition propagates windows so validity is never
 overstated, and discards product terms that fall outside the resulting
 window.
 
-A product a o b is the uncontracted products (multipliers and partials
-side by side) plus the contraction terms, where partials of a hit
-multiplier variables of b (Leibniz).  The uncontracted products of
-a o b and b o a are equal, so a commutator is formed from contraction
-terms alone, found through an index of each operator's terms by
-partial variable.  That index and the largest weight shift are
-computed once per operator, on first use.
+Every product is the Leibniz rule, read from one table per operator:
+it maps each sub-multiset of each term's partials to the terms that
+contain it, with the partials left over and the number of ways to pick
+the sub-multiset from them.  Applying the operator to a monomial looks
+up each sub-multiset of the monomial (up to the operator's largest
+number of partials) among the terms whose partials it equals.  A
+product a o b looks up, for each term of b, each sub-multiset of its
+multiplier that a's partials hit: the empty one gives the uncontracted
+products (multipliers and partials side by side), the others the
+contraction terms.  The uncontracted products of a o b and b o a are
+equal, so a commutator is formed from contraction terms alone.  The
+table and the largest weight shift are computed once per operator, on
+first use.
 """
 
-from itertools import product as cartesian_product
-from math import comb, factorial, perm
+from math import factorial
 
 from .errors import WindowExceeded
 from .poly import (
     MONO_ONE,
     Poly,
-    mono_diff,
     mono_mul,
     mono_str,
     mono_weight,
@@ -49,29 +53,24 @@ def _compose_window(a, b):
     return _min_window(b.window, None if a.window is None else a.window - (sb or 0))
 
 
-def _hit_patterns(mult):
-    """Every nonzero way to differentiate the multiplier monomial
-    ``mult``: (hits as (index, kind, times), the reduced multiplier, the
-    index-sum hit, the falling factorials from differentiating)."""
-    patterns = []
-    for js in cartesian_product(*[range(e + 1) for _i, _k, e in mult]):
-        if not any(js):
-            continue
-        hits = [(i, k, j) for (i, k, _e), j in zip(mult, js) if j]
-        reduced = tuple((i, k, e - j) for (i, k, e), j in zip(mult, js) if e > j)
-        factor = 1
-        for (_i, _k, e), j in zip(mult, js):
-            factor *= perm(e, j)
-        patterns.append((hits, reduced, sum(i * j for i, _k, j in hits), factor))
-    return patterns
-
-
-def _lower(mono, index, kind, j):
-    """``mono`` with the exponent of its variable (index, kind) lowered by j."""
-    for pos, (i, k, e) in enumerate(mono):
-        if i == index and k == kind:
-            rest = ((i, k, e - j),) if e > j else ()
-            return mono[:pos] + rest + mono[pos + 1:]
+def _sub_multisets(mono, cap=None):
+    """Every sub-multiset of the monomial ``mono`` with at most ``cap``
+    factors (any number when None), the empty one first, as (the
+    sub-multiset, the rest of ``mono``, the falling factorials from
+    differentiating ``mono`` by it, its number of factors); uncapped,
+    ``mono`` itself comes last."""
+    found = [(MONO_ONE, MONO_ONE, 1, 0)]
+    for var in mono:
+        i, k, e = var
+        grown = []
+        for sub, rest, factor, size in found:
+            grown.append((sub, rest + (var,), factor, size))
+            for j in range(1, (e if cap is None else min(e, cap - size)) + 1):
+                factor *= e - j + 1
+                left = rest + ((i, k, e - j),) if j < e else rest
+                grown.append((sub + ((i, k, j),), left, factor, size + j))
+        found = grown
+    return found
 
 
 def term_weight_shift(key):
@@ -182,16 +181,17 @@ class Operator:
             w = f.max_weight()
             if w > self.window:
                 raise WindowExceeded(w, self.window)
+        _shift, table, _listed, order = self._lazy()
         out = {}
-        terms = self.terms
+        get = out.get
         for m, c in f.terms.items():
-            for (mult, parts), oc in terms.items():
-                d = mono_diff(m, parts)
-                if d is None:
-                    continue
-                factor, reduced = d
-                res = mono_mul(mult, reduced)
-                out[res] = out.get(res, 0) + c * oc * factor
+            for sub, rest, factor, _n in _sub_multisets(m, order):
+                # the terms whose partials equal ``sub`` lead its entries
+                for _s, mult, left, oc in table.get(sub, ()):
+                    if left:
+                        break
+                    res = mono_mul(mult, rest)
+                    out[res] = get(res, 0) + c * oc * factor
         return Poly(out)
 
     def compose(self, other):
@@ -203,14 +203,7 @@ class Operator:
         """
         win = _compose_window(self, other)
         out = {}
-        get = out.get
-        bterms = other._lazy()[2]
-        for amult, aparts, ac, asum, _patterns in self._lazy()[2]:
-            for bmult, bparts, bc, bsum, _patterns in bterms:
-                if win is None or asum + bsum <= win:
-                    key = (mono_mul(amult, bmult), mono_mul(aparts, bparts))
-                    out[key] = get(key, 0) + ac * bc
-        self._contract(other, win, out, 1)
+        self._contract(other, win, out, 1, False)
         return Operator(out, win)
 
     def __matmul__(self, other):
@@ -224,66 +217,60 @@ class Operator:
         the two compositions' windows."""
         win = _min_window(_compose_window(self, other), _compose_window(other, self))
         out = {}
-        self._contract(other, win, out, 1)
-        other._contract(self, win, out, -1)
+        self._contract(other, win, out, 1, True)
+        other._contract(self, win, out, -1, True)
         return Operator(out, win)
 
-    def _contract(self, other, win, out, sign):
-        """Add ``sign`` times the contraction terms of self o other (the
-        partials of self hit at least one multiplier variable of other)
-        with partial index-sum <= win into the dict ``out``.
+    def _contract(self, other, win, out, sign, contracted_only):
+        """Add ``sign`` times the terms of self o other with partial
+        index-sum <= win into the dict ``out``: only the contraction
+        terms (the partials of self hit at least one multiplier
+        variable of other) when ``contracted_only``.
 
-        For each term of other and each nonzero way to hit its
-        multiplier, the candidate terms of self come from the index of
-        self's terms by partial variable."""
-        index = self._lazy()[1]
+        For each term of other and each way to hit its multiplier, the
+        terms of self whose partials contain the hits come from self's
+        table."""
+        table = self._lazy()[1]
         get = out.get
-        for _bmult, bparts, bc, bsum, patterns in other._lazy()[2]:
+        for bparts, bc, bsum, patterns in other._lazy()[2]:
             bc *= sign
-            for hits, red_b, hit_weight, bfactor in patterns:
-                i, k, j = hits[0]
-                limit = None if win is None else win - bsum + hit_weight
-                for asum, ea, amult, lowered, ac in index.get((i, k), ()):
-                    if limit is not None and asum > limit:
-                        break  # entries are sorted by asum
-                    if ea < j:
-                        continue
-                    # C(ea, j) ways to pick the partials that hit
-                    factor = bfactor * comb(ea, j)
-                    red_a = lowered[j - 1]
-                    for i2, k2, j2 in hits[1:]:
-                        d = mono_diff(red_a, ((i2, k2, j2),))
-                        if d is None:
-                            break
-                        # C(e2, j2): the falling factorial over j2!
-                        factor *= d[0] // factorial(j2)
-                        red_a = d[1]
-                    else:
-                        mult = mono_mul(amult, red_b) if red_b else amult
-                        key = (mult, mono_mul(red_a, bparts))
-                        out[key] = get(key, 0) + ac * bc * factor
+            limit = None if win is None else win - bsum
+            # patterns[0] hits nothing: the uncontracted product
+            for hits, red_b, bfactor, _n in patterns[1 if contracted_only else 0:]:
+                for lsum, amult, left, ac in table.get(hits, ()):
+                    if limit is not None and lsum > limit:
+                        break  # entries are sorted by lsum
+                    mult = mono_mul(amult, red_b) if red_b else amult
+                    key = (mult, mono_mul(left, bparts))
+                    out[key] = get(key, 0) + ac * bc * bfactor
 
     def _lazy(self):
-        """(max weight shift, index, term list), computed on first use.
-        The index maps each partial variable to the terms whose partials
-        contain it, as (partial index-sum, exponent e, multiplier, the
-        partials with that variable lowered by 1..e, coeff) sorted by
-        index-sum.  The term list holds (multiplier, partials, coeff,
-        partial index-sum, the multiplier's hit patterns)."""
+        """(max weight shift, table, term list, largest number of
+        partials), computed on first use.  The table maps each sub-multiset
+        of each term's partials to the terms that contain it, as (index-sum
+        of the partials left over, multiplier, those partials, coeff times
+        the ways to pick the sub-multiset from the partials) sorted by that
+        index-sum, so the terms whose partials equal it come first.  The
+        term list holds (partials, coeff, partial index-sum, the
+        multiplier's sub-multisets)."""
         lazy = self._cache
         if lazy is None:
-            index = {}
+            table = {}
             listed = []
+            order = 0
+            hits = {mult: _sub_multisets(mult) for mult, _parts in self.terms}
             for (mult, parts), c in self.terms.items():
-                psum = mono_weight(parts)
-                listed.append((mult, parts, c, psum, _hit_patterns(mult)))
-                for i, k, e in parts:
-                    lowered = [_lower(parts, i, k, j) for j in range(1, e + 1)]
-                    index.setdefault((i, k), []).append((psum, e, mult, lowered, c))
-            for entries in index.values():
+                listed.append((parts, c, mono_weight(parts), hits[mult]))
+                for sub, left, pick, size in _sub_multisets(parts):
+                    for _i, _k, j in sub:
+                        pick //= factorial(j)
+                    entry = (mono_weight(left), mult, left, c if pick == 1 else pick * c)
+                    table.setdefault(sub, []).append(entry)
+                order = max(order, size)
+            for entries in table.values():
                 entries.sort(key=lambda entry: entry[0])
             shift = max((term_weight_shift(k) for k in self.terms), default=None)
-            lazy = (shift, index, listed)
+            lazy = (shift, table, listed, order)
             object.__setattr__(self, "_cache", lazy)
         return lazy
 

@@ -111,29 +111,6 @@ def mono_qdeg(m):
     return sum(e for _i, k, e in m if k == Q_KIND)
 
 
-def mono_diff(m, parts):
-    """Differentiate monomial ``m`` by the multiset ``parts`` (itself a
-    monomial).  Returns ``(integer factor, reduced monomial)`` or None
-    when some variable of ``parts`` is missing from ``m``."""
-    if not parts:
-        return 1, m
-    have = dict(((i, k), e) for i, k, e in m)
-    factor = 1
-    for i, k, e in parts:
-        cur = have.get((i, k), 0)
-        if cur < e:
-            return None
-        for _ in range(e):
-            factor *= cur
-            cur -= 1
-        if cur:
-            have[(i, k)] = cur
-        else:
-            del have[(i, k)]
-    out = sorted(((i, k, e) for (i, k), e in have.items()), reverse=True)
-    return factor, tuple(out)
-
-
 def mono_str(m):
     """Text form with p-factors first, each kind by ascending index,
     e.g. "p1^2*q3" (display order only; term order is unaffected)."""

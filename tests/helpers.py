@@ -9,10 +9,19 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from tautjac.errors import WindowExceeded
 from tautjac.fourier import exp_apply
 from tautjac.lie import LieContext, descent_op
 from tautjac.operators import Operator, mul_op
-from tautjac.poly import P_KIND, Q_KIND, Poly, enumerate_monomials, mono_from_exponents, p
+from tautjac.poly import (
+    P_KIND,
+    Q_KIND,
+    Poly,
+    enumerate_monomials,
+    mono_from_exponents,
+    mono_mul,
+    p,
+)
 
 
 @lru_cache(maxsize=None)
@@ -97,9 +106,53 @@ def all_monomials_up_to(w):
             yield Poly.monomial(m)
 
 
+def mono_diff(m, parts):
+    """Differentiate monomial ``m`` by the multiset ``parts`` (itself a
+    monomial).  Returns ``(integer factor, reduced monomial)`` or None
+    when some variable of ``parts`` is missing from ``m``."""
+    if not parts:
+        return 1, m
+    have = dict(((i, k), e) for i, k, e in m)
+    factor = 1
+    for i, k, e in parts:
+        cur = have.get((i, k), 0)
+        if cur < e:
+            return None
+        for _ in range(e):
+            factor *= cur
+            cur -= 1
+        if cur:
+            have[(i, k)] = cur
+        else:
+            del have[(i, k)]
+    out = sorted(((i, k, e) for (i, k), e in have.items()), reverse=True)
+    return factor, tuple(out)
+
+
+def leibniz_apply(op, f):
+    """Oracle for Operator.apply: every (monomial, term) pair of f and
+    op, each term differentiating the monomial by its partials
+    directly, without the operator's sub-multiset table."""
+    if op.window is not None:
+        w = f.max_weight()
+        if w > op.window:
+            raise WindowExceeded(w, op.window)
+    out = {}
+    terms = op.terms
+    for m, c in f.terms.items():
+        for (mult, parts), oc in terms.items():
+            d = mono_diff(m, parts)
+            if d is None:
+                continue
+            factor, reduced = d
+            res = mono_mul(mult, reduced)
+            out[res] = out.get(res, 0) + c * oc * factor
+    return Poly(out)
+
+
 class ApplyOracle:
     """Oracle for products and commutators on polynomials through
-    Operator.apply alone: a(b(f)) - b(a(f)).  Images of monomials are
+    leibniz_apply alone: a(b(f)) - b(a(f)).  Images of monomials are
     memoized per operator, so sweeping many pairs applies each operator
     once per monomial."""
 
@@ -111,7 +164,7 @@ class ApplyOracle:
         for m, c in f.terms.items():
             key = (id(op), m)
             if key not in self._images:
-                self._images[key] = (op, op.apply(Poly.monomial(m)))
+                self._images[key] = (op, leibniz_apply(op, Poly.monomial(m)))
             for m2, c2 in self._images[key][1].terms.items():
                 out[m2] = out.get(m2, 0) + c * c2
         return Poly(out)

@@ -1,12 +1,15 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import tautjac
+from tautjac import lie
 from tautjac.cache import cache_path, get_or_build, load_ideal, store_ideal
 from tautjac.cli import main
 from tautjac.fourier import FourierMap
@@ -66,6 +69,8 @@ def test_usage_errors_exit_2(capsys):
         ["dump-operator", "--genus", "2", "--op", "raw", "--n", "1"],
         ["newton", "--genus", "2", "--to-d", "1,x"],
         ["newton", "--genus", "4", "--to-d", "1,2,3"],
+        ["newton", "--genus", "0", "--to-d="],
+        ["newton", "--genus=-1", "--to-d", "1"],
     ]
     # --window must reach --max-order (lie, tilde, grading) or
     # --max-order + 2 (sl2, all): the bound passes, one below exits 2
@@ -80,6 +85,26 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: "), argv
+
+
+def test_verify_all_builds_each_member_once(capsys, monkeypatch):
+    # the bracket suite and the sl2/tilde/grading sweeps share the
+    # members of one window
+    built = Counter()
+
+    def counting(family, build):
+        def wrapped(m, n, parts):
+            built[(family, m, n, parts.window)] += 1
+            return build(m, n, parts)
+        return wrapped
+
+    for family, build in list(lie._BUILDERS.items()):
+        monkeypatch.setitem(lie._BUILDERS, family, counting(family, build))
+    gc.collect()  # no context from an earlier test holds window 7 members
+    code, out, _ = run(capsys, "verify", "all", "--genus", "3", "--max-order", "4", "--window", "7")
+    assert code == 0 and "grading" in out
+    assert len(built) > 40
+    assert set(built.values()) == {1}, sorted(k for k, c in built.items() if c > 1)
 
 
 def test_cli_import_starts_no_process_machinery():

@@ -2,9 +2,24 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ApplyOracle, all_monomials_up_to, random_operator, seeded
+from helpers import (
+    ApplyOracle,
+    all_monomials_up_to,
+    leibniz_apply,
+    random_operator,
+    random_poly,
+    seeded,
+)
 from tautjac.errors import WindowExceeded
-from tautjac.lie import LieContext, field_op
+from tautjac.lie import (
+    LieContext,
+    density_op,
+    density_params,
+    descent_op,
+    field_op,
+    field_params,
+    sl2_triple,
+)
 from tautjac.operators import Operator, mul_op
 from tautjac.poly import Poly, enumerate_monomials, mono_from_str, p, q
 
@@ -13,6 +28,29 @@ def test_apply_examples():
     assert (mul_op(q(1)) @ Operator.derivative("p1")).apply(p(1) ** 2) == 2 * p(1) * q(1)
     assert (mul_op(p(2)) @ Operator.derivative("p1")).apply(p(1) * q(1)) == p(2) * q(1)
     assert Operator.derivative("p1", "p2").apply(p(1) * p(2) * q(1)) == q(1)
+
+
+def test_apply_matches_leibniz_oracle():
+    # the sub-multiset table against differentiating each (monomial,
+    # term) pair directly
+    cases = [(descent_op(LieContext(3, w)), min(w, 8)) for w in range(2, 10)]
+    ctx = LieContext(3, 8)
+    cases += [(field_op(m, n, ctx), 8) for m, n in field_params(4)]
+    cases += [(density_op(m, n, ctx), 8) for m, n in density_params(4)]
+    cases += [(sl2_triple(ctx).h, 8), (mul_op(p(1)), 8), (Operator.identity(), 8)]
+    monomials = list(all_monomials_up_to(8))
+    for op, max_weight in cases:
+        for f in monomials:
+            if f.max_weight() > max_weight:
+                break
+            assert op.apply(f) == leibniz_apply(op, f), (op, f)
+    rng = seeded(29)
+    repeated = 0
+    for _ in range(200):
+        op, f = random_operator(rng, max_terms=4), random_poly(rng)
+        repeated += any(e > 1 for _m, parts in op.terms for _i, _k, e in parts)
+        assert op.apply(f) == leibniz_apply(op, f), (op, f)
+    assert repeated >= 20
 
 
 def test_compose_leibniz():
