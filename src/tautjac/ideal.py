@@ -9,9 +9,18 @@ variables (back up, capped at the genus), until the per-weight relation
 spaces stop growing.  One closure step lists these images of a row:
 the build inserts them, and the stability check that ends every build
 asserts that each of them reduces to zero.  Each graded space is kept
-in reduced row echelon form over exact rationals, with pivots on the
-canonically largest monomials, so normal forms are unique and the whole
-structure is deterministic.  Queries send every weight above g to zero.
+in reduced row echelon form, with pivots on the canonically largest
+monomials, so normal forms are unique and the whole structure is
+deterministic.  Queries send every weight above g to zero.
+
+Rows are stored fraction free, as primitive integer vectors (gcd 1,
+positive pivot coefficient).  Descent has integer coefficients, so
+every closure vector is integral; a reduction scales its vector once,
+by the lcm of the pivot coefficients it meets, and an insertion
+back-substitutes by cross-multiplying and dividing out the content
+(Bareiss, Math. Comp. 22, 1968).  A row is divided by its pivot
+coefficient only where a caller reads rationals: relation bases, the
+JSON form, normal forms and stability counterexamples.
 
 The result is a *derived* sub-ideal of the true relation ideal: a
 polynomial outside it is not thereby proven nonzero in the Chow ring.
@@ -19,7 +28,7 @@ polynomial outside it is not thereby proven nonzero in the Chow ring.
 
 import json
 from collections import deque
-from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
 from .lie import LieContext, descent_op
@@ -29,10 +38,8 @@ from .poly import (
     Q_KIND,
     Poly,
     enumerate_monomials,
-    mono_from_str,
     mono_mul,
     mono_str,
-    norm_coeff,
     qdiv,
 )
 
@@ -40,7 +47,11 @@ FORMAT_VERSION = 2
 
 
 class _Space:
-    """One graded piece: rows in RREF, keyed by their pivot monomial."""
+    """One graded piece: primitive integer rows in RREF, keyed by their
+    pivot monomial.  A row's coefficients have gcd 1 and a positive
+    pivot coefficient, and no row has a nonzero coefficient at another
+    row's pivot; dividing a row by its pivot coefficient gives the
+    rational RREF row, which :meth:`sorted_rows` returns."""
 
     __slots__ = ("weight", "pivots", "full")
 
@@ -56,48 +67,74 @@ class _Space:
         return len(self.pivots)
 
     def reduce(self, vec):
-        """Reduce a coefficient vector modulo the stored rows.  Rows are
-        fully back-substituted, so eliminating a pivot only introduces
-        non-pivot monomials and one descending pass suffices."""
-        work = dict(vec)
+        """Reduce a coefficient vector modulo the stored rows, fraction
+        free: returns (L*r, L) with r the rational remainder and L the
+        lcm of the pivot coefficients of the rows hit.  Rows are fully
+        back-substituted, so the coefficient of vec at each hit pivot m
+        is the one eliminated there, and L*r = L*vec - sum of
+        vec[m] * (L / lead_m) * row_m."""
         pivots = self.pivots
-        for m in sorted(vec, reverse=True):
-            c = work.get(m)
-            if not c or m not in pivots:
-                continue
-            for mm, cc in pivots[m].items():
-                nc = norm_coeff(work.get(mm, 0) - c * cc)
-                if nc:
-                    work[mm] = nc
-                else:
-                    work.pop(mm, None)
-        return work
+        hits = [(pivots[m], m, c) for m, c in vec.items() if m in pivots]
+        if not hits:
+            return dict(vec), 1
+        scale = lcm(*[row[m] for row, m, _c in hits])
+        work = {m: scale * c for m, c in vec.items()}
+        for row, m, c in hits:
+            factor = c * (scale // row[m])
+            for mm, cc in row.items():
+                work[mm] = work.get(mm, 0) - factor * cc
+        return {m: c for m, c in work.items() if c}, scale
 
     def insert(self, vec):
-        """Adjoin a vector; returns a copy of the new normalized row, or
-        None when the vector was already in the span."""
-        red = self.reduce(vec)
+        """Adjoin an integer vector; returns a copy of the new primitive
+        row, or None when the vector was already in the span.  Each row
+        with a coefficient c at the new pivot becomes the primitive part
+        of lead * row - c * new row, where lead is the new row's pivot
+        coefficient."""
+        red, _scale = self.reduce(vec)
         if not red:
             return None
         piv = max(red)
-        lead = red[piv]
-        row = {m: qdiv(c, lead) for m, c in red.items()}
-        for other in self.pivots.values():
+        row = _primitive(red, piv)
+        lead = row[piv]
+        pivots = self.pivots
+        for opiv, other in pivots.items():
             oc = other.get(piv)
             if oc:
+                for m in other:
+                    other[m] *= lead
                 for m, c in row.items():
-                    nc = norm_coeff(other.get(m, 0) - oc * c)
+                    nc = other.get(m, 0) - oc * c
                     if nc:
                         other[m] = nc
                     else:
-                        other.pop(m, None)
-        self.pivots[piv] = row
+                        del other[m]
+                pivots[opiv] = _primitive(other, opiv)
+        pivots[piv] = row
         if len(self.pivots) == self.dimension():
             self.full = True
         return dict(row)
 
     def sorted_rows(self):
-        return [self.pivots[piv] for piv in sorted(self.pivots, reverse=True)]
+        """The rational RREF rows (pivot coefficient 1), leading pivot
+        first."""
+        return [_monic(self.pivots[piv], piv) for piv in sorted(self.pivots, reverse=True)]
+
+
+def _primitive(vec, piv):
+    """A nonzero integer vector divided by the gcd of its coefficients,
+    signed so that its coefficient at piv is positive.  A non-integer
+    coefficient raises TypeError (from gcd)."""
+    content = gcd(*vec.values())
+    if vec[piv] < 0:
+        content = -content
+    return {m: c // content for m, c in vec.items()}
+
+
+def _monic(row, piv):
+    """A row divided by its coefficient at piv."""
+    lead = row[piv]
+    return {m: qdiv(c, lead) for m, c in row.items()}
 
 
 class RelationIdeal:
@@ -155,7 +192,10 @@ class RelationIdeal:
         out = {}
         for w, comp in f.weight_components().items():
             if w <= self.genus:
-                out.update(self.spaces[w].reduce(comp.terms))
+                red, scale = self.spaces[w].reduce(comp.terms)
+                if scale != 1:
+                    red = {m: qdiv(c, scale) for m, c in red.items()}
+                out.update(red)
         return Poly(out)
 
     reduce = normal_form
@@ -206,14 +246,14 @@ class RelationIdeal:
         for w in range(g + 2):
             for row in top if w > g else self.spaces[w].pivots.values():
                 for target, image, var in self._images(descent, w, row):
-                    if not self.spaces[target].reduce(image):
+                    if not self.spaces[target].reduce(image)[0]:
                         continue
                     if var is None:
                         identity, params = "descent stability", {"weight": w}
                     else:
                         identity = "ideal stability"
                         params = {"weight": w, "times": mono_str(var)}
-                    self._unstable(identity, params, row)
+                    self._unstable(identity, params, _monic(row, max(row)))
 
     def _unstable(self, identity, params, row):
         raise VerificationFailure(
@@ -254,8 +294,10 @@ class RelationIdeal:
     @classmethod
     def from_json_dict(cls, data):
         """Inverse of :meth:`to_json_dict`.  Raises ValueError (or
-        KeyError/TypeError) on any malformed payload: one block per
-        weight 0..g, in order, with pivot-normalized rows."""
+        KeyError/TypeError/AttributeError) on any malformed payload: one
+        block per weight 0..g, in order, whose pivot-normalized rows name
+        monomials of that weight in canonical text and meet the block's
+        pivots only at their own."""
         if not isinstance(data, dict):
             raise ValueError("ideal payload is not a JSON object")
         if data.get("format-version") != FORMAT_VERSION:
@@ -270,15 +312,16 @@ class RelationIdeal:
             raise ValueError("weights must be one block per weight 0..%d" % genus)
         spaces = [_Space(w) for w in range(genus + 1)]
         for block, space in zip(blocks, spaces):
+            names = {mono_str(m): m for m in enumerate_monomials(space.weight)}
+            pivots = space.pivots
             for rel in block["relations"]:
-                row = {
-                    mono_from_str(term["monomial"]): norm_coeff(Fraction(term["coeff"]))
-                    for term in rel
-                }
-                piv = max(row)
-                if row[piv] != 1:
-                    raise ValueError("relation row is not pivot-normalized")
-                space.pivots[piv] = row
+                piv, row = _decode_row(rel, names)
+                if piv in pivots:
+                    raise ValueError("two relation rows share the pivot %s" % mono_str(piv))
+                pivots[piv] = row
+            for piv, row in pivots.items():
+                if any(m in pivots for m in row if m != piv):
+                    raise ValueError("relation rows of weight %d are not in RREF" % space.weight)
             if space.rank() != space.dimension() - block["quotient_dim"]:
                 raise ValueError("inconsistent quotient dimension at weight %d" % space.weight)
             space.full = space.rank() == space.dimension()
@@ -286,3 +329,27 @@ class RelationIdeal:
 
     def __repr__(self):
         return "RelationIdeal(genus=%d, dims=%s)" % (self.genus, self.quotient_dims())
+
+
+def _decode_row(rel, names):
+    """(pivot, primitive integer row) of one stored relation, given the
+    name table of its weight.  Raises ValueError on a monomial outside
+    the table (another weight, or non-canonical text), a repeated
+    monomial, a zero or malformed "num/den" coefficient, or a pivot
+    coefficient other than 1."""
+    ratios = {}
+    for term in rel:
+        m = names.get(term["monomial"])
+        if m is None:
+            raise ValueError("monomial %r is not canonical of this weight" % (term["monomial"],))
+        num, sep, den = term["coeff"].partition("/")
+        num, den = int(num), int(den) if sep else 1
+        if not num or den < 1 or m in ratios:
+            raise ValueError("bad relation term %r" % (term,))
+        ratios[m] = num, den
+    piv = max(ratios)
+    if ratios[piv] != (1, 1):
+        raise ValueError("relation row is not pivot-normalized")
+    scale = lcm(*[den for _num, den in ratios.values()])
+    row = {m: num * (scale // den) for m, (num, den) in ratios.items()}
+    return piv, _primitive(row, piv)

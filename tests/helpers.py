@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from tautjac import ideal as ideal_module
 from tautjac.errors import WindowExceeded
 from tautjac.fourier import exp_apply
 from tautjac.lie import LieContext, descent_op
@@ -20,7 +21,9 @@ from tautjac.poly import (
     enumerate_monomials,
     mono_from_exponents,
     mono_mul,
+    norm_coeff,
     p,
+    qdiv,
 )
 
 
@@ -181,3 +184,78 @@ def series_transform(ideal, f):
     out = exp_apply(raising, f, ideal)
     out = exp_apply(descent, out, ideal)
     return exp_apply(raising, out, ideal)
+
+
+class FractionSpace:
+    """Oracle for the relation ideal's graded spaces: RREF over exact
+    rationals, every row normalized to pivot coefficient 1 and each
+    pivot eliminated in turn, with no integer rows or common scale."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce(self, vec):
+        work = dict(vec)
+        pivots = self.pivots
+        for m in sorted(vec, reverse=True):
+            c = work.get(m)
+            if not c or m not in pivots:
+                continue
+            for mm, cc in pivots[m].items():
+                nc = norm_coeff(work.get(mm, 0) - c * cc)
+                if nc:
+                    work[mm] = nc
+                else:
+                    work.pop(mm, None)
+        return work
+
+    def insert(self, vec):
+        red = self.reduce(vec)
+        if not red:
+            return None
+        piv = max(red)
+        lead = red[piv]
+        row = {m: qdiv(c, lead) for m, c in red.items()}
+        for other in self.pivots.values():
+            oc = other.get(piv)
+            if oc:
+                for m, c in row.items():
+                    nc = norm_coeff(other.get(m, 0) - oc * c)
+                    if nc:
+                        other[m] = nc
+                    else:
+                        other.pop(m, None)
+        self.pivots[piv] = row
+        return dict(row)
+
+    def sorted_rows(self):
+        return [self.pivots[piv] for piv in sorted(self.pivots, reverse=True)]
+
+
+def build_with_fraction_oracle(genus):
+    """Build the genus-g relation ideal while feeding every vector its
+    closure inserts, in order, to one FractionSpace per weight; returns
+    (ideal, oracle spaces of weights 0..g)."""
+    spaces = [FractionSpace() for _ in range(genus + 1)]
+    insert = ideal_module._Space.insert
+
+    def spy(space, vec):
+        spaces[space.weight].insert(vec)
+        return insert(space, vec)
+
+    ideal_module._Space.insert = spy
+    try:
+        ideal = ideal_module.RelationIdeal.build(genus)
+    finally:
+        ideal_module._Space.insert = insert
+    return ideal, spaces
+
+
+def fraction_normal_form(spaces, f):
+    """Oracle for RelationIdeal.normal_form over FractionSpaces of
+    weights 0..g: every heavier weight is sent to zero."""
+    out = {}
+    for w, comp in f.weight_components().items():
+        if w < len(spaces):
+            out.update(spaces[w].reduce(comp.terms))
+    return Poly(out)

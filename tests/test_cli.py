@@ -258,14 +258,47 @@ def test_cache_non_object_entry_is_a_miss(capsys, tmp_path):
     _member_p1_rebuilds(capsys, tmp_path)
 
 
-def test_cache_out_of_range_weight_is_a_miss(capsys, tmp_path):
-    path = store_ideal(RelationIdeal.build(2), tmp_path)
+def _store_tampered(tmp_path, genus, tamper):
+    """Store the genus-g ideal, let tamper edit its weight blocks, and
+    recompute the hash so that only the row checks can reject it."""
+    path = store_ideal(RelationIdeal.build(genus), tmp_path)
     data = json.loads(path.read_text())
-    data["ideal"]["weights"][2]["w"] = 7
+    tamper(data["ideal"]["weights"])
     body = json.dumps(data["ideal"], sort_keys=True, separators=(",", ":"))
     data["sha256"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
     path.write_text(json.dumps(data))
+
+
+def test_cache_out_of_range_weight_is_a_miss(capsys, tmp_path):
+    _store_tampered(tmp_path, 2, lambda blocks: blocks[2].update(w=7))
     _member_p1_rebuilds(capsys, tmp_path)
+
+
+def _wrong_weight_term(blocks):
+    blocks[2]["relations"][0].append({"monomial": "p1", "coeff": "5"})
+
+
+def _not_rref(blocks):
+    # the row of pivot p3 gains q1^3, the pivot of another weight-3 row
+    blocks[3]["relations"][1].append({"monomial": "q1^3", "coeff": "2"})
+
+
+def _non_canonical_monomial(blocks):
+    term = blocks[3]["relations"][5][1]
+    assert term["monomial"] == "p1^2*q1"
+    term["monomial"] = "p1*p1*q1"
+
+
+@pytest.mark.parametrize("tamper", [_wrong_weight_term, _not_rref, _non_canonical_monomial])
+def test_cache_tampered_rows_are_a_miss(capsys, tmp_path, tamper):
+    _store_tampered(tmp_path, 3, tamper)
+    assert load_ideal(tmp_path, 3) is None
+    code, out, _ = run(
+        capsys, "member", "--genus", "3", "--expr", "q2 - 1/4*q1^2 + p3 - 1/4*p1*q1^2",
+        "--cache-dir", str(tmp_path),
+    )
+    assert (code, out) == (0, "true\n")
+    assert load_ideal(tmp_path, 3).to_json() == RelationIdeal.build(3).to_json()
 
 
 def test_cli_cache_transparency(capsys, tmp_path):

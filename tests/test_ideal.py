@@ -1,16 +1,18 @@
 import hashlib
 import json
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
-from helpers import random_poly, seeded
-from tautjac.errors import InvalidGenus, InvalidParameter
-from tautjac.ideal import RelationIdeal
+from helpers import build_with_fraction_oracle, fraction_normal_form, random_poly, seeded
+from tautjac.errors import InvalidGenus, InvalidParameter, VerificationFailure
+from tautjac.ideal import RelationIdeal, _Space
 from tautjac.lie import LieContext, descent_op
 from tautjac.poly import (
     Poly,
     enumerate_monomials,
+    mono_from_str,
     mono_pdeg,
     mono_qdeg,
     p,
@@ -273,3 +275,79 @@ def test_relation_rows_are_rref(ideal_g3):
             for other in rows:
                 if other is not r:
                     assert piv not in other.terms
+
+
+@pytest.fixture(scope="module")
+def fraction_oracles():
+    return {g: build_with_fraction_oracle(g) for g in range(2, 9)}
+
+
+def test_rows_match_fraction_oracle(fraction_oracles):
+    for g, (ideal, spaces) in fraction_oracles.items():
+        assert [s.sorted_rows() for s in ideal.spaces] == [o.sorted_rows() for o in spaces], g
+
+
+def test_rows_are_primitive_integer_rref(ideals):
+    leads = set()
+    for ideal in ideals.values():
+        for space in ideal.spaces:
+            for piv, row in space.pivots.items():
+                assert piv == max(row)
+                assert all(type(c) is int for c in row.values())
+                assert gcd(*row.values()) == 1 and row[piv] > 0
+                assert not any(m in space.pivots for m in row if m != piv)
+                leads.add(row[piv])
+    assert max(leads) > 1  # the scaled (non-monic) path is exercised
+
+
+def test_normal_form_matches_fraction_oracle(fraction_oracles):
+    rng = seeded(10)
+    fractional = 0
+    for g, (ideal, spaces) in fraction_oracles.items():
+        pivots = [m for space in ideal.spaces for m in space.pivots]
+        heavy = enumerate_monomials(g + 1) + enumerate_monomials(g + 2)
+        for _ in range(40):
+            terms = dict(random_poly(rng, max_index=g, max_terms=5, max_exp=3).terms)
+            for m in rng.sample(pivots, 3):
+                terms[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            terms[rng.choice(heavy)] = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+            f = Poly(terms)
+            nf = ideal.normal_form(f)
+            assert str(nf) == str(fraction_normal_form(spaces, f)), (g, f)
+            fractional += any(type(c) is Fraction for c in nf.terms.values())
+    assert fractional > 100
+
+
+def test_descent_coefficients_are_integers():
+    # The closure keeps integer rows because descent, at every window
+    # the build uses, has integer coefficients.
+    for window in range(2, 14):
+        terms = descent_op(LieContext(window, window)).terms
+        assert terms and all(type(c) is int for c in terms.values()), window
+
+
+def test_insert_keeps_primitive_rows_and_rejects_rationals():
+    q2, p2, p1q1 = (mono_from_str(s) for s in ("q2", "p2", "p1*q1"))
+    space = _Space(2)
+    assert space.insert({q2: -2, p2: -4}) == {q2: 1, p2: 2}
+    assert space.insert({q2: 3, p2: 6}) is None
+    for vec in ({p2: Fraction(1, 2)}, {q2: Fraction(1, 3), p1q1: Fraction(1, 2)}):
+        with pytest.raises(TypeError):
+            space.insert(vec)
+    assert space.pivots == {q2: {q2: 1, p2: 2}}
+    assert space.insert({p2: 3, p1q1: 2}) == {p2: 3, p1q1: 2}
+    assert space.pivots[q2] == {q2: 3, p1q1: -4}
+    assert space.sorted_rows() == [
+        {q2: 1, p1q1: Fraction(-4, 3)},
+        {p2: 1, p1q1: Fraction(2, 3)},
+    ]
+
+
+def test_stability_failure_reports_the_pivot_one_row(ideal_g3):
+    clone = RelationIdeal.from_json_dict(ideal_g3.to_json_dict())
+    space = clone.spaces[3]
+    del space.pivots[mono_from_str("q1*q2")]
+    space.full = False
+    with pytest.raises(VerificationFailure) as info:
+        clone.check_stability()
+    assert info.value.entry["counterexample"] == "q2 - 1/4*q1^2"
