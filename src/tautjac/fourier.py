@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .errors import InvalidParameter, NotNilpotent, VerificationFailure, report_entry
 from .lie import LieContext, density_op, descent_op, field_op
-from .operators import mul_op
+from .operators import mul_op, term_weight_shift
 from .poly import P_KIND, Poly, mono_sdeg, mono_weight, p
 
 __all__ = [
@@ -51,7 +51,7 @@ def exp_apply(op, f, ideal=None):
     """
     raises = lowers = False
     for mult, parts in op.terms:
-        shift = mono_weight(mult) - mono_weight(parts)
+        shift = term_weight_shift((mult, parts))
         if shift > 0:
             raises = True
         elif shift < 0:
@@ -74,7 +74,7 @@ def exp_apply(op, f, ideal=None):
             "weight-raising exponential terminates only on a quotient; "
             "supply a relation ideal"
         )
-    reduce = ideal.reduce if ideal is not None else (lambda x: x)
+    reduce = ideal.normal_form if ideal is not None else (lambda x: x)
     current = reduce(f)
     total = current
     k = 1
@@ -114,7 +114,7 @@ class FourierMap:
         """S(f) in normal form: the combination of the basis images over
         the normal form of f (S is linear and kills the ideal)."""
         out = {}
-        for m, c in self.ideal.reduce(f).terms.items():
+        for m, c in self.ideal.normal_form(f).terms.items():
             for m2, c2 in self.images[m].terms.items():
                 out[m2] = out.get(m2, 0) + c * c2
         return Poly(out)
@@ -200,7 +200,7 @@ class FourierMap:
         for mono in self.images:
             b = Poly.monomial(mono)
             left = self.transform(op.apply(self.inverse(b)))
-            right = sign * self.ideal.reduce(flipped.apply(b))
+            right = sign * self.ideal.normal_form(flipped.apply(b))
             if left != right:
                 params = {"monomial": str(b), "weight": mono_weight(mono)}
                 entry = report_entry(

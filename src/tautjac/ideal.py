@@ -198,8 +198,6 @@ class RelationIdeal:
                 out.update(red)
         return Poly(out)
 
-    reduce = normal_form
-
     def contains(self, f):
         """Membership in the derived ideal (graded reduction to zero)."""
         return self.normal_form(f).is_zero()

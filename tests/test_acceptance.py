@@ -123,14 +123,14 @@ def test_criterion_7_fourier_suite():
                     fmap.verify_conjugation(m, n, "field")
                 fmap.verify_conjugation(m, n, "density")
         unit = fmap.unit()
-        samples = [ideal.reduce(random_poly(rng)) for _ in range(5)]
+        samples = [ideal.normal_form(random_poly(rng)) for _ in range(5)]
         samples += [Poly.one(), q(1), p(1) * q(1)]
         for a in samples:
-            assert fmap.pontryagin(unit, a) == ideal.reduce(a)
+            assert fmap.pontryagin(unit, a) == ideal.normal_form(a)
             for b in samples:
                 ab = fmap.pontryagin(a, b)
                 assert ab == fmap.pontryagin(b, a)
-                assert fmap.transform(ab) == ideal.reduce(
+                assert fmap.transform(ab) == ideal.normal_form(
                     fmap.transform(a) * fmap.transform(b)
                 )
         a, b, c = samples[0], samples[1], samples[-1]

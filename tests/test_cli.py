@@ -14,6 +14,7 @@ from tautjac.cache import cache_path, get_or_build, load_ideal, store_ideal
 from tautjac.cli import main
 from tautjac.fourier import FourierMap
 from tautjac.ideal import RelationIdeal
+from tautjac.operators import Operator
 
 
 def run(capsys, *argv):
@@ -105,6 +106,44 @@ def test_verify_all_builds_each_member_once(capsys, monkeypatch):
     assert code == 0 and "grading" in out
     assert len(built) > 40
     assert set(built.values()) == {1}, sorted(k for k, c in built.items() if c > 1)
+
+
+def test_verify_grading_failure_exits_1(capsys, monkeypatch):
+    # field(1,2) with an extra term of the wrong bigrading: the report
+    # names the failing identity on stderr and nothing reaches stdout
+    build = lie._BUILDERS["field"]
+
+    def planted(m, n, parts):
+        a, b = build(m, n, parts)
+        if (m, n) == (1, 2):
+            return a + Operator.single(1, ((3, "q", 1),), ((1, "p", 1),)), b
+        return a, b
+
+    monkeypatch.setitem(lie._BUILDERS, "field", planted)
+    gc.collect()  # no live context holds unplanted window 8 members
+    code, out, err = run(capsys, "verify", "grading", "--genus", "3", "--max-order", "4")
+    assert code == 1 and out == ""
+    entry = json.loads(err)
+    assert entry["identity"] == "field(1,2) is bigraded of shift (1, 1)"
+    assert entry["status"] == "fail" and entry["counterexample"] == "1 * q3 * d(p1)"
+
+
+# sha256 of the stdout of verify reports: a change to their bytes must be
+# deliberate and re-pinned here
+REPORT_DIGESTS = [
+    ("all", "2", "4", "aa755d53091f77dc7d84bce987edff8257294fbde9e970e32a99f5cae4e8138d"),
+    ("all", "3", "4", "940b517ef228a0e7d74924e80fc29a96eec838f209c080185af84a0f91da865b"),
+    ("grading", "3", "5", "5ef44ffafb67d84297e08bad02adb3c59339c7a5c0159046ff2d7cfea767a3a6"),
+]
+
+
+@pytest.mark.parametrize("suite, genus, order, digest", REPORT_DIGESTS)
+def test_verify_report_digests(capsys, suite, genus, order, digest):
+    code, out, err = run(
+        capsys, "verify", suite, "--genus", genus, "--max-order", order, "--format", "json"
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_import_starts_no_process_machinery():

@@ -1,3 +1,4 @@
+import gc
 from math import comb, factorial
 
 import pytest
@@ -340,6 +341,46 @@ def test_planted_field11_error_fails_the_h_identity(monkeypatch):
     assert info.value.entry["counterexample"] == "1 * q2 * d(q2)"
 
 
+def test_planted_off_shift_term_fails_only_the_bigrading(monkeypatch):
+    # q3 d(p1) shifts (weight, s-degree) by (2, 3), not by field(1,2)'s
+    # (1, 1), but h scales it by 2*2 - 3 = 1 = n - m, as it does
+    # field(1,2): [h, field(1,2)] still holds, so only the bigrading fails
+    build = lie._BUILDERS["field"]
+
+    def planted(m, n, parts):
+        a, b = build(m, n, parts)
+        if (m, n) == (1, 2):
+            return a + Operator.single(1, ((3, "q", 1),), ((1, "p", 1),)), b
+        return a, b
+
+    monkeypatch.setitem(lie._BUILDERS, "field", planted)
+    gc.collect()  # no live context holds unplanted window 7 members
+    with pytest.raises(VerificationFailure) as info:
+        verify_bracket("grading", {"max_order": 4}, LieContext(3, 7))
+    entry = info.value.entry
+    assert entry["identity"] == "field(1,2) is bigraded of shift (1, 1)"
+    assert entry["params"] == {"max_weight": 7}
+    assert entry["counterexample"] == "1 * q3 * d(p1)"
+    # the term's partials have index-sum 1: weight 0 alone cannot see it
+    assert verify_bracket("grading", {"max_order": 4, "max_weight": 0}, LieContext(3, 7))
+
+
+def test_planted_h_term_fails_the_cartan_law(monkeypatch):
+    sl2_parts = lie._sl2_parts
+
+    def planted(parts):
+        e, f, (a, b) = sl2_parts(parts)
+        return lie.Sl2(e, f, (a + Operator.single(1, ((3, "q", 1),), ((3, "q", 1),)), b))
+
+    monkeypatch.setattr(lie, "_sl2_parts", planted)
+    with pytest.raises(VerificationFailure) as info:
+        verify_bracket("grading", {"max_order": 4}, LieContext(3, 7))
+    entry = info.value.entry
+    assert entry["identity"] == "h acts by 2w - s - g"
+    assert entry["params"] == {"max_weight": 7}
+    assert entry["counterexample"] == "1 * q3 * d(q3)"
+
+
 def test_run_bracket_suite_ignores_jobs():
     assert run_bracket_suite([2, 5], 3, 6, jobs=1) == run_bracket_suite([2, 5], 3, 6, jobs=4)
 
@@ -349,6 +390,10 @@ def test_sweep_parameter_errors():
         run_bracket_suite([], 4, 8)
     with pytest.raises(InvalidParameter):
         run_bracket_suite([2], 4, 3)
+    # a repeated genus would count its identities twice in ``checked``
+    for genera in ([2, 2], [3, 2, 3]):
+        with pytest.raises(InvalidParameter):
+            run_bracket_suite(genera, 3, 6)
     run_bracket_suite([2], 4, 4)
     for kind in ("field_field", "raw_field", "grading"):
         with pytest.raises(InvalidParameter):
@@ -366,6 +411,9 @@ def test_sweep_parameter_errors():
     # a negative max_weight checks no monomial: an error, not a vacuous pass
     with pytest.raises(InvalidParameter):
         verify_bracket("grading", {"max_order": 2, "max_weight": -1}, LieContext(2, 4))
+    # an unknown kind is bad input, typed like every other parameter error
+    with pytest.raises(InvalidParameter):
+        verify_bracket("bogus", {"max_order": 4}, LieContext(2, 4))
 
 
 def test_report_entry_key_order():
