@@ -14,13 +14,19 @@ monomials, so normal forms are unique and the whole structure is
 deterministic.  Queries send every weight above g to zero.
 
 Rows are stored fraction free, as primitive integer vectors (gcd 1,
-positive pivot coefficient).  Descent has integer coefficients, so
-every closure vector is integral; a reduction scales its vector once,
-by the lcm of the pivot coefficients it meets, and an insertion
-back-substitutes by cross-multiplying and dividing out the content
-(Bareiss, Math. Comp. 22, 1968).  A row is divided by its pivot
-coefficient only where a caller reads rationals: relation bases, the
-JSON form, normal forms and stability counterexamples.
+positive pivot coefficient), over monomial indices: a monomial's index
+is its position among those of its weight in ascending canonical order,
+so a row's pivot is its largest index.  Descent has integer
+coefficients, so every closure vector is integral; a reduction scales
+its vector once, by the lcm of the pivot coefficients it meets, and an
+insertion back-substitutes by cross-multiplying and dividing out the
+content (Bareiss, Math. Comp. 22, 1968).  The closure reads tables
+built once per genus: descent as one sparse integer column per monomial
+of weight 1..g+1 (one ``Operator.apply`` each), and each variable
+product as one index list per weight.  Rows become monomials with
+rational coefficients only where a caller reads them: relation bases,
+the JSON form, quotient bases, normal forms and stability
+counterexamples.
 
 The result is a *derived* sub-ideal of the true relation ideal: a
 polynomial outside it is not thereby proven nonzero in the Chow ring.
@@ -28,6 +34,7 @@ polynomial outside it is not thereby proven nonzero in the Chow ring.
 
 import json
 from collections import deque
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
@@ -40,25 +47,66 @@ from .poly import (
     enumerate_monomials,
     mono_mul,
     mono_str,
+    mono_weight,
     qdiv,
 )
 
 FORMAT_VERSION = 2
 
 
+def check_genus(genus):
+    """Raise InvalidGenus unless genus is an integer >= 2."""
+    if not isinstance(genus, int) or genus < 2:
+        raise InvalidGenus("genus must be an integer >= 2, got %r" % (genus,))
+
+
+@lru_cache(maxsize=None)
+def _monomials(w):
+    """The monomials of weight w in ascending canonical order, so that a
+    monomial's position is its index, and the map back to the index."""
+    mons = enumerate_monomials(w)[::-1]
+    return mons, {m: i for i, m in enumerate(mons)}
+
+
+def _closure_tables(genus):
+    """(descent, products): descent[w][i] lists (index, coefficient) of
+    the descent of monomial i of weight w, for w in 1..g+1; products[w]
+    lists (target weight, variable, index of each monomial of weight w
+    times the variable) for every variable that keeps the target <= g."""
+    descent = descent_op(LieContext(genus, genus + 1))
+    columns = [None]
+    for w in range(1, genus + 2):
+        index = _monomials(w - 1)[1]
+        columns.append([
+            [(index[m], c) for m, c in descent.apply(Poly.monomial(mono)).terms.items()]
+            for mono in _monomials(w)[0]
+        ])
+    products = []
+    for w in range(genus + 2):
+        mons = _monomials(w)[0]
+        maps = []
+        for idx in range(1, genus - w + 1):
+            index = _monomials(w + idx)[1]
+            for kind in (P_KIND, Q_KIND):
+                var = ((idx, kind, 1),)
+                maps.append((w + idx, var, [index[mono_mul(m, var)] for m in mons]))
+        products.append(maps)
+    return columns, products
+
+
 class _Space:
-    """One graded piece: primitive integer rows in RREF, keyed by their
-    pivot monomial.  A row's coefficients have gcd 1 and a positive
+    """One graded piece: primitive integer rows in RREF, keyed by the
+    index of their pivot monomial and mapping monomial indices to
+    coefficients.  A row's coefficients have gcd 1 and a positive
     pivot coefficient, and no row has a nonzero coefficient at another
     row's pivot; dividing a row by its pivot coefficient gives the
     rational RREF row, which :meth:`sorted_rows` returns."""
 
-    __slots__ = ("weight", "pivots", "full")
+    __slots__ = ("weight", "pivots")
 
     def __init__(self, weight):
         self.weight = weight
         self.pivots = {}
-        self.full = False
 
     def dimension(self):
         return len(enumerate_monomials(self.weight))
@@ -111,14 +159,12 @@ class _Space:
                         del other[m]
                 pivots[opiv] = _primitive(other, opiv)
         pivots[piv] = row
-        if len(self.pivots) == self.dimension():
-            self.full = True
         return dict(row)
 
     def sorted_rows(self):
-        """The rational RREF rows (pivot coefficient 1), leading pivot
-        first."""
-        return [_monic(self.pivots[piv], piv) for piv in sorted(self.pivots, reverse=True)]
+        """The rational RREF rows (pivot coefficient 1) as maps from
+        monomials, leading pivot first, each row's terms descending."""
+        return [_monic(self.weight, self.pivots[piv]) for piv in sorted(self.pivots, reverse=True)]
 
 
 def _primitive(vec, piv):
@@ -131,10 +177,12 @@ def _primitive(vec, piv):
     return {m: c // content for m, c in vec.items()}
 
 
-def _monic(row, piv):
-    """A row divided by its coefficient at piv."""
-    lead = row[piv]
-    return {m: qdiv(c, lead) for m, c in row.items()}
+def _monic(w, row):
+    """A row of weight w divided by its pivot coefficient, as a map from
+    monomials with the terms descending."""
+    mons = _monomials(w)[0]
+    lead = row[max(row)]
+    return {mons[i]: qdiv(row[i], lead) for i in sorted(row, reverse=True)}
 
 
 class RelationIdeal:
@@ -153,35 +201,37 @@ class RelationIdeal:
         Deterministic: the spaces are spans, and RREF with the canonical
         monomial order is unique for a given span.
         """
-        if not isinstance(genus, int) or genus < 2:
-            raise InvalidGenus("genus must be an integer >= 2, got %r" % (genus,))
+        check_genus(genus)
         ideal = cls(genus, [_Space(w) for w in range(genus + 1)])
-        descent = descent_op(LieContext(genus, genus + 1))
+        tables = _closure_tables(genus)
         # Descent and products out of weights above genus+1 only land in
         # weights above the genus, so the queue starts at genus+1.
-        queue = deque((genus + 1, {m: 1}) for m in enumerate_monomials(genus + 1))
+        top = [{i: 1} for i in range(len(tables[0][genus + 1]) - 1, -1, -1)]
+        queue = deque((genus + 1, row) for row in top)
         while queue:
             w, vec = queue.popleft()
-            for target, image, _var in ideal._images(descent, w, vec):
+            for target, image, _var in ideal._images(tables, w, vec):
                 row = ideal.spaces[target].insert(image)
                 if row is not None:
                     queue.append((target, row))
-        ideal.check_stability()
+        ideal.check_stability(tables)
         return ideal
 
-    def _images(self, descent, w, row):
+    def _images(self, tables, w, row):
         """The images of a relation row of weight w that must again be
         relations, as (target weight, vector, variable): its descent
         (variable None), and its product with each variable up to weight
-        g.  Targets that are already full are skipped."""
-        spaces = self.spaces
-        if w >= 1 and not spaces[w - 1].full:
-            yield w - 1, descent.apply(Poly(row)).terms, None
-        for idx in range(1, self.genus - w + 1):
-            for kind in (P_KIND, Q_KIND):
-                if not spaces[w + idx].full:
-                    var = ((idx, kind, 1),)
-                    yield w + idx, {mono_mul(m, var): c for m, c in row.items()}, var
+        g."""
+        descent, products = tables
+        if w >= 1:
+            image = {}
+            get = image.get
+            for i, c in row.items():
+                for j, d in descent[w][i]:
+                    image[j] = get(j, 0) + c * d
+            yield w - 1, {j: c for j, c in image.items() if c}, None
+        for target, var, table in products[w]:
+            yield target, {table[i]: c for i, c in row.items()}, var
 
     # -- queries ---------------------------------------------------------
 
@@ -189,13 +239,17 @@ class RelationIdeal:
         """Unique reduction of f modulo the stored bases, with every
         weight above the genus sent to 0; idempotent and linear, and
         f - normal_form(f) always lies in the ideal."""
-        out = {}
-        for w, comp in f.weight_components().items():
+        vecs = {}
+        for m, c in f.terms.items():
+            w = mono_weight(m)
             if w <= self.genus:
-                red, scale = self.spaces[w].reduce(comp.terms)
-                if scale != 1:
-                    red = {m: qdiv(c, scale) for m, c in red.items()}
-                out.update(red)
+                vecs.setdefault(w, {})[_monomials(w)[1][m]] = c
+        out = {}
+        for w, vec in vecs.items():
+            mons = _monomials(w)[0]
+            red, scale = self.spaces[w].reduce(vec)
+            for i, c in red.items():
+                out[mons[i]] = c if scale == 1 else qdiv(c, scale)
         return Poly(out)
 
     def contains(self, f):
@@ -229,21 +283,23 @@ class RelationIdeal:
         space = self._space(w)
         if space is None:
             return []
-        return [m for m in enumerate_monomials(w) if m not in space.pivots]
+        mons = _monomials(w)[0]
+        return [mons[i] for i in reversed(range(len(mons))) if i not in space.pivots]
 
     # -- structural checks -------------------------------------------------
 
-    def check_stability(self):
+    def check_stability(self, tables=None):
         """Assert closure under descent and under multiplication by every
-        variable.  Weights above the genus are all relations, so the only
-        check that reaches them is that descent sends every weight-(g+1)
+        variable, on the closure tables of a build (or new ones).
+        Weights above the genus are all relations, so the only check
+        that reaches them is that descent sends every weight-(g+1)
         monomial into the ideal."""
         g = self.genus
-        descent = descent_op(LieContext(g, g + 1))
-        top = [{m: 1} for m in enumerate_monomials(g + 1)]
+        tables = tables or _closure_tables(g)
+        top = [{i: 1} for i in range(len(tables[0][g + 1]) - 1, -1, -1)]
         for w in range(g + 2):
             for row in top if w > g else self.spaces[w].pivots.values():
-                for target, image, var in self._images(descent, w, row):
+                for target, image, var in self._images(tables, w, row):
                     if not self.spaces[target].reduce(image)[0]:
                         continue
                     if var is None:
@@ -251,14 +307,8 @@ class RelationIdeal:
                     else:
                         identity = "ideal stability"
                         params = {"weight": w, "times": mono_str(var)}
-                    self._unstable(identity, params, _monic(row, max(row)))
-
-    def _unstable(self, identity, params, row):
-        raise VerificationFailure(
-            report_entry(
-                identity, params, self.genus, self.genus + 1, "fail", str(Poly(row))
-            )
-        )
+                    row = str(Poly(_monic(w, row)))
+                    raise VerificationFailure(report_entry(identity, params, g, g + 1, "fail", row))
 
     # -- serialization -----------------------------------------------------
 
@@ -266,10 +316,7 @@ class RelationIdeal:
         weights = []
         for w, space in enumerate(self.spaces):
             relations = [
-                [
-                    {"monomial": mono_str(m), "coeff": str(c)}
-                    for m, c in sorted(row.items(), reverse=True)
-                ]
+                [{"monomial": mono_str(m), "coeff": str(c)} for m, c in row.items()]
                 for row in space.sorted_rows()
             ]
             weights.append(
@@ -289,65 +336,5 @@ class RelationIdeal:
     def to_json(self, indent=None):
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=False)
 
-    @classmethod
-    def from_json_dict(cls, data):
-        """Inverse of :meth:`to_json_dict`.  Raises ValueError (or
-        KeyError/TypeError/AttributeError) on any malformed payload: one
-        block per weight 0..g, in order, whose pivot-normalized rows name
-        monomials of that weight in canonical text and meet the block's
-        pivots only at their own."""
-        if not isinstance(data, dict):
-            raise ValueError("ideal payload is not a JSON object")
-        if data.get("format-version") != FORMAT_VERSION:
-            raise ValueError("unsupported format-version %r" % (data.get("format-version"),))
-        if data.get("monomial_order") != MONOMIAL_ORDER_ID:
-            raise ValueError("unsupported monomial order %r" % (data.get("monomial_order"),))
-        genus = data["genus"]
-        if not isinstance(genus, int) or genus < 2:
-            raise ValueError("bad genus %r" % (genus,))
-        blocks = data["weights"]
-        if not isinstance(blocks, list) or [b["w"] for b in blocks] != list(range(genus + 1)):
-            raise ValueError("weights must be one block per weight 0..%d" % genus)
-        spaces = [_Space(w) for w in range(genus + 1)]
-        for block, space in zip(blocks, spaces):
-            names = {mono_str(m): m for m in enumerate_monomials(space.weight)}
-            pivots = space.pivots
-            for rel in block["relations"]:
-                piv, row = _decode_row(rel, names)
-                if piv in pivots:
-                    raise ValueError("two relation rows share the pivot %s" % mono_str(piv))
-                pivots[piv] = row
-            for piv, row in pivots.items():
-                if any(m in pivots for m in row if m != piv):
-                    raise ValueError("relation rows of weight %d are not in RREF" % space.weight)
-            if space.rank() != space.dimension() - block["quotient_dim"]:
-                raise ValueError("inconsistent quotient dimension at weight %d" % space.weight)
-            space.full = space.rank() == space.dimension()
-        return cls(genus, spaces)
-
     def __repr__(self):
         return "RelationIdeal(genus=%d, dims=%s)" % (self.genus, self.quotient_dims())
-
-
-def _decode_row(rel, names):
-    """(pivot, primitive integer row) of one stored relation, given the
-    name table of its weight.  Raises ValueError on a monomial outside
-    the table (another weight, or non-canonical text), a repeated
-    monomial, a zero or malformed "num/den" coefficient, or a pivot
-    coefficient other than 1."""
-    ratios = {}
-    for term in rel:
-        m = names.get(term["monomial"])
-        if m is None:
-            raise ValueError("monomial %r is not canonical of this weight" % (term["monomial"],))
-        num, sep, den = term["coeff"].partition("/")
-        num, den = int(num), int(den) if sep else 1
-        if not num or den < 1 or m in ratios:
-            raise ValueError("bad relation term %r" % (term,))
-        ratios[m] = num, den
-    piv = max(ratios)
-    if ratios[piv] != (1, 1):
-        raise ValueError("relation row is not pivot-normalized")
-    scale = lcm(*[den for _num, den in ratios.values()])
-    row = {m: num * (scale // den) for m, (num, den) in ratios.items()}
-    return piv, _primitive(row, piv)

@@ -232,15 +232,29 @@ class FractionSpace:
         return [self.pivots[piv] for piv in sorted(self.pivots, reverse=True)]
 
 
+@lru_cache(maxsize=None)
+def ascending_monomials(w):
+    """Oracle for the ideal's monomial indices: the monomials of weight
+    w sorted ascending (tuple order is the canonical term order), so a
+    monomial's index is its position."""
+    return tuple(sorted(brute_force_monomials(w)))
+
+
+def named(w, row):
+    """An index-keyed row of weight w as a map from monomials."""
+    mons = ascending_monomials(w)
+    return {mons[i]: c for i, c in row.items()}
+
+
 def build_with_fraction_oracle(genus):
     """Build the genus-g relation ideal while feeding every vector its
-    closure inserts, in order, to one FractionSpace per weight; returns
-    (ideal, oracle spaces of weights 0..g)."""
+    closure inserts, in order, to one FractionSpace per weight, keyed by
+    monomials; returns (ideal, oracle spaces of weights 0..g)."""
     spaces = [FractionSpace() for _ in range(genus + 1)]
     insert = ideal_module._Space.insert
 
     def spy(space, vec):
-        spaces[space.weight].insert(vec)
+        spaces[space.weight].insert(named(space.weight, vec))
         return insert(space, vec)
 
     ideal_module._Space.insert = spy

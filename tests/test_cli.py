@@ -10,7 +10,8 @@ import pytest
 
 import tautjac
 from tautjac import lie
-from tautjac.cache import cache_path, get_or_build, load_ideal, store_ideal
+from tautjac.cache import _decode, _payload, cache_path, get_or_build, load_ideal, store_ideal
+from tautjac.errors import InvalidGenus
 from tautjac.cli import main
 from tautjac.fourier import FourierMap
 from tautjac.ideal import RelationIdeal
@@ -261,9 +262,19 @@ def test_cache_round_trip(tmp_path):
     ideal = RelationIdeal.build(2)
     path = store_ideal(ideal, tmp_path)
     assert path == cache_path(tmp_path, 2)
-    assert path.name == "relideal-g2-v2.json"
+    assert path.name == "relideal-g2-v3.json"
     envelope = json.loads(path.read_text())
     assert sorted(envelope) == ["format-version", "genus", "ideal", "sha256"]
+    assert envelope["format-version"] == 3
+    # per weight, the quotient dimension and the flat index rows, pivot first
+    assert envelope["ideal"] == {
+        "monomial_order": "plex-interleaved-v1",
+        "weights": [
+            {"quotient_dim": 1, "rows": []},
+            {"quotient_dim": 2, "rows": []},
+            {"quotient_dim": 2, "rows": [[4, 1], [3, 1, 1, -1], [2, 1]]},
+        ],
+    }
     loaded = load_ideal(tmp_path, 2)
     assert loaded is not None
     assert loaded.to_json() == ideal.to_json()
@@ -274,12 +285,25 @@ def test_cache_corruption_recomputes(tmp_path):
     ideal = RelationIdeal.build(2)
     path = store_ideal(ideal, tmp_path)
     data = json.loads(path.read_text())
-    data["ideal"]["weights"][2]["relations"][0][0]["coeff"] = "2"
+    data["ideal"]["weights"][2]["rows"][0][1] = 2
     path.write_text(json.dumps(data))
     assert load_ideal(tmp_path, 2) is None  # hash mismatch, never trusted
     rebuilt = get_or_build(2, tmp_path)
     assert rebuilt.to_json() == ideal.to_json()
     assert load_ideal(tmp_path, 2) is not None  # restored
+
+
+@pytest.mark.parametrize("genus", [2.0, "2"])
+@pytest.mark.parametrize("warm", [False, True])
+def test_cache_rejects_a_non_integer_genus(tmp_path, warm, genus):
+    if warm:
+        store_ideal(RelationIdeal.build(2), tmp_path)
+    with pytest.raises(InvalidGenus) as cached:
+        get_or_build(genus, tmp_path)
+    with pytest.raises(InvalidGenus) as built:
+        RelationIdeal.build(genus)
+    assert str(cached.value) == str(built.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["relideal-g2-v3.json"] if warm else [])
 
 
 def _member_p1_rebuilds(capsys, tmp_path):
@@ -297,39 +321,127 @@ def test_cache_non_object_entry_is_a_miss(capsys, tmp_path):
     _member_p1_rebuilds(capsys, tmp_path)
 
 
-def _store_tampered(tmp_path, genus, tamper):
-    """Store the genus-g ideal, let tamper edit its weight blocks, and
-    recompute the hash so that only the row checks can reject it."""
-    path = store_ideal(RelationIdeal.build(genus), tmp_path)
-    data = json.loads(path.read_text())
-    tamper(data["ideal"]["weights"])
-    body = json.dumps(data["ideal"], sort_keys=True, separators=(",", ":"))
-    data["sha256"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    path.write_text(json.dumps(data))
-
-
-def test_cache_out_of_range_weight_is_a_miss(capsys, tmp_path):
-    _store_tampered(tmp_path, 2, lambda blocks: blocks[2].update(w=7))
+def test_cache_deeply_nested_entry_is_a_miss(capsys, tmp_path):
+    cache_path(tmp_path, 2).write_text("[" * 100000)
     _member_p1_rebuilds(capsys, tmp_path)
 
 
+def test_cache_stale_v2_entry_is_ignored(capsys, tmp_path):
+    # the entry layout before the index rows: the relations JSON as payload
+    payload = RelationIdeal.build(2).to_json_dict()
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    stale = tmp_path / "relideal-g2-v2.json"
+    stale.write_text(json.dumps({
+        "format-version": 2, "genus": 2, "ideal": payload,
+        "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+    }))
+    _member_p1_rebuilds(capsys, tmp_path)
+    assert json.loads(cache_path(tmp_path, 2).read_text())["format-version"] == 3
+    code, out, _ = run(capsys, "cache", "--dir", str(tmp_path), "--clear")
+    assert (code, "removed 2" in out) == (0, True)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _store_tampered(tmp_path, genus, tamper):
+    """Store the genus-g ideal, let tamper edit its weight blocks, and
+    recompute the hash so that only the row checks can reject it.
+    Returns the decode error tamper names."""
+    path = store_ideal(RelationIdeal.build(genus), tmp_path)
+    data = json.loads(path.read_text())
+    error = tamper(data["ideal"]["weights"])
+    body = json.dumps(data["ideal"], sort_keys=True, separators=(",", ":"))
+    data["sha256"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=error):
+        _decode(json.loads(path.read_text())["ideal"], genus)
+
+
+def _extra_block(blocks):
+    blocks.append(blocks[2])
+    return "one block per weight"
+
+
+def test_cache_out_of_range_weight_is_a_miss(capsys, tmp_path):
+    _store_tampered(tmp_path, 2, _extra_block)
+    _member_p1_rebuilds(capsys, tmp_path)
+
+
+# Each tamper edits the genus-3 blocks, whose weight-3 rows are, by
+# index: [9, 1] (q3), [8, 4, 2, -1] (4*p3 - p1*q1^2), [7, 1], [6, 4, 2, -1],
+# [5, 4, 2, -3], [4, 2, 1, -1], [3, 1] (q1^3); weight 2 has five monomials.
 def _wrong_weight_term(blocks):
-    blocks[2]["relations"][0].append({"monomial": "p1", "coeff": "5"})
+    blocks[2]["rows"][0][:0] = [5, 1]
+    return "out of range"
+
+
+def _negative_index(blocks):
+    blocks[3]["rows"][0] += [-1, 1]
+    return "out of range"
 
 
 def _not_rref(blocks):
     # the row of pivot p3 gains q1^3, the pivot of another weight-3 row
-    blocks[3]["relations"][1].append({"monomial": "q1^3", "coeff": "2"})
+    blocks[3]["rows"][1] = [8, 4, 3, 2, 2, -1]
+    return "not in RREF"
 
 
 def _non_canonical_monomial(blocks):
-    term = blocks[3]["relations"][5][1]
-    assert term["monomial"] == "p1^2*q1"
-    term["monomial"] = "p1*p1*q1"
+    blocks[3]["rows"][1] = [2, -1, 8, 4]
+    return "strictly decreasing"
 
 
-@pytest.mark.parametrize("tamper", [_wrong_weight_term, _not_rref, _non_canonical_monomial])
+def _repeated_index(blocks):
+    blocks[3]["rows"][1] = [8, 4, 8, -1]
+    return "strictly decreasing"
+
+
+def _bool_coeff(blocks):
+    blocks[3]["rows"][0][1] = True
+    return "ints"
+
+
+def _float_coeff(blocks):
+    blocks[3]["rows"][0][1] = 1.0
+    return "ints"
+
+
+def _zero_coeff(blocks):
+    blocks[3]["rows"][0] += [0, 0]
+    return "primitive"
+
+
+def _negative_pivot(blocks):
+    blocks[3]["rows"][0][1] = -1
+    return "positive pivot"
+
+
+def _non_primitive(blocks):
+    blocks[3]["rows"][0][1] = 2
+    return "primitive"
+
+
+def _shared_pivot(blocks):
+    blocks[3]["rows"].append([9, 1, 0, 1])
+    return "share the pivot"
+
+
+def _wrong_quotient_dim(blocks):
+    blocks[3]["quotient_dim"] = 4
+    return "quotient dimension"
+
+
+def _missing_block(blocks):
+    blocks.pop()
+    return "one block per weight"
+
+
+@pytest.mark.parametrize("tamper", [
+    _wrong_weight_term, _not_rref, _non_canonical_monomial, _negative_index,
+    _repeated_index, _bool_coeff, _float_coeff, _zero_coeff, _negative_pivot,
+    _non_primitive, _shared_pivot, _wrong_quotient_dim, _missing_block,
+])
 def test_cache_tampered_rows_are_a_miss(capsys, tmp_path, tamper):
+    assert _payload(RelationIdeal.build(3))["weights"][3]["rows"][:2] == [[9, 1], [8, 4, 2, -1]]
     _store_tampered(tmp_path, 3, tamper)
     assert load_ideal(tmp_path, 3) is None
     code, out, _ = run(
@@ -338,6 +450,30 @@ def test_cache_tampered_rows_are_a_miss(capsys, tmp_path, tamper):
     )
     assert (code, out) == (0, "true\n")
     assert load_ideal(tmp_path, 3).to_json() == RelationIdeal.build(3).to_json()
+
+
+def test_cache_decode_rejects_bad_data(tmp_path, ideal_g2):
+    path = store_ideal(ideal_g2, tmp_path)
+    for key, value in (("format-version", 2), ("format-version", 99), ("genus", 3)):
+        data = json.loads(path.read_text())
+        data[key] = value
+        path.write_text(json.dumps(data))
+        assert load_ideal(tmp_path, 2) is None, (key, value)
+    with pytest.raises(TypeError):
+        _decode([], 2)
+    payload = _payload(ideal_g2)
+    assert _decode(payload, 2).to_json() == ideal_g2.to_json()
+    with pytest.raises(ValueError):
+        _decode(dict(payload, monomial_order="other"), 2)
+    for weights in ({}, "w", [0, 1, 2]):
+        with pytest.raises((ValueError, KeyError, TypeError)):
+            _decode(dict(payload, weights=weights), 2)
+    blocks = payload["weights"]
+    for weights in (blocks[:2], blocks + blocks[2:], blocks[:1] * 3):
+        with pytest.raises(ValueError):
+            _decode(dict(payload, weights=weights), 2)
+    with pytest.raises(ValueError):
+        _decode(dict(payload, weights=blocks[:2] + [dict(blocks[2], quotient_dim=4)]), 2)
 
 
 def test_cli_cache_transparency(capsys, tmp_path):
@@ -372,7 +508,7 @@ def test_cache_command(capsys, tmp_path):
     store_ideal(ideal, tmp_path)
     code, out, _ = run(capsys, "cache", "--dir", str(tmp_path))
     assert code == 0
-    assert "relideal-g2-v2.json" in out
+    assert "relideal-g2-v3.json" in out
     code, out, _ = run(capsys, "cache", "--dir", str(tmp_path), "--clear")
     assert code == 0
     assert "removed 1" in out

@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 
 import tautjac.fourier
-from helpers import random_poly, seeded, series_transform
+from helpers import named, random_poly, seeded, series_transform
 from tautjac.errors import InvalidParameter, NotNilpotent
 from tautjac.fourier import FourierMap, exp_apply, minus_one_pullback
 from tautjac.lie import LieContext, density_op, descent_op
@@ -72,7 +72,7 @@ def test_transform_matches_series_oracle(genus, ideals):
     fmap = FourierMap(ideal)
     basis = [Poly.monomial(m) for _w, _s, m in fmap.quotient_basis()]
     rows = [Poly(row) for w in range(genus + 1) for row in ideal.spaces[w].sorted_rows()]
-    pivots = [Poly.monomial(m) for w in range(genus + 1) for m in ideal.spaces[w].pivots]
+    pivots = [Poly.monomial(m) for w in range(genus + 1) for m in named(w, ideal.spaces[w].pivots)]
     heavy = [Poly.monomial(m) for w in (genus + 1, genus + 2) for m in enumerate_monomials(w)]
     rng = seeded(41 + genus)
 

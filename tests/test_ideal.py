@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 from fractions import Fraction
@@ -5,14 +6,26 @@ from math import comb, gcd
 
 import pytest
 
-from helpers import build_with_fraction_oracle, fraction_normal_form, random_poly, seeded
+from helpers import (
+    ascending_monomials,
+    build_with_fraction_oracle,
+    fraction_normal_form,
+    leibniz_apply,
+    named,
+    random_poly,
+    seeded,
+)
+from tautjac.cache import load_ideal, store_ideal
 from tautjac.errors import InvalidGenus, InvalidParameter, VerificationFailure
-from tautjac.ideal import RelationIdeal, _Space
+from tautjac.ideal import RelationIdeal, _closure_tables, _monomials, _Space
 from tautjac.lie import LieContext, descent_op
 from tautjac.poly import (
+    P_KIND,
+    Q_KIND,
     Poly,
     enumerate_monomials,
     mono_from_str,
+    mono_mul,
     mono_pdeg,
     mono_qdeg,
     p,
@@ -180,6 +193,44 @@ def test_relation_bases_match_pinned_digests(ideals):
         assert hashlib.sha256(body.encode()).hexdigest() == PINNED_BASES[g], g
 
 
+# sha256 of RelationIdeal.build(g).to_json(), as built on tuple
+# monomials before the closure moved to monomial indices.
+PINNED_BUILDS = {
+    9: "0f6b3206a1dda6af2c2a9326c50c0bbe5a18bdf687acaf3657ec10ef2db1c0b9",
+    10: "4a92b6fe755748f29439924daec293a7f1203dd6a2302507f787ce96a0b02302",
+    11: "e4136395cbdb7ce755e8167212e5237ca93ec5011bd392369871694422540269",
+}
+
+
+@pytest.mark.parametrize("g", sorted(PINNED_BUILDS))
+def test_large_genus_builds_match_pinned_digests(g):
+    body = RelationIdeal.build(g).to_json()
+    assert hashlib.sha256(body.encode()).hexdigest() == PINNED_BUILDS[g]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_closure_tables_match_leibniz_and_mono_mul(g):
+    descent, products = _closure_tables(g)
+    op = descent_op(LieContext(g, g + 1))
+    for w in range(g + 2):
+        assert _monomials(w)[0] == ascending_monomials(w)
+    assert descent[0] is None and len(descent) == len(products) == g + 2
+    for w in range(1, g + 2):
+        assert len(descent[w]) == len(ascending_monomials(w))
+        for i, m in enumerate(ascending_monomials(w)):
+            column = dict(descent[w][i])
+            assert len(column) == len(descent[w][i]) and all(column.values())
+            assert Poly(named(w - 1, column)) == leibniz_apply(op, Poly.monomial(m)), m
+    for w in range(g + 2):
+        variables = [((i, k, 1),) for i in range(1, g - w + 1) for k in (P_KIND, Q_KIND)]
+        assert [var for _t, var, _table in products[w]] == variables
+        for target, var, table in products[w]:
+            assert target == w + var[0][0]
+            assert [ascending_monomials(target)[j] for j in table] == [
+                mono_mul(m, var) for m in ascending_monomials(w)
+            ]
+
+
 def test_stability_assertions(ideal_g2, ideal_g3):
     ideal_g2.check_stability()
     ideal_g3.check_stability()
@@ -210,10 +261,13 @@ def test_generator_bounds_small_genus():
                 assert mono_qdeg(m) >= 1, (g, k, nf)
 
 
-def test_json_round_trip(ideal_g3):
-    data = ideal_g3.to_json_dict()
-    clone = RelationIdeal.from_json_dict(data)
+def test_json_round_trip(ideal_g3, tmp_path):
+    # the cache entry holds the rows of every space, so loading it gives
+    # back the same spaces
+    store_ideal(ideal_g3, tmp_path)
+    clone = load_ideal(tmp_path, 3)
     assert clone.genus == ideal_g3.genus
+    assert [s.pivots for s in clone.spaces] == [s.pivots for s in ideal_g3.spaces]
     assert clone.to_json() == ideal_g3.to_json()
     assert clone.normal_form(p(2) * q(1)) == ideal_g3.normal_form(p(2) * q(1))
     assert clone.quotient_dims() == ideal_g3.quotient_dims()
@@ -235,33 +289,6 @@ def test_json_schema_shape(ideal_g2):
         ["q1^2"],
     ]
     assert block["relations"][1][1]["coeff"] == "-1"
-
-
-def test_from_json_rejects_bad_data(ideal_g2):
-    data = ideal_g2.to_json_dict()
-    data["format-version"] = 99
-    with pytest.raises(ValueError):
-        RelationIdeal.from_json_dict(data)
-    data = ideal_g2.to_json_dict()
-    data["monomial_order"] = "other"
-    with pytest.raises(ValueError):
-        RelationIdeal.from_json_dict(data)
-    data = ideal_g2.to_json_dict()
-    data["weights"][2]["quotient_dim"] = 4
-    with pytest.raises(ValueError):
-        RelationIdeal.from_json_dict(data)
-    with pytest.raises(ValueError):
-        RelationIdeal.from_json_dict([])
-    for weights in ({}, "w", [0, 1, 2]):
-        data = ideal_g2.to_json_dict()
-        data["weights"] = weights
-        with pytest.raises((ValueError, KeyError, TypeError)):
-            RelationIdeal.from_json_dict(data)
-    for ws in ([0, 1, 3], [0, 1], [0, 1, 2, 3], [-1, 1, 2], [0, 2, 1]):
-        data = ideal_g2.to_json_dict()
-        data["weights"] = [dict(data["weights"][0], w=w) for w in ws]
-        with pytest.raises(ValueError):
-            RelationIdeal.from_json_dict(data)
 
 
 def test_relation_rows_are_rref(ideal_g3):
@@ -304,7 +331,8 @@ def test_normal_form_matches_fraction_oracle(fraction_oracles):
     rng = seeded(10)
     fractional = 0
     for g, (ideal, spaces) in fraction_oracles.items():
-        pivots = [m for space in ideal.spaces for m in space.pivots]
+        pivots = [named(w, space.pivots) for w, space in enumerate(ideal.spaces)]
+        pivots = [m for row in pivots for m in row]
         heavy = enumerate_monomials(g + 1) + enumerate_monomials(g + 2)
         for _ in range(40):
             terms = dict(random_poly(rng, max_index=g, max_terms=5, max_exp=3).terms)
@@ -327,7 +355,9 @@ def test_descent_coefficients_are_integers():
 
 
 def test_insert_keeps_primitive_rows_and_rejects_rationals():
-    q2, p2, p1q1 = (mono_from_str(s) for s in ("q2", "p2", "p1*q1"))
+    index = _monomials(2)[1]
+    q2, p2, p1q1 = (index[mono_from_str(s)] for s in ("q2", "p2", "p1*q1"))
+    assert (q2, p2, p1q1) == (4, 3, 1)
     space = _Space(2)
     assert space.insert({q2: -2, p2: -4}) == {q2: 1, p2: 2}
     assert space.insert({q2: 3, p2: 6}) is None
@@ -338,16 +368,15 @@ def test_insert_keeps_primitive_rows_and_rejects_rationals():
     assert space.insert({p2: 3, p1q1: 2}) == {p2: 3, p1q1: 2}
     assert space.pivots[q2] == {q2: 3, p1q1: -4}
     assert space.sorted_rows() == [
-        {q2: 1, p1q1: Fraction(-4, 3)},
-        {p2: 1, p1q1: Fraction(2, 3)},
+        named(2, {q2: 1, p1q1: Fraction(-4, 3)}),
+        named(2, {p2: 1, p1q1: Fraction(2, 3)}),
     ]
 
 
 def test_stability_failure_reports_the_pivot_one_row(ideal_g3):
-    clone = RelationIdeal.from_json_dict(ideal_g3.to_json_dict())
+    clone = copy.deepcopy(ideal_g3)
     space = clone.spaces[3]
-    del space.pivots[mono_from_str("q1*q2")]
-    space.full = False
+    del space.pivots[_monomials(3)[1][mono_from_str("q1*q2")]]
     with pytest.raises(VerificationFailure) as info:
         clone.check_stability()
     assert info.value.entry["counterexample"] == "q2 - 1/4*q1^2"
