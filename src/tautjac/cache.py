@@ -91,7 +91,8 @@ def _decode(payload, genus):
 
 
 def store_ideal(ideal, root):
-    """Write an ideal to the cache atomically; returns the path."""
+    """Write an ideal to the cache atomically, then remove the entries
+    of the same genus under other cache versions; returns the path."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     payload = _payload(ideal)
@@ -114,6 +115,9 @@ def store_ideal(ideal, root):
         except OSError:
             pass
         raise
+    for stale in root.glob("relideal-g%d-v*.json" % ideal.genus):
+        if stale != path:
+            stale.unlink(missing_ok=True)
     return path
 
 

@@ -193,15 +193,12 @@ def _cmd_normal_form(args):
 
 def _cmd_member(args):
     ideal = _load_ideal(args)
-    f = parse_poly(args.expr)
-    if ideal.contains(f):
+    remainder = ideal.normal_form(parse_poly(args.expr))
+    if remainder.is_zero():
         print("true")
         return 0
     print("false")
-    print(
-        "not in the derived ideal; normal form: %s" % ideal.normal_form(f),
-        file=sys.stderr,
-    )
+    print("not in the derived ideal; normal form: %s" % remainder, file=sys.stderr)
     return 1
 
 

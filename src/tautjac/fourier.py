@@ -1,34 +1,88 @@
 """Fourier transform on the genus-g quotient ring.
 
 On the quotient modulo a :class:`~tautjac.ideal.RelationIdeal`,
-multiplication by p1 raises weight (nilpotent, since weight above the
-genus vanishes) and the descent operator lowers it, so both
+multiplication e by p1 raises weight (nilpotent, since weight above the
+genus vanishes) and the descent operator D lowers it, so both
 exponentials below are finite sums and
 
     S = exp(e) exp(D) exp(e)
 
-is exact.  S is linear on the finite-dimensional quotient, so it is
-held once, as its images of the quotient basis, built on first use by
-the three series of :func:`exp_apply` (reducing to normal form after
-every step; normal forms have weight at most g, so the operators are
-built at window g).  S sends a (weight w, s-degree s) class to one of
+is exact.  Everything here is linear on the finite quotient, so it is
+computed on the quotient basis, as column maps: the normal form of the
+image of each basis monomial, by basis monomial.  The columns of e and
+D (normal forms have weight at most g, so D is built at window g) give
+the columns of exp(e) and exp(D) by their series, and S is held once,
+as its images of the basis: exp(e) exp(D) exp(e) b as combinations of
+those columns.  S sends a (weight w, s-degree s) class to one of
 bidegree (g - w + s, s), and S^2 = (-1)^g [-1]^* where [-1]^* scales an
-s-homogeneous class by (-1)^s.  The Pontryagin product is realized
-through S: a * b = S^{-1}(S(a) S(b)).
+s-homogeneous class by (-1)^s.  The conjugation
+S op(m,n) S^{-1} = (-1)^n op(n,m) is checked from the columns of the
+two members, shared between op(m,n) and op(n,m), combined with S and
+with S^{-1} of the basis.  Column combinations run fraction free, on
+each map's columns times the lcm of its denominators.  The Pontryagin
+product is realized through S: a * b = S^{-1}(S(a) S(b)).
 """
 
 from functools import cached_property
+from math import lcm
 
 from .errors import InvalidParameter, NotNilpotent, VerificationFailure, report_entry
 from .lie import LieContext, density_op, descent_op, field_op
-from .operators import mul_op, term_weight_shift
-from .poly import P_KIND, Poly, mono_sdeg, mono_weight, p
+from .operators import term_weight_shift
+from .poly import P_KIND, Poly, mono_mul, mono_sdeg, mono_str, mono_weight, qdiv
 
 __all__ = [
     "FourierMap",
     "exp_apply",
     "minus_one_pullback",
 ]
+
+_P1 = ((1, P_KIND, 1),)
+
+
+def _combine(columns, vec):
+    """The combination sum of vec[c] * columns[c] of the columns of an
+    integer column map (basis monomial -> its image's coefficients by
+    basis monomial), zeros dropped."""
+    out = {}
+    get = out.get
+    for c, x in vec.items():
+        for d, y in columns[c].items():
+            out[d] = get(d, 0) + x * y
+    return {d: v for d, v in out.items() if v}
+
+
+def _integral(columns):
+    """(scale, integer column map): the lcm of the denominators of a
+    column map's coefficients, and the columns times it."""
+    scale = lcm(1, *(c.denominator for col in columns.values() for c in col.values()))
+    return scale, {
+        b: {d: c.numerator * (scale // c.denominator) for d, c in col.items()}
+        for b, col in columns.items()
+    }
+
+
+def _exp_columns(columns):
+    """exp of a nilpotent column map, one series per column, fraction
+    free: with C = A / s for the integer column map A of scale s, the
+    k-th term C^k b / k! is A^k b over s^k k!, accumulated over that
+    growing common denominator until A^k b is zero."""
+    scale, ints = _integral(columns)
+    out = {}
+    for b in ints:
+        total = term = {b: 1}
+        den = k = 1
+        while True:
+            term = _combine(ints, term)
+            if not term:
+                break
+            total = {d: c * scale * k for d, c in total.items()}
+            for d, c in term.items():
+                total[d] = total.get(d, 0) + c
+            den *= scale * k
+            k += 1
+        out[b] = {d: qdiv(c, den) for d, c in total.items() if c}
+    return out
 
 
 def minus_one_pullback(f):
@@ -92,23 +146,42 @@ class FourierMap:
     def __init__(self, ideal):
         self.ideal = ideal
         self.ctx = LieContext(ideal.genus, ideal.genus)
+        self._members = {}  # (family, m, n) -> the member's scaled column map
 
     @property
     def genus(self):
         return self.ideal.genus
 
+    def _columns(self, image):
+        """The column map of a linear map on the quotient: basis
+        monomial -> terms of the normal form of ``image(monomial)``."""
+        nf = self.ideal.normal_form
+        return {m: nf(image(m)).terms for _w, _s, m in self.quotient_basis()}
+
     @cached_property
     def images(self):
         """S on the quotient basis: basis monomial -> S(monomial) in
         normal form, in :meth:`quotient_basis` order.  Built on first
-        use, one pass of the three series per monomial."""
-        raising, descent = mul_op(p(1)), descent_op(self.ctx)
-        out = {}
-        for _w, _s, m in self.quotient_basis():
-            img = exp_apply(raising, Poly.monomial(m), self.ideal)
-            img = exp_apply(descent, img, self.ideal)
-            out[m] = exp_apply(raising, img, self.ideal)
-        return out
+        use from the columns of e and D (one descent apply per basis
+        monomial): exp(e) and exp(D) column by column, then S(b) as
+        exp(e) of exp(D) of the exp(e) column of b, in integers over
+        the product of the three scales."""
+        descent = descent_op(self.ctx)
+        raising = _exp_columns(self._columns(lambda m: Poly.monomial(mono_mul(m, _P1))))
+        lowering = _exp_columns(self._columns(lambda m: descent.apply(Poly.monomial(m))))
+        (r_scale, r_ints), (l_scale, l_ints) = _integral(raising), _integral(lowering)
+        scale = r_scale * l_scale * r_scale
+        return {
+            m: Poly({d: qdiv(c, scale) for d, c in _combine(r_ints, _combine(l_ints, col)).items()})
+            for m, col in r_ints.items()
+        }
+
+    @cached_property
+    def _integral_maps(self):
+        """S and S^{-1} on the quotient basis as integer column maps,
+        each with its scale (see :func:`_integral`)."""
+        inverse = {m: self.inverse(Poly.monomial(m)).terms for m in self.images}
+        return _integral({m: img.terms for m, img in self.images.items()}), _integral(inverse)
 
     def transform(self, f):
         """S(f) in normal form: the combination of the basis images over
@@ -177,35 +250,52 @@ class FourierMap:
 
         return self._basis_failures("S^2 = (-1)^g [-1]^*", residual)
 
+    def _member_columns(self, family, m, n):
+        """The column map of op(m, n) of a family as an integer column
+        map with its scale, built on first use."""
+        key = (family, m, n)
+        if key not in self._members:
+            op = {"field": field_op, "density": density_op}[family](m, n, self.ctx)
+            self._members[key] = _integral(self._columns(lambda b: op.apply(Poly.monomial(b))))
+        return self._members[key]
+
     def verify_conjugation(self, m, n, family="field"):
         """Check S o op(m,n) o S^{-1} = (-1)^n op(n,m) on every quotient
         basis element; raises VerificationFailure on the first mismatch.
-        Raises InvalidParameter for a family other than field or
+        Both sides are combinations of integer columns: S o op of the
+        columns of S and op(m,n), taken over S^{-1} of the basis element,
+        against the column of op(n,m), each side times the other's
+        scale.  Raises InvalidParameter for a family other than field or
         density, and for a pair whose member is zero by definition: a
         negative index, or a field pair with m + n < 2."""
-        ctor = {"field": field_op, "density": density_op}.get(family)
-        if ctor is None:
+        if family not in ("field", "density"):
             raise InvalidParameter("family must be field or density, got %r" % (family,))
         if min(m, n) < 0 or (family == "field" and m + n < 2):
             raise InvalidParameter(
                 "%s(%d,%d) is zero by definition: indices must be >= 0%s"
                 % (family, m, n, " with m + n >= 2" if family == "field" else "")
             )
-        op = ctor(m, n, self.ctx)
-        flipped = ctor(n, m, self.ctx)
+        (s_scale, s_cols), (inv_scale, inv_cols) = self._integral_maps
+        op_scale, op_cols = self._member_columns(family, m, n)
+        flip_scale, flip_cols = self._member_columns(family, n, m)
+        conjugated = {b: _combine(s_cols, col) for b, col in op_cols.items()}
+        scale = s_scale * op_scale * inv_scale
         sign = -1 if n % 2 else 1
         name = "S %s(%d,%d) S^-1 = %s%s(%d,%d)" % (
             family, m, n, "-" if sign < 0 else "", family, n, m
         )
-        for mono in self.images:
-            b = Poly.monomial(mono)
-            left = self.transform(op.apply(self.inverse(b)))
-            right = sign * self.ideal.normal_form(flipped.apply(b))
-            if left != right:
-                params = {"monomial": str(b), "weight": mono_weight(mono)}
+        for mono, inverse in inv_cols.items():
+            left = _combine(conjugated, inverse)
+            right = flip_cols[mono]
+            cross = {d: sign * scale * c for d, c in right.items()}
+            if {d: flip_scale * c for d, c in left.items()} != cross:
+                params = {"monomial": mono_str(mono), "weight": mono_weight(mono)}
+                diff = Poly({d: qdiv(c, scale) for d, c in left.items()}) - Poly(
+                    {d: qdiv(sign * c, flip_scale) for d, c in right.items()}
+                )
                 entry = report_entry(
-                    name, params, self.genus, self.ctx.window, "fail", str(left - right)
+                    name, params, self.genus, self.ctx.window, "fail", str(diff)
                 )
                 raise VerificationFailure(entry, None)
-        params = {"basis_size": len(self.images)}
+        params = {"basis_size": len(inv_cols)}
         return [report_entry(name, params, self.genus, self.ctx.window)]

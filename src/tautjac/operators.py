@@ -181,7 +181,7 @@ class Operator:
             w = f.max_weight()
             if w > self.window:
                 raise WindowExceeded(w, self.window)
-        _shift, table, _listed, order = self._lazy()
+        _shift, table, _listed, order, _by_var, _variables = self._lazy()
         out = {}
         get = out.get
         for m, c in f.terms.items():
@@ -229,10 +229,18 @@ class Operator:
 
         For each term of other and each way to hit its multiplier, the
         terms of self whose partials contain the hits come from self's
-        table."""
-        table = self._lazy()[1]
+        table.  Contraction terms come only from the terms of other
+        whose multiplier holds a variable of self's partials; each of
+        them is visited once, in term order."""
+        _shift, table, _listed, _order, _by_var, variables = self._lazy()
+        _shift, _table, listed, _order, by_var, _variables = other._lazy()
+        if contracted_only:
+            picked = set()
+            for var in variables:
+                picked.update(by_var.get(var, ()))
+            listed = [listed[i] for i in sorted(picked)]
         get = out.get
-        for bparts, bc, bsum, patterns in other._lazy()[2]:
+        for bparts, bc, bsum, patterns in listed:
             bc *= sign
             limit = None if win is None else win - bsum
             # patterns[0] hits nothing: the uncontracted product
@@ -246,20 +254,29 @@ class Operator:
 
     def _lazy(self):
         """(max weight shift, table, term list, largest number of
-        partials), computed on first use.  The table maps each sub-multiset
-        of each term's partials to the terms that contain it, as (index-sum
-        of the partials left over, multiplier, those partials, coeff times
-        the ways to pick the sub-multiset from the partials) sorted by that
-        index-sum, so the terms whose partials equal it come first.  The
-        term list holds (partials, coeff, partial index-sum, the
-        multiplier's sub-multisets)."""
+        partials, multiplier index, partial variables), computed on first
+        use.  The table maps each sub-multiset of each term's partials to
+        the terms that contain it, as (index-sum of the partials left
+        over, multiplier, those partials, coeff times the ways to pick the
+        sub-multiset from the partials) sorted by that index-sum, so the
+        terms whose partials equal it come first.  The term list holds
+        (partials, coeff, partial index-sum, the multiplier's
+        sub-multisets); the multiplier index maps each variable (index,
+        kind) to the positions in the term list of the terms whose
+        multiplier holds it, and the partial variables are the variables
+        of all terms' partials."""
         lazy = self._cache
         if lazy is None:
             table = {}
             listed = []
+            by_var = {}
+            variables = set()
             order = 0
             hits = {mult: _sub_multisets(mult) for mult, _parts in self.terms}
             for (mult, parts), c in self.terms.items():
+                for i, k, _e in mult:
+                    by_var.setdefault((i, k), []).append(len(listed))
+                variables.update((i, k) for i, k, _e in parts)
                 listed.append((parts, c, mono_weight(parts), hits[mult]))
                 for sub, left, pick, size in _sub_multisets(parts):
                     for _i, _k, j in sub:
@@ -270,7 +287,7 @@ class Operator:
             for entries in table.values():
                 entries.sort(key=lambda entry: entry[0])
             shift = max((term_weight_shift(k) for k in self.terms), default=None)
-            lazy = (shift, table, listed, order)
+            lazy = (shift, table, listed, order, by_var, variables)
             object.__setattr__(self, "_cache", lazy)
         return lazy
 

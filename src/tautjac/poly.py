@@ -285,13 +285,6 @@ class Poly:
             buckets.setdefault(key, {})[m] = c
         return {key: Poly(t) for key, t in sorted(buckets.items())}
 
-    def weight_components(self):
-        """Split by weight alone: a map weight -> Poly."""
-        buckets = {}
-        for m, c in self.terms.items():
-            buckets.setdefault(mono_weight(m), {})[m] = c
-        return {w: Poly(t) for w, t in sorted(buckets.items())}
-
     def sorted_terms(self):
         """Terms as (monomial, coeff) pairs, leading monomial first."""
         return sorted(self.terms.items(), key=lambda mc: mc[0], reverse=True)

@@ -10,9 +10,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from tautjac import ideal as ideal_module
-from tautjac.errors import WindowExceeded
+from tautjac.errors import WindowExceeded, report_entry
 from tautjac.fourier import exp_apply
-from tautjac.lie import LieContext, descent_op
+from tautjac.lie import LieContext, density_op, descent_op, field_op
 from tautjac.operators import Operator, mul_op
 from tautjac.poly import (
     P_KIND,
@@ -21,6 +21,7 @@ from tautjac.poly import (
     enumerate_monomials,
     mono_from_exponents,
     mono_mul,
+    mono_weight,
     norm_coeff,
     p,
     qdiv,
@@ -186,6 +187,28 @@ def series_transform(ideal, f):
     return exp_apply(raising, out, ideal)
 
 
+def conjugation_oracle(fmap, m, n, family):
+    """Oracle for FourierMap.verify_conjugation by the direct formula:
+    S op(m,n) S^-1 b as transform(op.apply(inverse(b))) against
+    (-1)^n times the normal form of op(n,m) b, basis element by basis
+    element.  Returns the report entry: the first failure, or the pass."""
+    ctor = {"field": field_op, "density": density_op}[family]
+    op, flipped = ctor(m, n, fmap.ctx), ctor(n, m, fmap.ctx)
+    sign = -1 if n % 2 else 1
+    name = "S %s(%d,%d) S^-1 = %s%s(%d,%d)" % (
+        family, m, n, "-" if sign < 0 else "", family, n, m
+    )
+    for mono in fmap.images:
+        b = Poly.monomial(mono)
+        left = fmap.transform(op.apply(fmap.inverse(b)))
+        right = sign * fmap.ideal.normal_form(flipped.apply(b))
+        if left != right:
+            params = {"monomial": str(b), "weight": mono_weight(mono)}
+            return report_entry(name, params, fmap.genus, fmap.ctx.window, "fail", str(left - right))
+    params = {"basis_size": len(fmap.images)}
+    return report_entry(name, params, fmap.genus, fmap.ctx.window)
+
+
 class FractionSpace:
     """Oracle for the relation ideal's graded spaces: RREF over exact
     rationals, every row normalized to pivot coefficient 1 and each
@@ -269,7 +292,15 @@ def fraction_normal_form(spaces, f):
     """Oracle for RelationIdeal.normal_form over FractionSpaces of
     weights 0..g: every heavier weight is sent to zero."""
     out = {}
-    for w, comp in f.weight_components().items():
+    for w, comp in weight_components(f).items():
         if w < len(spaces):
-            out.update(spaces[w].reduce(comp.terms))
+            out.update(spaces[w].reduce(comp))
     return Poly(out)
+
+
+def weight_components(f):
+    """Split a polynomial by weight alone: a map weight -> terms."""
+    buckets = {}
+    for m, c in f.terms.items():
+        buckets.setdefault(mono_weight(m), {})[m] = c
+    return dict(sorted(buckets.items()))

@@ -337,9 +337,21 @@ def test_cache_stale_v2_entry_is_ignored(capsys, tmp_path):
     }))
     _member_p1_rebuilds(capsys, tmp_path)
     assert json.loads(cache_path(tmp_path, 2).read_text())["format-version"] == 3
+    assert not stale.exists()
     code, out, _ = run(capsys, "cache", "--dir", str(tmp_path), "--clear")
-    assert (code, "removed 2" in out) == (0, True)
+    assert (code, "removed 1" in out) == (0, True)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_store_removes_only_its_genus_stale_entries(tmp_path):
+    names = ["relideal-g2-v1.json", "relideal-g2-v2.json", "relideal-g22-v2.json",
+             "relideal-g3-v2.json", "relideal-g3-v3.json"]
+    for name in names:
+        (tmp_path / name).write_text("{}")
+    path = store_ideal(RelationIdeal.build(2), tmp_path)
+    assert path == cache_path(tmp_path, 2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name] + names[2:])
+    assert load_ideal(tmp_path, 2) is not None
 
 
 def _store_tampered(tmp_path, genus, tamper):

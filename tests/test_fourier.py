@@ -3,8 +3,8 @@ import pytest
 from fractions import Fraction
 
 import tautjac.fourier
-from helpers import named, random_poly, seeded, series_transform
-from tautjac.errors import InvalidParameter, NotNilpotent
+from helpers import conjugation_oracle, named, random_poly, seeded, series_transform
+from tautjac.errors import InvalidParameter, NotNilpotent, VerificationFailure
 from tautjac.fourier import FourierMap, exp_apply, minus_one_pullback
 from tautjac.lie import LieContext, density_op, descent_op
 from tautjac.operators import Operator, mul_op
@@ -94,25 +94,57 @@ def test_transform_matches_series_oracle(genus, ideals):
         assert fmap.transform(row) == Poly.zero(), row
 
 
-def test_series_run_once_per_basis_monomial(monkeypatch, ideal_g3):
-    calls = []
-    series = tautjac.fourier.exp_apply
+def test_descent_applied_once_per_basis_monomial(monkeypatch, ideal_g3):
+    # S is built from the columns of e and D: one descent apply per basis
+    # monomial and no series; nothing after that runs a series or applies
+    # descent again, and op(m,n) and op(n,m) share their columns
+    series, apply, make = tautjac.fourier.exp_apply, Operator.apply, tautjac.fourier.descent_op
+    series_calls, descents, applied = [], [], []
 
-    def counted(*args):
-        calls.append(args)
+    def counted_series(*args):
+        series_calls.append(args)
         return series(*args)
 
-    monkeypatch.setattr(tautjac.fourier, "exp_apply", counted)
+    def spy_descent(ctx):
+        descents.append(make(ctx))
+        return descents[-1]
+
+    def counted_apply(op, f):
+        applied.append(("descent" if any(op is d for d in descents) else "other", f))
+        return apply(op, f)
+
+    monkeypatch.setattr(tautjac.fourier, "exp_apply", counted_series)
+    monkeypatch.setattr(tautjac.fourier, "descent_op", spy_descent)
+    monkeypatch.setattr(Operator, "apply", counted_apply)
     fmap = FourierMap(ideal_g3)
-    assert calls == []
-    assert fmap.transform(q(1)) == series_transform(ideal_g3, q(1))
-    assert len(calls) == 3 * len(fmap.quotient_basis()) == 30
+    monos = [m for _w, _s, m in fmap.quotient_basis()]
+    basis = [Poly.monomial(m) for m in monos]
+    assert applied == [] and len(basis) == 10
+    assert len(fmap.images) == 10
+    assert len(descents) == 1
+    assert applied == [("descent", b) for b in basis]
+    applied.clear()
     fmap.transform(p(1) + q(2))
     fmap.inverse(q(1))
     fmap.pontryagin(q(1), p(1))
     assert fmap.check_s2() == [] and fmap.check_degree_law() == []
+    assert applied == []
     fmap.verify_conjugation(0, 2, "field")
-    assert len(calls) == 30
+    assert applied == [("other", b) for b in basis + basis]
+    fmap.verify_conjugation(2, 0, "field")
+    fmap.verify_conjugation(0, 2, "field")
+    assert len(applied) == 2 * len(basis)
+    assert series_calls == [] and len(descents) == 1
+    for m, b in zip(monos, basis):
+        assert fmap.images[m] == series_transform(ideal_g3, b)
+
+
+@pytest.mark.parametrize("genus", [7, 8])
+def test_images_match_series_oracle_large_genus(genus, ideals):
+    fmap = FourierMap(ideals[genus])
+    assert len(fmap.images) == {7: 110, 8: 185}[genus]
+    for m, img in fmap.images.items():
+        assert img == series_transform(ideals[genus], Poly.monomial(m)), m
 
 
 def test_minus_one_pullback():
@@ -167,6 +199,47 @@ def test_conjugation_examples(fmap_g2):
     for m, n in ((0, 2), (-1, 0)):
         with pytest.raises(InvalidParameter, match="field or density"):
             fmap_g2.verify_conjugation(m, n, "raw")
+
+
+def _conjugation_pairs():
+    return [
+        (m, n, family)
+        for family in ("field", "density")
+        for m in range(4)
+        for n in range(4 - m)
+        if family == "density" or m + n >= 2
+    ]
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_conjugation_matches_direct_formula_oracle(genus, ideals):
+    fmap = FourierMap(ideals[genus])
+    for m, n, family in _conjugation_pairs():
+        entries = fmap.verify_conjugation(m, n, family)
+        assert entries == [conjugation_oracle(fmap, m, n, family)]
+        assert entries[0]["status"] == "ok"
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_planted_conjugation_fault_matches_oracle(genus, ideals):
+    # S with the image of one basis monomial doubled: S^-1 is no longer
+    # its inverse, and the first failing monomial and its counterexample
+    # are the ones the direct formula finds
+    basis = list(FourierMap(ideals[genus]).images)
+    failed = 0
+    for k in (0, len(basis) // 2, len(basis) - 1):
+        for m, n, family in ((0, 2, "field"), (1, 2, "field"), (1, 0, "density"), (2, 1, "density")):
+            fmap = FourierMap(ideals[genus])
+            fmap.images[basis[k]] = 2 * fmap.images[basis[k]]
+            expected = conjugation_oracle(fmap, m, n, family)
+            if expected["status"] == "ok":
+                assert fmap.verify_conjugation(m, n, family) == [expected]
+                continue
+            failed += 1
+            with pytest.raises(VerificationFailure) as failure:
+                fmap.verify_conjugation(m, n, family)
+            assert failure.value.entry == expected
+    assert failed >= 6
 
 
 def test_conjugation_sweep_small(fmap_g3):

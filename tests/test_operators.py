@@ -124,6 +124,33 @@ def test_products_apply_oracle_repeated_hits():
                 assert bracket.apply(f) == oracle.commutator(a, b, f), (a, b, f)
 
 
+def test_commutator_contracts_each_term_once():
+    # a term of b whose multiplier holds two variables (p1, q1) that are
+    # both among a's partials is reached through either variable, and
+    # must contribute its contractions once; b also has terms that cannot
+    # contract (no multiplier, or no variable among a's partials)
+    mono = mono_from_str
+    a = Operator({
+        (mono("q2"), mono("p1")): 3,
+        (mono("p2"), mono("q1")): -2,
+        (mono("p3"), mono("p1*q1")): 1,
+    })
+    b = Operator({
+        (mono("p1*q1"), mono("p2")): 5,
+        (mono("p1^2*q1*q3"), mono("q2")): Fraction(1, 3),
+        (mono("q3"), mono("p1")): 7,
+        (mono("1"), mono("q1")): -1,
+        (mono("p2^2"), mono("1")): 4,
+    })
+    oracle = ApplyOracle()
+    for x, y in ((a, b), (b, a)):
+        bracket = x.commutator(y)
+        for f in all_monomials_up_to(6):
+            assert bracket.apply(f) == oracle.commutator(x, y, f), (x, y, f)
+        assert bracket == (x @ y) - (y @ x)
+        assert not bracket.is_zero()
+
+
 def test_compose_apply_consistency_windowed():
     ctx = LieContext(3, 8)
     a = field_op(2, 1, ctx)
