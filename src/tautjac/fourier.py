@@ -12,19 +12,21 @@ computed on the quotient basis, as column maps: the normal form of the
 image of each basis monomial, by basis monomial.  The columns of e and
 D (normal forms have weight at most g, so D is built at window g) give
 the columns of exp(e) and exp(D) by their series, and S is held once,
-as its images of the basis: exp(e) exp(D) exp(e) b as combinations of
-those columns.  S sends a (weight w, s-degree s) class to one of
-bidegree (g - w + s, s), and S^2 = (-1)^g [-1]^* where [-1]^* scales an
-s-homogeneous class by (-1)^s.  The conjugation
-S op(m,n) S^{-1} = (-1)^n op(n,m) is checked from the columns of the
-two members, shared between op(m,n) and op(n,m), combined with S and
-with S^{-1} of the basis.  Column combinations run fraction free, on
-each map's columns times the lcm of its denominators.  The Pontryagin
-product is realized through S: a * b = S^{-1}(S(a) S(b)).
+as one integer column map over a scale.  S sends a (weight w, s-degree
+s) class to one of bidegree (g - w + s, s), and S^2 = (-1)^g [-1]^*
+where [-1]^* scales an s-homogeneous class by (-1)^s; both laws are
+checked as identities on the integer columns.  S^{-1} has no map of its
+own: its column at b is that of S with each row d signed
+(-1)^g (-1)^{s(d)}.  The conjugation S op(m,n) S^{-1} = (-1)^n op(n,m)
+is checked from the columns of the two members, shared between op(m,n)
+and op(n,m), combined with those of S and S^{-1}.  Column combinations
+run fraction free and divide once at the end.  The Pontryagin product
+is a * b = S^{-1}(S(a) S(b)); S(a) and S(b) are normal forms, so only
+their term pairs of total weight at most g are multiplied.
 """
 
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InvalidParameter, NotNilpotent, VerificationFailure, report_entry
 from .lie import LieContext, density_op, descent_op, field_op
@@ -159,48 +161,80 @@ class FourierMap:
         return {m: nf(image(m)).terms for _w, _s, m in self.quotient_basis()}
 
     @cached_property
-    def images(self):
-        """S on the quotient basis: basis monomial -> S(monomial) in
-        normal form, in :meth:`quotient_basis` order.  Built on first
-        use from the columns of e and D (one descent apply per basis
-        monomial): exp(e) and exp(D) column by column, then S(b) as
-        exp(e) of exp(D) of the exp(e) column of b, in integers over
-        the product of the three scales."""
+    def _s_map(self):
+        """S on the quotient basis as (scale, integer column map), in
+        :meth:`quotient_basis` order, built on first use from the columns
+        of e and D (one descent apply per basis monomial): S(b) is exp(e)
+        of exp(D) of the exp(e) column of b, in integers over the product
+        of the three scales, then divided by the content of the map."""
         descent = descent_op(self.ctx)
         raising = _exp_columns(self._columns(lambda m: Poly.monomial(mono_mul(m, _P1))))
         lowering = _exp_columns(self._columns(lambda m: descent.apply(Poly.monomial(m))))
         (r_scale, r_ints), (l_scale, l_ints) = _integral(raising), _integral(lowering)
         scale = r_scale * l_scale * r_scale
-        return {
-            m: Poly({d: qdiv(c, scale) for d, c in _combine(r_ints, _combine(l_ints, col)).items()})
-            for m, col in r_ints.items()
-        }
+        cols = {m: _combine(r_ints, _combine(l_ints, col)) for m, col in r_ints.items()}
+        content = gcd(scale, *(c for col in cols.values() for c in col.values()))
+        cols = {m: {d: c // content for d, c in col.items()} for m, col in cols.items()}
+        return scale // content, cols
 
     @cached_property
-    def _integral_maps(self):
-        """S and S^{-1} on the quotient basis as integer column maps,
-        each with its scale (see :func:`_integral`)."""
-        inverse = {m: self.inverse(Poly.monomial(m)).terms for m in self.images}
-        return _integral({m: img.terms for m, img in self.images.items()}), _integral(inverse)
+    def images(self):
+        """S on the quotient basis, the rational view of the integer map:
+        basis monomial -> S(monomial) in normal form."""
+        scale, cols = self._s_map
+        return {m: Poly({d: qdiv(c, scale) for d, c in col.items()}) for m, col in cols.items()}
+
+    @cached_property
+    def _bidegrees(self):
+        """Basis monomial -> (weight, sdeg, the sign (-1)^g (-1)^sdeg of
+        its row in S^{-1})."""
+        g = self.genus
+        return {m: (w, s, -1 if (g + s) % 2 else 1) for w, s, m in self.quotient_basis()}
+
+    def _image(self, f):
+        """S(f) as (integer vector, divisor): the columns of S combined
+        over the normal form of f (f itself when it is a combination of
+        basis monomials) times the lcm of its denominators."""
+        if not isinstance(f, Poly):
+            raise InvalidParameter("expected a Poly, got %s" % type(f).__name__)
+        scale, cols = self._s_map
+        terms = f.terms if all(m in cols for m in f.terms) else self.ideal.normal_form(f).terms
+        den = lcm(*[c.denominator for c in terms.values()])
+        vec = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+        return _combine(cols, vec), den * scale
+
+    def _divided(self, vec, divisor, inverse=False):
+        """vec / divisor as a polynomial; with ``inverse``, each row d
+        signed (-1)^g (-1)^{s(d)}, which turns S into S^{-1}."""
+        signs = self._bidegrees
+        return Poly({d: qdiv(signs[d][2] * c if inverse else c, divisor) for d, c in vec.items()})
 
     def transform(self, f):
-        """S(f) in normal form: the combination of the basis images over
-        the normal form of f (S is linear and kills the ideal)."""
-        out = {}
-        for m, c in self.ideal.normal_form(f).terms.items():
-            for m2, c2 in self.images[m].terms.items():
-                out[m2] = out.get(m2, 0) + c * c2
-        return Poly(out)
+        """S(f) in normal form: the integer columns of S over the normal
+        form of f (S is linear and kills the ideal), divided once."""
+        return self._divided(*self._image(f))
 
     def inverse(self, f):
         """S^{-1}(f) = (-1)^g [-1]^* S(f)."""
-        sign = -1 if self.genus % 2 else 1
-        return sign * minus_one_pullback(self.transform(f))
+        return self._divided(*self._image(f), inverse=True)
 
     def pontryagin(self, a, b):
-        """Convolution product: S^{-1}(S(a) S(b)).  The intermediate
-        product can reach weight 2g; S^{-1} reduces it first."""
-        return self.inverse(self.transform(a) * self.transform(b))
+        """Convolution product: S^{-1}(S(a) S(b)).  S(a) and S(b) stay
+        integer vectors, and only their term pairs of total weight <= g
+        are multiplied (normal_form sends every heavier product to 0);
+        S^{-1} of the product's normal form is divided once."""
+        (left, l_div), (right, r_div) = self._image(a), self._image(b)
+        grading, out = self._bidegrees, {}
+        for ma, ca in left.items():
+            room = self.genus - grading[ma][0]
+            for mb, cb in right.items():
+                if grading[mb][0] <= room:
+                    m = mono_mul(ma, mb)
+                    out[m] = out.get(m, 0) + ca * cb
+        if not out:
+            return Poly()
+        vec, div = self._image(self.ideal.normal_form(Poly(out)))
+        return self._divided(vec, div * l_div * r_div, inverse=True)
 
     def unit(self):
         """The Pontryagin unit S^{-1}(1)."""
@@ -216,14 +250,14 @@ class FourierMap:
         return out
 
     def _basis_failures(self, identity, residual):
-        """Failing entries of an identity on the quotient basis:
-        ``residual(w, s, b, S(b))`` is a failure's text, or empty."""
+        """Failing entries of an identity on the columns of S:
+        ``residual(w, s, b, column of b)`` is a failure's text, or empty."""
         failures = []
-        for m, img in self.images.items():
-            w, s, b = mono_weight(m), mono_sdeg(m), Poly.monomial(m)
-            bad = residual(w, s, b, img)
+        for m, col in self._s_map[1].items():
+            w, s, _sign = self._bidegrees[m]
+            bad = residual(w, s, m, col)
             if bad:
-                params = {"weight": w, "sdeg": s, "monomial": str(b)}
+                params = {"weight": w, "sdeg": s, "monomial": mono_str(m)}
                 failures.append(
                     report_entry(identity, params, self.genus, self.ctx.window, "fail", bad)
                 )
@@ -231,22 +265,26 @@ class FourierMap:
 
     def check_degree_law(self):
         """S maps bidegree (w, s) to (g - w + s, s) on every quotient
-        basis element; returns failing entries (empty when exact)."""
-        def residual(w, s, _b, img):
-            keys = set(img.graded())
+        basis element: each column's rows lie in the one bidegree.
+        Returns failing entries (empty when exact)."""
+        def residual(w, s, _m, col):
+            keys = {(mono_weight(d), mono_sdeg(d)) for d in col}
             ok = keys <= {(self.genus - w + s, s)}
             return "" if ok else "components %s" % sorted(keys)
 
         return self._basis_failures("S is bigraded (w,s) -> (g-w+s,s)", residual)
 
     def check_s2(self):
-        """S^2 = (-1)^g [-1]^* on the quotient basis.  Returns failing
-        entries (empty when exact)."""
-        sign = -1 if self.genus % 2 else 1
+        """S^2 = (-1)^g [-1]^* on the quotient basis, as the column
+        identity S(column of b) = (-1)^(g+s(b)) scale^2 b; a failure's
+        text is the rational residual.  Returns failing entries."""
+        scale, cols = self._s_map
 
-        def residual(_w, _s, b, img):
-            diff = self.transform(img) - sign * minus_one_pullback(b)
-            return str(diff) if diff else ""
+        def residual(_w, _s, m, col):
+            sign = self._bidegrees[m][2]
+            if _combine(cols, col) == {m: sign * scale * scale}:
+                return ""
+            return str(self.transform(self.images[m]) - sign * Poly.monomial(m))
 
         return self._basis_failures("S^2 = (-1)^g [-1]^*", residual)
 
@@ -263,7 +301,8 @@ class FourierMap:
         """Check S o op(m,n) o S^{-1} = (-1)^n op(n,m) on every quotient
         basis element; raises VerificationFailure on the first mismatch.
         Both sides are combinations of integer columns: S o op of the
-        columns of S and op(m,n), taken over S^{-1} of the basis element,
+        columns of S and op(m,n), taken over S^{-1} of the basis element
+        (the column of S with each row d signed (-1)^g (-1)^{s(d)}),
         against the column of op(n,m), each side times the other's
         scale.  Raises InvalidParameter for a family other than field or
         density, and for a pair whose member is zero by definition: a
@@ -275,17 +314,18 @@ class FourierMap:
                 "%s(%d,%d) is zero by definition: indices must be >= 0%s"
                 % (family, m, n, " with m + n >= 2" if family == "field" else "")
             )
-        (s_scale, s_cols), (inv_scale, inv_cols) = self._integral_maps
+        s_scale, s_cols = self._s_map
+        grading = self._bidegrees
         op_scale, op_cols = self._member_columns(family, m, n)
         flip_scale, flip_cols = self._member_columns(family, n, m)
         conjugated = {b: _combine(s_cols, col) for b, col in op_cols.items()}
-        scale = s_scale * op_scale * inv_scale
+        scale = s_scale * op_scale * s_scale
         sign = -1 if n % 2 else 1
         name = "S %s(%d,%d) S^-1 = %s%s(%d,%d)" % (
             family, m, n, "-" if sign < 0 else "", family, n, m
         )
-        for mono, inverse in inv_cols.items():
-            left = _combine(conjugated, inverse)
+        for mono, col in s_cols.items():
+            left = _combine(conjugated, {d: grading[d][2] * c for d, c in col.items()})
             right = flip_cols[mono]
             cross = {d: sign * scale * c for d, c in right.items()}
             if {d: flip_scale * c for d, c in left.items()} != cross:
@@ -297,5 +337,5 @@ class FourierMap:
                     name, params, self.genus, self.ctx.window, "fail", str(diff)
                 )
                 raise VerificationFailure(entry, None)
-        params = {"basis_size": len(inv_cols)}
+        params = {"basis_size": len(s_cols)}
         return [report_entry(name, params, self.genus, self.ctx.window)]

@@ -291,16 +291,6 @@ class Operator:
             object.__setattr__(self, "_cache", lazy)
         return lazy
 
-    def equal_within(self, other, w):
-        """Exact term agreement up to partial index-sum w (equivalently,
-        agreement of apply on every polynomial of weight <= w)."""
-        for win in (self.window, other.window):
-            if win is not None and w > win:
-                raise WindowExceeded(w, win)
-        mine = {k: c for k, c in self.terms.items() if mono_weight(k[1]) <= w}
-        theirs = {k: c for k, c in other.terms.items() if mono_weight(k[1]) <= w}
-        return mine == theirs
-
     def truncated(self, w):
         """Drop terms with partial index-sum above w; window becomes w."""
         win = w if self.window is None else min(w, self.window)

@@ -103,14 +103,6 @@ def mono_sdeg(m):
     return sum((i - 1) * e if k == P_KIND else i * e for i, k, e in m)
 
 
-def mono_pdeg(m):
-    return sum(e for _i, k, e in m if k == P_KIND)
-
-
-def mono_qdeg(m):
-    return sum(e for _i, k, e in m if k == Q_KIND)
-
-
 def mono_str(m):
     """Text form with p-factors first, each kind by ascending index,
     e.g. "p1^2*q3" (display order only; term order is unaffected)."""
@@ -120,20 +112,6 @@ def mono_str(m):
         "%s%d" % (k, i) if e == 1 else "%s%d^%d" % (k, i, e)
         for i, k, e in sorted(m, key=lambda t: (t[1], t[0]))
     )
-
-
-def mono_from_str(text):
-    """Inverse of :func:`mono_str` for well-formed factors like "p1^2*q3"."""
-    if text == "1":
-        return MONO_ONE
-    pairs = []
-    for chunk in text.split("*"):
-        if "^" in chunk:
-            name, _, exp = chunk.partition("^")
-            pairs.append((var_from_name(name), int(exp)))
-        else:
-            pairs.append((var_from_name(chunk), 1))
-    return mono_from_exponents(pairs)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from tautjac import ideal as ideal_module
 from tautjac.errors import WindowExceeded, report_entry
-from tautjac.fourier import exp_apply
+from tautjac.fourier import exp_apply, minus_one_pullback
 from tautjac.lie import LieContext, density_op, descent_op, field_op
 from tautjac.operators import Operator, mul_op
 from tautjac.poly import (
@@ -21,11 +21,44 @@ from tautjac.poly import (
     enumerate_monomials,
     mono_from_exponents,
     mono_mul,
+    mono_sdeg,
     mono_weight,
     norm_coeff,
     p,
     qdiv,
+    var_from_name,
 )
+
+
+def mono_pdeg(m):
+    return sum(e for _i, k, e in m if k == P_KIND)
+
+
+def mono_qdeg(m):
+    return sum(e for _i, k, e in m if k == Q_KIND)
+
+
+def mono_from_str(text):
+    """Inverse of ``mono_str`` for well-formed factors like "p1^2*q3"."""
+    if text == "1":
+        return ()
+    pairs = []
+    for chunk in text.split("*"):
+        name, _, exp = chunk.partition("^")
+        pairs.append((var_from_name(name), int(exp or 1)))
+    return mono_from_exponents(pairs)
+
+
+def equal_within(a, b, w):
+    """Exact term agreement of two operators up to partial index-sum w
+    (equivalently, agreement of apply on every polynomial of weight
+    <= w); WindowExceeded when w is past either window."""
+    for win in (a.window, b.window):
+        if win is not None and w > win:
+            raise WindowExceeded(w, win)
+    mine = {k: c for k, c in a.terms.items() if mono_weight(k[1]) <= w}
+    theirs = {k: c for k, c in b.terms.items() if mono_weight(k[1]) <= w}
+    return mine == theirs
 
 
 @lru_cache(maxsize=None)
@@ -185,6 +218,51 @@ def series_transform(ideal, f):
     out = exp_apply(raising, f, ideal)
     out = exp_apply(descent, out, ideal)
     return exp_apply(raising, out, ideal)
+
+
+def pontryagin_oracle(ideal, a, b):
+    """Oracle for FourierMap.pontryagin: S^-1(S(a) S(b)) by the series
+    transform, the full product of the two images (every weight kept
+    until the next reduction) and S^-1 = (-1)^g [-1]^* S."""
+    sign = -1 if ideal.genus % 2 else 1
+    product = series_transform(ideal, a) * series_transform(ideal, b)
+    return sign * minus_one_pullback(series_transform(ideal, product))
+
+
+def plant_column(fmap, mono, column):
+    """A planted fault: the column of S at a basis monomial replaced, in
+    the integer map of a FourierMap whose S has not been read yet."""
+    scale, columns = fmap._s_map
+    fmap._s_map = (scale, dict(columns))
+    fmap._s_map[1][mono] = column
+
+
+def basis_law_oracle(fmap):
+    """Oracle for FourierMap.check_s2 and check_degree_law: the failing
+    entries of both laws (S^2 entries, degree-law entries) from the
+    rational images, with S^2(b) as the Fraction combination of the
+    images over S(b), as both checks were computed before the integer
+    column forms."""
+    g, window = fmap.genus, fmap.ctx.window
+    sign = -1 if g % 2 else 1
+    s2, degree = [], []
+    for m, img in fmap.images.items():
+        w, s, b = mono_weight(m), mono_sdeg(m), Poly.monomial(m)
+        params = {"weight": w, "sdeg": s, "monomial": str(b)}
+        square = {}
+        for d, c in img.terms.items():
+            for d2, c2 in fmap.images[d].terms.items():
+                square[d2] = square.get(d2, 0) + c * c2
+        diff = Poly(square) - sign * minus_one_pullback(b)
+        if diff:
+            s2.append(report_entry("S^2 = (-1)^g [-1]^*", params, g, window, "fail", str(diff)))
+        keys = set(img.graded())
+        if not keys <= {(g - w + s, s)}:
+            degree.append(report_entry(
+                "S is bigraded (w,s) -> (g-w+s,s)", params, g, window, "fail",
+                "components %s" % sorted(keys),
+            ))
+    return s2, degree
 
 
 def conjugation_oracle(fmap, m, n, family):

@@ -3,7 +3,16 @@ import pytest
 from fractions import Fraction
 
 import tautjac.fourier
-from helpers import conjugation_oracle, named, random_poly, seeded, series_transform
+from helpers import (
+    basis_law_oracle,
+    conjugation_oracle,
+    named,
+    plant_column,
+    pontryagin_oracle,
+    random_poly,
+    seeded,
+    series_transform,
+)
 from tautjac.errors import InvalidParameter, NotNilpotent, VerificationFailure
 from tautjac.fourier import FourierMap, exp_apply, minus_one_pullback
 from tautjac.lie import LieContext, density_op, descent_op
@@ -230,7 +239,8 @@ def test_planted_conjugation_fault_matches_oracle(genus, ideals):
     for k in (0, len(basis) // 2, len(basis) - 1):
         for m, n, family in ((0, 2, "field"), (1, 2, "field"), (1, 0, "density"), (2, 1, "density")):
             fmap = FourierMap(ideals[genus])
-            fmap.images[basis[k]] = 2 * fmap.images[basis[k]]
+            column = fmap._s_map[1][basis[k]]
+            plant_column(fmap, basis[k], {d: 2 * c for d, c in column.items()})
             expected = conjugation_oracle(fmap, m, n, family)
             if expected["status"] == "ok":
                 assert fmap.verify_conjugation(m, n, family) == [expected]
@@ -240,6 +250,26 @@ def test_planted_conjugation_fault_matches_oracle(genus, ideals):
                 fmap.verify_conjugation(m, n, family)
             assert failure.value.entry == expected
     assert failed >= 6
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_planted_basis_law_faults_match_oracle(genus, ideals):
+    # one image doubled breaks S^2 only; one image moved onto the column
+    # of a basis monomial of another bidegree breaks both laws.  Each
+    # check's entries are those of the rational residuals
+    basis = FourierMap(ideals[genus]).quotient_basis()
+    assert basis_law_oracle(FourierMap(ideals[genus])) == ([], [])
+    for k in (0, len(basis) // 2, len(basis) - 1):
+        w, s, mono = basis[k]
+        other = next(m for w2, s2, m in basis if (w2, s2) != (w, s))
+        for moved in (False, True):
+            fmap = FourierMap(ideals[genus])
+            column = fmap._s_map[1][other if moved else mono]
+            plant_column(fmap, mono, dict(column) if moved else {d: 2 * c for d, c in column.items()})
+            s2, degree = basis_law_oracle(fmap)
+            assert fmap.check_s2() == s2 and s2
+            assert fmap.check_degree_law() == degree
+            assert [e["params"]["monomial"] for e in degree] == ([str(Poly.monomial(mono))] if moved else [])
 
 
 def test_conjugation_sweep_small(fmap_g3):
@@ -281,3 +311,65 @@ def test_pontryagin_associativity_and_transform(fmap_g3, ideal_g3):
 def test_pontryagin_square_of_q1_vanishes_genus2(fmap_g2):
     # S(q1 * q1) = S(q1)^2 = p1^2 q1^2 has weight 4 > 2
     assert fmap_g2.pontryagin(q(1), q(1)) == Poly.zero()
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_pontryagin_matches_oracle_on_basis_pairs(genus, ideals):
+    fmap = FourierMap(ideals[genus])
+    basis = [Poly.monomial(m) for _w, _s, m in fmap.quotient_basis()]
+    nonzero = 0
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            got = fmap.pontryagin(a, b)
+            assert got == pontryagin_oracle(ideals[genus], a, b), (a, b)
+            assert fmap.pontryagin(b, a) == got
+            nonzero += bool(got)
+    assert nonzero >= len(basis)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 6])
+def test_pontryagin_transform_inverse_match_oracle_seeded(genus, ideals):
+    # rational coefficients, relations, terms above weight g and zero;
+    # S^-1 is the transform with each (w, s) row signed (-1)^(g+s)
+    ideal = ideals[genus]
+    fmap = FourierMap(ideal)
+    sign = -1 if genus % 2 else 1
+    basis = [Poly.monomial(m) for _w, _s, m in fmap.quotient_basis()]
+    others = [
+        Poly.monomial(m) for w in range(genus + 3) for m in enumerate_monomials(w)
+        if Poly.monomial(m) not in basis
+    ]
+    rng = seeded(53 + genus)
+    inputs = [Poly.zero()]
+    for _ in range(12):
+        inputs.append(sum(
+            (Fraction(rng.randint(-6, 6), rng.randint(1, 4)) * rng.choice(pool)
+             for pool in (basis, basis, others)),
+            Poly.zero(),
+        ))
+    rows = [Poly(row) for w in range(genus + 1) for row in ideal.spaces[w].sorted_rows()]
+    inputs += [rows[-1], rows[0] + Fraction(1, 3) * q(1)]
+    assert any(f.max_weight() > genus for f in inputs)
+    for a in inputs:
+        image = series_transform(ideal, a)
+        assert fmap.transform(a) == image, a
+        assert fmap.inverse(a) == sign * minus_one_pullback(image), a
+    nonzero = 0
+    for a, b in zip(inputs, inputs[1:] + inputs[:1]):
+        got = fmap.pontryagin(a, b)
+        assert got == pontryagin_oracle(ideal, a, b), (a, b)
+        nonzero += bool(got)
+    assert nonzero >= 4
+    assert fmap.pontryagin(inputs[3], Poly.zero()) == Poly.zero()
+
+
+def test_non_poly_arguments_are_typed_errors(fmap_g3):
+    calls = (
+        lambda: fmap_g3.pontryagin(1, p(1)),
+        lambda: fmap_g3.pontryagin(p(1), "q1"),
+        lambda: fmap_g3.transform(2),
+        lambda: fmap_g3.inverse(Fraction(1, 2)),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParameter, match="expected a Poly"):
+            call()

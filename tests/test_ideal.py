@@ -11,6 +11,9 @@ from helpers import (
     build_with_fraction_oracle,
     fraction_normal_form,
     leibniz_apply,
+    mono_from_str,
+    mono_pdeg,
+    mono_qdeg,
     named,
     random_poly,
     seeded,
@@ -24,10 +27,7 @@ from tautjac.poly import (
     Q_KIND,
     Poly,
     enumerate_monomials,
-    mono_from_str,
     mono_mul,
-    mono_pdeg,
-    mono_qdeg,
     p,
     q,
 )
