@@ -9,65 +9,39 @@ quotient.  Everything is exact rational arithmetic; there is no
 floating-point mode.
 """
 
-from .errors import (
-    IndexZeroError,
-    InvalidGenus,
-    InvalidParameter,
-    NotNilpotent,
-    ParseError,
-    TautjacError,
-    VerificationFailure,
-    WindowExceeded,
-)
-from .fourier import FourierMap, exp_apply, minus_one_pullback
-from .ideal import RelationIdeal
-from .lie import (
-    LieContext,
-    cartan_eigenvalue,
-    density_op,
-    descent_op,
-    field_op,
-    raw_field_op,
-    run_bracket_suite,
-    sl2_triple,
-    verify_bracket,
-)
-from .newton import d_to_w, w_to_d
-from .operators import Operator, mul_op
-from .parse import parse_poly
-from .poly import Poly, enumerate_monomials, p, q
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FourierMap",
-    "IndexZeroError",
-    "InvalidGenus",
-    "InvalidParameter",
-    "LieContext",
-    "NotNilpotent",
-    "Operator",
-    "ParseError",
-    "Poly",
-    "RelationIdeal",
-    "TautjacError",
-    "VerificationFailure",
-    "WindowExceeded",
-    "cartan_eigenvalue",
-    "d_to_w",
-    "density_op",
-    "descent_op",
-    "enumerate_monomials",
-    "exp_apply",
-    "field_op",
-    "minus_one_pullback",
-    "mul_op",
-    "p",
-    "parse_poly",
-    "q",
-    "raw_field_op",
-    "run_bracket_suite",
-    "sl2_triple",
-    "verify_bracket",
-    "w_to_d",
-]
+# public name -> the module that defines it; each module is imported on
+# first use of one of its names (PEP 562), so a caller of one layer does
+# not pay for the others
+_EXPORTS = {
+    "errors": (
+        "IndexZeroError", "InvalidGenus", "InvalidParameter", "NotNilpotent",
+        "ParseError", "TautjacError", "VerificationFailure", "WindowExceeded",
+    ),
+    "fourier": ("FourierMap", "exp_apply", "minus_one_pullback"),
+    "ideal": ("RelationIdeal",),
+    "lie": (
+        "LieContext", "cartan_eigenvalue", "density_op", "descent_op", "field_op",
+        "raw_field_op", "run_bracket_suite", "sl2_triple", "verify_bracket",
+    ),
+    "newton": ("d_to_w", "w_to_d"),
+    "operators": ("Operator", "mul_op"),
+    "parse": ("parse_poly",),
+    "poly": ("Poly", "enumerate_monomials", "p", "q"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted(_MODULE_OF)

@@ -20,22 +20,9 @@ from .cache import (
 from .errors import (
     InvalidGenus,
     InvalidParameter,
-    NotNilpotent,
     ParseError,
     TautjacError,
     VerificationFailure,
-)
-from .fourier import FourierMap
-from .lie import (
-    LieContext,
-    _require_window,
-    density_op,
-    descent_op,
-    field_op,
-    raw_field_op,
-    run_bracket_suite,
-    sl2_triple,
-    verify_bracket,
 )
 from .parse import parse_poly
 from .newton import d_to_w, w_to_d
@@ -115,6 +102,8 @@ def _load_ideal(args):
 
 
 def _cmd_verify(args):
+    from .lie import LieContext, _require_window, run_bracket_suite, verify_bracket
+
     window = args.window if args.window is not None else args.max_order + 4
     _require_window(window, args.max_order, 2 if args.suite in ("sl2", "all") else 0)
     ctx = LieContext(args.genus, window)
@@ -203,6 +192,8 @@ def _cmd_member(args):
 
 
 def _cmd_fourier(args):
+    from .fourier import FourierMap
+
     if args.check == "conj" and (args.m is None or args.n is None):
         raise InvalidParameter("--check conj requires --m and --n")
     fmap = FourierMap(_load_ideal(args))
@@ -211,7 +202,7 @@ def _cmd_fourier(args):
         if not failures:
             print(
                 "S^2 = (-1)^g [-1]^* on all %d quotient basis elements"
-                % len(fmap.images)
+                % len(fmap.quotient_basis())
             )
             return 0
         for failure in failures:
@@ -267,6 +258,8 @@ def _cmd_cache(args):
 
 
 def _cmd_dump_operator(args):
+    from .lie import LieContext, density_op, descent_op, field_op, raw_field_op, sl2_triple
+
     ctx = LieContext(args.genus, args.window)
     needs_mn = args.op in ("field", "density", "raw")
     if needs_mn and (args.m is None or args.n is None):
@@ -307,7 +300,7 @@ def main(argv=None):
     except ParseError as err:
         print("expression error: %s" % err, file=sys.stderr)
         return 2
-    except (InvalidParameter, NotNilpotent) as err:
+    except InvalidParameter as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except VerificationFailure as failure:

@@ -38,7 +38,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
-from .lie import LieContext, descent_op
 from .poly import (
     MONOMIAL_ORDER_ID,
     P_KIND,
@@ -73,6 +72,8 @@ def _closure_tables(genus):
     the descent of monomial i of weight w, for w in 1..g+1; products[w]
     lists (target weight, variable, index of each monomial of weight w
     times the variable) for every variable that keeps the target <= g."""
+    from .lie import LieContext, descent_op
+
     descent = descent_op(LieContext(genus, genus + 1))
     columns = [None]
     for w in range(1, genus + 2):

@@ -23,10 +23,10 @@ number of partials) among the terms whose partials it equals.  A
 product a o b looks up, for each term of b, each sub-multiset of its
 multiplier that a's partials hit: the empty one gives the uncontracted
 products (multipliers and partials side by side), the others the
-contraction terms.  The uncontracted products of a o b and b o a are
-equal, so a commutator is formed from contraction terms alone.  The
-table and the largest weight shift are computed once per operator, on
-first use.
+contraction terms.  The uncontracted products of a o b and b o a
+agree, so a commutator adds only contraction terms, into a term dict
+the caller may share, and a ProductTable memoizes monomial products.
+The table and the largest weight shift are computed once per operator.
 """
 
 from math import factorial
@@ -77,6 +77,15 @@ def term_weight_shift(key):
     """Weight shift of a single (multiplier, partials) term."""
     mult, parts = key
     return mono_weight(mult) - mono_weight(parts)
+
+
+class ProductTable(dict):
+    """``table[a, b]`` is ``mono_mul(a, b)``, computed on first use; it
+    grows with every distinct pair, so scope it to the operators' life."""
+
+    def __missing__(self, pair):
+        product = self[pair] = mono_mul(*pair)
+        return product
 
 
 class Operator:
@@ -203,7 +212,7 @@ class Operator:
         """
         win = _compose_window(self, other)
         out = {}
-        self._contract(other, win, out, 1, False)
+        self._contract(other, win, out, 1, False, ProductTable())
         return Operator(out, win)
 
     def __matmul__(self, other):
@@ -215,13 +224,17 @@ class Operator:
         The uncontracted products of the two orders are equal, so only
         the contraction terms are formed; the window is the smaller of
         the two compositions' windows."""
-        win = _min_window(_compose_window(self, other), _compose_window(other, self))
         out = {}
-        self._contract(other, win, out, 1, True)
-        other._contract(self, win, out, -1, True)
-        return Operator(out, win)
+        return Operator(out, self._commute_into(other, out, ProductTable()))
 
-    def _contract(self, other, win, out, sign, contracted_only):
+    def _commute_into(self, other, out, products):
+        """Add the terms of [self, other] into the dict ``out``; return its window."""
+        win = _min_window(_compose_window(self, other), _compose_window(other, self))
+        self._contract(other, win, out, 1, True, products)
+        other._contract(self, win, out, -1, True, products)
+        return win
+
+    def _contract(self, other, win, out, sign, contracted_only, products):
         """Add ``sign`` times the terms of self o other with partial
         index-sum <= win into the dict ``out``: only the contraction
         terms (the partials of self hit at least one multiplier
@@ -231,7 +244,7 @@ class Operator:
         terms of self whose partials contain the hits come from self's
         table.  Contraction terms come only from the terms of other
         whose multiplier holds a variable of self's partials; each of
-        them is visited once, in term order."""
+        them is visited once, in term order, multiplied through ``products``."""
         _shift, table, _listed, _order, _by_var, variables = self._lazy()
         _shift, _table, listed, _order, by_var, _variables = other._lazy()
         if contracted_only:
@@ -248,8 +261,8 @@ class Operator:
                 for lsum, amult, left, ac in table.get(hits, ()):
                     if limit is not None and lsum > limit:
                         break  # entries are sorted by lsum
-                    mult = mono_mul(amult, red_b) if red_b else amult
-                    key = (mult, mono_mul(left, bparts))
+                    key = (products[amult, red_b] if red_b else amult,
+                           products[left, bparts] if left else bparts)
                     out[key] = get(key, 0) + ac * bc * bfactor
 
     def _lazy(self):

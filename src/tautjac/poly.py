@@ -55,19 +55,6 @@ def var_from_name(name):
     return variable(kind, int(index))
 
 
-def mono_from_exponents(pairs):
-    """Build a monomial from ``(var, exponent)`` pairs; repeated
-    variables accumulate."""
-    acc = {}
-    for (index, kind), e in pairs:
-        if e < 0:
-            raise ValueError("negative exponent in monomial")
-        if e:
-            acc[(index, kind)] = acc.get((index, kind), 0) + e
-    entries = sorted(((i, k, e) for (i, k), e in acc.items()), reverse=True)
-    return tuple(entries)
-
-
 def mono_mul(a, b):
     """Merge two sorted monomials (exponents add)."""
     if not a:
@@ -120,24 +107,28 @@ def enumerate_monomials(w):
     the largest monomial first.  Deterministic and cached."""
     if w < 0:
         raise ValueError("weight must be >= 0")
+    return _monomials_below(w, w)
 
-    def gen(var_list, remaining):
-        if remaining == 0:
-            yield ()
-            return
-        if not var_list:
-            return
-        (index, kind), rest = var_list[0], var_list[1:]
-        for e in range(remaining // index, -1, -1):
-            head = ((index, kind, e),) if e else ()
-            for tail in gen(rest, remaining - index * e):
-                yield head + tail
 
-    variables = []
-    for index in range(w, 0, -1):
-        variables.append((index, Q_KIND))
-        variables.append((index, P_KIND))
-    return tuple(gen(variables, w))
+@lru_cache(maxsize=None)
+def _monomials_below(w, top):
+    """The monomials of weight ``w`` in the variables of index <= ``top``,
+    largest first: by the exponent of q_top, then of p_top, descending,
+    then by the rest, which is a shared table entry of lower ``top``."""
+    if w == 0:
+        return ((),)
+    out = []
+    for a in range(w // top, -1, -1):
+        for b in range((w - a * top) // top, -1, -1):
+            head = ((top, Q_KIND, a),) if a else ()
+            if b:
+                head += ((top, P_KIND, b),)
+            rest = w - (a + b) * top
+            if rest == 0:
+                out.append(head)
+            elif top > 1:
+                out.extend(head + tail for tail in _monomials_below(rest, min(rest, top - 1)))
+    return tuple(out)
 
 
 class Poly:

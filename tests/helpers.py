@@ -19,7 +19,6 @@ from tautjac.poly import (
     Q_KIND,
     Poly,
     enumerate_monomials,
-    mono_from_exponents,
     mono_mul,
     mono_sdeg,
     mono_weight,
@@ -36,6 +35,19 @@ def mono_pdeg(m):
 
 def mono_qdeg(m):
     return sum(e for _i, k, e in m if k == Q_KIND)
+
+
+def mono_from_exponents(pairs):
+    """Build a monomial from ``(var, exponent)`` pairs; repeated
+    variables accumulate."""
+    acc = {}
+    for (index, kind), e in pairs:
+        if e < 0:
+            raise ValueError("negative exponent in monomial")
+        if e:
+            acc[(index, kind)] = acc.get((index, kind), 0) + e
+    entries = sorted(((i, k, e) for (i, k), e in acc.items()), reverse=True)
+    return tuple(entries)
 
 
 def mono_from_str(text):
@@ -135,6 +147,30 @@ def random_operator(rng, max_index=3, max_terms=3):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def residual_oracle(x, y, rhs, fallback):
+    """Oracle for ``lie._residual`` by operator arithmetic: the genus
+    parts of [X, Y] summed from whole part commutators, minus each c*Z,
+    each part truncated to the smallest part-commutator window (or
+    ``fallback``).  With ``y`` None the left-hand side is X itself."""
+    if y is None:
+        res, windows = list(x), []
+    else:
+        res, windows = [Operator.zero()] * (len(x) + len(y) - 1), []
+        for i, u in enumerate(x):
+            for k, v in enumerate(y):
+                if u.terms and v.terms:
+                    bracket = u.commutator(v)
+                    windows.append(bracket.window)
+                    res[i + k] = res[i + k] + bracket
+    for c, z in rhs:
+        for k, part in enumerate(z):
+            if c and part.terms:
+                res[k] = res[k] - c * part
+    finite = [w for w in windows if w is not None]
+    w = max(min(finite), 0) if finite else fallback
+    return [r.truncated(w) for r in res], w
 
 
 def all_monomials_up_to(w):

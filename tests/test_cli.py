@@ -162,6 +162,34 @@ def test_cli_import_starts_no_process_machinery():
     assert result.stdout.strip() == "[]"
 
 
+def test_every_public_name_resolves():
+    for name in tautjac.__all__:
+        assert getattr(tautjac, name) is not None, name
+    with pytest.raises(AttributeError):
+        getattr(tautjac, "no_such_name")
+
+
+def test_member_on_a_warm_cache_loads_no_operator_layer(tmp_path):
+    # the query path reads the cached ideal and reduces; the operator
+    # layers (lie, operators, fourier) are imported only by the commands
+    # and the cold build that run them
+    store_ideal(RelationIdeal.build(3), tmp_path)
+    code = (
+        "import sys, tautjac.cli\n"
+        "status = tautjac.cli.main(['member', '--genus', '3', '--expr', 'q3',"
+        " '--cache-dir', sys.argv[1]])\n"
+        "print(status, sorted(m for m in sys.modules"
+        " if m in ('tautjac.lie', 'tautjac.operators', 'tautjac.fourier')))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tautjac.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.splitlines() == ["true", "0 []"]
+
+
 def test_verify_lie_table(capsys):
     code, out, _ = run(
         capsys, "verify", "lie", "--genus", "3", "--max-order", "3",

@@ -1,18 +1,21 @@
 import gc
+import weakref
 from math import comb, factorial
 
 import pytest
 
-from helpers import ApplyOracle, all_monomials_up_to, equal_within
+from helpers import ApplyOracle, all_monomials_up_to, equal_within, residual_oracle
 from tautjac import lie
 from tautjac.errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
 from tautjac.lie import (
     LieContext,
     _at_genus,
     _bracket_identity,
+    _BRACKETS,
     _bracket_pairs,
     _GenusParts,
     _residual,
+    _sl2_parts,
     cartan_eigenvalue,
     density_op,
     density_params,
@@ -286,10 +289,95 @@ def test_genus_residuals_match_direct_brackets(kind):
             if kind == "raw_field":
                 corr = 4 * (comb(n, 2) * comb(mp, 2) - comb(np_, 2) * comb(m, 2))
                 expected = expected - corr * density_op(m + mp - 2, n + np_ - 2, ctx)
-            res, w = _residual(*_bracket_identity(kind, a, b, parts), window)
+            res, w = _residual(*_bracket_identity(kind, a, b, parts), window, parts.products)
             assert w == (window if bracket.window is None else max(bracket.window, 0))
             direct = (bracket - expected).truncated(w)
             assert _at_genus(res, g).terms == direct.terms, (kind, a, b, g)
+
+
+def _assert_residual_matches_oracle(x, y, rhs, parts):
+    res, w = _residual(x, y, rhs, parts.window, parts.products)
+    expected, ew = residual_oracle(x, y, rhs, parts.window)
+    assert w == ew
+    assert [(r.terms, r.window) for r in res] == [(r.terms, r.window) for r in expected]
+    return res
+
+
+def test_residual_matches_operator_arithmetic_oracle():
+    # the in-place residual (one term dict per genus power, a shared
+    # product table) against whole operators added, scaled, subtracted
+    # and truncated, on every bracket identity at order 5, window 9, the
+    # sl2 relations and nested brackets, and h = -field(1,1)
+    parts = _GenusParts(9)
+    for kind in _BRACKETS:
+        for a, b in _bracket_pairs(kind, 5):
+            _assert_residual_matches_oracle(*_bracket_identity(kind, a, b, parts), parts)
+    e, f, h = _sl2_parts(parts)
+    for x, y, rhs in [(e, f, [(1, h)]), (h, e, [(2, e)]), (h, f, [(-2, f)])]:
+        _assert_residual_matches_oracle(x, y, rhs, parts)
+    _assert_residual_matches_oracle(h, None, [(-1, parts("field", 1, 1))], parts)
+    for n in range(1, 5):
+        for var in (p(n), q(n)):
+            inner = _assert_residual_matches_oracle(f, (mul_op(var),), [], parts)
+            for m in range(1, 6 - n):
+                for outer in (p(m), q(m)):
+                    rhs = [(1, (mul_op(p(m + n - 1)),))]
+                    _assert_residual_matches_oracle(inner, (mul_op(outer),), rhs, parts)
+    # part windows below the checked one: on the right-hand side, on an
+    # empty left part, and a negative commutator window (p5. against D
+    # at window 2), where the checked window is raised to 0
+    a, b = parts("field", 1, 1)
+    left = (a.truncated(5), Operator.zero(3))
+    _assert_residual_matches_oracle(left, None, [(2, (b.truncated(4),))], parts)
+    x, y = parts("field", 2, 1), parts("field", 1, 2)
+    _assert_residual_matches_oracle(x, y, [(1, (a.truncated(4), b))], parts)
+    small = _GenusParts(2)
+    res = _assert_residual_matches_oracle(small("field", 0, 6), small("descent"), [], small)
+    assert [r.window for r in res] == [-3, -3, 0]
+    assert parts.products
+
+
+def test_residual_matches_oracle_on_a_planted_fault(monkeypatch):
+    # a wrong term in field(1,2) leaves nonzero residuals to compare
+    build = lie._BUILDERS["field"]
+
+    def planted(m, n, parts):
+        a, b = build(m, n, parts)
+        if (m, n) == (1, 2):
+            return a + Operator.single(3, ((2, "p", 1),), ((1, "q", 1),), 9), b
+        return a, b
+
+    monkeypatch.setitem(lie._BUILDERS, "field", planted)
+    parts = _GenusParts(9)
+    nonzero = 0
+    for kind in ("field_field", "field_density"):
+        for a, b in _bracket_pairs(kind, 5):
+            res = _assert_residual_matches_oracle(*_bracket_identity(kind, a, b, parts), parts)
+            nonzero += any(r.terms for r in res)
+    assert nonzero >= 10
+
+
+def test_product_table_lives_no_longer_than_its_members(monkeypatch):
+    ctx = LieContext(3, 7)
+    table = weakref.ref(ctx._parts.products)
+    run_bracket_suite([2, 3], 3, 7)
+    verify_bracket("sl2", {"max_order": 4}, ctx)
+    assert len(table()) > 0
+    del ctx
+    gc.collect()
+    assert table() is None
+    # a sweep with no live context at its window frees its table on return
+    tables = []
+    build = lie._BUILDERS["density"]
+
+    def spy(m, n, parts):
+        tables.append(weakref.ref(parts.products))
+        return build(m, n, parts)
+
+    monkeypatch.setitem(lie._BUILDERS, "density", spy)
+    run_bracket_suite([2], 3, 6)
+    gc.collect()
+    assert tables and all(ref() is None for ref in tables)
 
 
 def test_planted_genus_part_error_names_exactly_the_affected_genera(monkeypatch):

@@ -22,8 +22,8 @@ from tautjac.lie import (
     field_params,
     sl2_triple,
 )
-from tautjac.operators import Operator, mul_op
-from tautjac.poly import Poly, enumerate_monomials, p, q
+from tautjac.operators import Operator, ProductTable, mul_op
+from tautjac.poly import Poly, enumerate_monomials, mono_mul, p, q
 
 
 def test_apply_examples():
@@ -151,6 +151,26 @@ def test_commutator_contracts_each_term_once():
             assert bracket.apply(f) == oracle.commutator(x, y, f), (x, y, f)
         assert bracket == (x @ y) - (y @ x)
         assert not bracket.is_zero()
+
+
+def test_shared_product_table_leaves_products_unchanged():
+    # one ProductTable serving many commutators gives the same terms as
+    # the public commutator, which with compose still matches the
+    # leibniz_apply oracle
+    rng = seeded(23)
+    table = ProductTable()
+    ops = [random_operator(rng, max_terms=4) for _ in range(10)]
+    for a in ops:
+        for b in ops:
+            out = {}
+            window = a._commute_into(b, out, table)
+            bracket = a.commutator(b)
+            assert Operator(out, window) == bracket
+            for f in all_monomials_up_to(4):
+                ab = leibniz_apply(a, leibniz_apply(b, f))
+                assert (a @ b).apply(f) == ab, (a, b, f)
+                assert bracket.apply(f) == ab - leibniz_apply(b, leibniz_apply(a, f)), (a, b, f)
+    assert table and all(mono_mul(x, y) == xy for (x, y), xy in table.items())
 
 
 def test_compose_apply_consistency_windowed():

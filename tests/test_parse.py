@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_poly, seeded
+from helpers import mono_from_exponents, random_poly, seeded
 from tautjac.errors import IndexZeroError, ParseError
 from tautjac.parse import parse_poly
-from tautjac.poly import Poly, mono_from_exponents, p, q
+from tautjac.poly import Poly, p, q
 
 
 def test_grammar_examples():

@@ -4,12 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_count, brute_force_monomials, mono_from_str, mono_pdeg, mono_qdeg
+from helpers import (
+    brute_force_count,
+    brute_force_monomials,
+    mono_from_exponents,
+    mono_from_str,
+    mono_pdeg,
+    mono_qdeg,
+)
 from tautjac.poly import (
     MONO_ONE,
     Poly,
     enumerate_monomials,
-    mono_from_exponents,
     mono_sdeg,
     mono_str,
     mono_mul,
