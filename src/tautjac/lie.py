@@ -38,10 +38,10 @@ Every identity that ``verify_bracket`` and ``run_bracket_suite`` check
 is a bracket [X, Y] = sum c*Z (or, for h = -field(1,1), X = sum c*Z),
 and all take one path: the residual parts R0 + g*R1 + g^2*R2 of
 [X, Y] - sum c*Z are summed in place, one term dict per power of g,
-from the genus parts of the operands, cut once to the smallest window
-of the part commutators, and evaluated there at each genus.  The
-grading laws are read off the terms: a normal-ordered term M d(P)
-shifts (weight, s-degree) by (w(M) - w(P), s(M) - s(P)).
+from the genus parts of the operands, up to a cut fixed before any
+sum (the smallest part-commutator window), and evaluated at each
+genus.  The grading laws are read off the terms: a normal-ordered term
+M d(P) shifts (weight, s-degree) by (w(M) - w(P), s(M) - s(P)).
 """
 
 from collections import namedtuple
@@ -50,7 +50,7 @@ from math import comb, factorial
 from weakref import WeakValueDictionary
 
 from .errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
-from .operators import Operator, ProductTable, _min_window, mul_op, term_weight_shift
+from .operators import Operator, _commute_window, _decoded, _min_window, mul_op, term_weight_shift
 from .poly import (
     MONO_ONE,
     P_KIND,
@@ -58,7 +58,6 @@ from .poly import (
     Poly,
     mono_mul,
     mono_sdeg,
-    mono_weight,
     p,
     q,
 )
@@ -130,13 +129,12 @@ def _qvar(i):
 class _GenusParts:
     """Every family member at one window as its genus-free parts (A, B),
     the member at genus g being A + g*B, memoized and shared by all
-    genera; ``products`` serves the brackets among the members."""
+    genera."""
 
-    __slots__ = ("window", "products", "_memo", "__weakref__")
+    __slots__ = ("window", "_memo", "__weakref__")
 
     def __init__(self, window):
         self.window = window
-        self.products = ProductTable()
         self._memo = {}
 
     def __call__(self, family, m=0, n=0):
@@ -373,39 +371,34 @@ def _bracket_pairs(kind, max_order):
     return [(a, b) for i, a in enumerate(ps) for b in ps[i + 1:]]
 
 
-def _residual(x, y, rhs, fallback, products):
+def _residual(x, y, rhs, fallback):
     """Genus parts of [X, Y] - sum c*Z over ``rhs`` = [(c, parts of Z)],
     cut to the checked window, and that window: the smallest window of
     the part commutators, or ``fallback`` when none is bounded.  With
     ``y`` None the left-hand side is X itself.  With X = A + g*B and
-    Y = C + g*E, [X, Y] = [A,C] + g([A,E] + [B,C]) + g^2 [B,E]: each part
-    commutator adds its terms into the dict of its genus power, c*Z is
-    subtracted term by term, and each part is cut once, at the smallest
-    of the checked window and its contributions' windows."""
-    windows = []
-    if y is None:
-        sums, wins = [dict(u.terms) for u in x], [u.window for u in x]
-    else:
-        sums = [{} for _ in range(len(x) + len(y) - 1)]
-        wins = [None] * len(sums)
-        for i, u in enumerate(x):
-            for k, v in enumerate(y):
-                if u.terms and v.terms:
-                    windows.append(u._commute_into(v, sums[i + k], products))
-                    wins[i + k] = _min_window(wins[i + k], windows[-1])
-    for c, z in rhs:
-        for k, part in enumerate(z):
-            if c and part.terms:
-                terms = sums[k]
-                for key, zc in part.terms.items():
-                    terms[key] = terms.get(key, 0) - c * zc
-                wins[k] = _min_window(wins[k], part.window)
+    Y = C + g*E, [X, Y] = [A,C] + g([A,E] + [B,C]) + g^2 [B,E].  Each
+    part's cut (the smallest of the checked window and its contributions'
+    windows) is fixed first; then the part commutators and each -c*Z add
+    their terms within it into the dict of their genus power."""
+    pairs = [(i + k, u, v) for i, u in enumerate(x) for k, v in enumerate(y or ())
+             if u.terms and v.terms]
+    adds = [(k, 1, u) for k, u in enumerate(x)] if y is None else []
+    adds += [(k, -c, z) for c, parts in rhs for k, z in enumerate(parts) if c and z.terms]
+    windows = [_commute_window(u, v) for _k, u, v in pairs]
+    wins = [None] * (len(x) if y is None else len(x) + len(y) - 1)
+    for (k, _u, _v), win in zip(pairs, windows):
+        wins[k] = _min_window(wins[k], win)
+    for k, _c, z in adds:
+        wins[k] = _min_window(wins[k], z.window)
     finite = [w for w in windows if w is not None]
     w = max(min(finite), 0) if finite else fallback
-    return [
-        Operator({k: c for k, c in terms.items() if c and mono_weight(k[1]) <= cut}, cut)
-        for terms, cut in zip(sums, (_min_window(w, win) for win in wins))
-    ], w
+    cuts = [_min_window(w, win) for win in wins]
+    sums = [{} for _ in cuts]
+    for k, u, v in pairs:
+        u._commute_into(v, sums[k], cuts[k])
+    for k, c, z in adds:
+        z._add_into(sums[k], c, cuts[k])
+    return [_decoded(terms, cut) for terms, cut in zip(sums, cuts)], w
 
 
 def _bracket_identity(kind, a, b, parts):
@@ -437,7 +430,7 @@ def _bracket_checks(kind, max_order, genera, parts):
     discrepancy within the checked window, zero when the identity holds."""
     la, lb, _left, _right = _BRACKETS[kind]
     for a, b in _bracket_pairs(kind, max_order):
-        res, w = _residual(*_bracket_identity(kind, a, b, parts), parts.window, parts.products)
+        res, w = _residual(*_bracket_identity(kind, a, b, parts), parts.window)
         name = "[%s(%d,%d), %s(%d,%d)]" % (la, a[0], a[1], lb, b[0], b[1])
         params = {"pair": [list(a), list(b)], "checked_window": w}
         for g in genera:
@@ -461,7 +454,7 @@ def _sweep_sl2(params, ctx):
     reports = []
 
     def check(name, x, y, rhs, extra=None):
-        res, _w = _residual(x, y, rhs, ctx.window, ctx._parts.products)
+        res, _w = _residual(x, y, rhs, ctx.window)
         _record(reports, ctx, name, extra or {}, _at_genus(res, ctx.genus))
 
     check("[e,f] = h", e, f, [(1, h)])
@@ -475,8 +468,8 @@ def _sweep_sl2(params, ctx):
         _record(reports, ctx, name, {"n": n}, f_at_g.apply(p(n)) - expected)
         _record(reports, ctx, "f(q%d) = 0" % n, {"n": n}, f_at_g.apply(q(n)))
     for n in range(1, max_order):
-        fp = _residual(f, (mul_op(p(n)),), [], ctx.window, ctx._parts.products)[0]
-        fq = _residual(f, (mul_op(q(n)),), [], ctx.window, ctx._parts.products)[0]
+        fp = _residual(f, (mul_op(p(n)),), [], ctx.window)[0]
+        fq = _residual(f, (mul_op(q(n)),), [], ctx.window)[0]
         for m in range(1, max_order - n + 1):
             nested = [
                 ("[[f,p%d.],p%d.] = -C(%d,%d) p%d." % (n, m, m + n, m, m + n - 1),
@@ -516,7 +509,7 @@ def _sweep_grading(params, ctx):
     ]
     for family, m, n, wshift, sshift in members:
         op = ctx._parts(family, m, n)
-        res, w = _residual(h, op, [(n - m, op)], ctx.window, ctx._parts.products)
+        res, w = _residual(h, op, [(n - m, op)], ctx.window)
         label = "%s(%d,%d)" % (family, m, n)
         name = "[h, %s] = %d*%s" % (label, n - m, label)
         _record(reports, ctx, name, {"checked_window": w}, _at_genus(res, ctx.genus))

@@ -14,32 +14,27 @@ weight.  Composition propagates windows so validity is never
 overstated, and discards product terms that fall outside the resulting
 window.
 
-Every product is the Leibniz rule, read from one table per operator:
-it maps each sub-multiset of each term's partials to the terms that
-contain it, with the partials left over and the number of ways to pick
-the sub-multiset from them.  Applying the operator to a monomial looks
-up each sub-multiset of the monomial (up to the operator's largest
-number of partials) among the terms whose partials it equals.  A
-product a o b looks up, for each term of b, each sub-multiset of its
-multiplier that a's partials hit: the empty one gives the uncontracted
-products (multipliers and partials side by side), the others the
-contraction terms.  The uncontracted products of a o b and b o a
-agree, so a commutator adds only contraction terms, into a term dict
-the caller may share, and a ProductTable memoizes monomial products.
-The table and the largest weight shift are computed once per operator.
+Every product is the Leibniz rule, read from indexes each operator
+builds on first use.  ``apply`` looks up each sub-multiset of a monomial
+(up to the largest number of partials) among the terms whose partials
+equal it.  A product a o b takes each sub-multiset (*hit*) of each
+multiplier of b to a's Leibniz table for hits of that many factors: the
+empty hit gives the uncontracted products, the others the contraction
+terms.  Those of a o b and b o a agree, so a commutator adds only
+contraction terms, up to a partial index-sum, into a term dict the
+caller may share.  There a term is one int: the exponent of the variable
+(i, k) sits in byte 2v of the multiplier and 2v + 1 of the partials,
+v = 2(i - 1) + (k == 'q'), so multiplying two terms' multipliers and
+partials adds their codes.  Exponents at or above ``EXPONENT_BOUND`` =
+128 are refused with :class:`InvalidParameter`, so no sum carries.
 """
 
-from math import factorial
+from math import inf
 
-from .errors import WindowExceeded
-from .poly import (
-    MONO_ONE,
-    Poly,
-    mono_mul,
-    mono_str,
-    mono_weight,
-    norm_coeff,
-)
+from .errors import InvalidParameter, WindowExceeded
+from .poly import MONO_ONE, P_KIND, Q_KIND, Poly, mono_mul, mono_str, mono_weight, norm_coeff
+
+EXPONENT_BOUND = 128  # half the range of a byte field: a sum of two never carries
 
 
 def _min_window(*windows):
@@ -53,19 +48,69 @@ def _compose_window(a, b):
     return _min_window(b.window, None if a.window is None else a.window - (sb or 0))
 
 
-def _sub_multisets(mono, cap=None):
+def _commute_window(a, b):
+    """Window of [a, b]: the smaller of the two compositions' windows."""
+    return _min_window(_compose_window(a, b), _compose_window(b, a))
+
+
+def _bit(i, k):
+    """The code of the variable (i, k) as a multiplier."""
+    return 1 << (32 * i - (16 if k == Q_KIND else 32))
+
+
+def _pack(mono):
+    """(code as a multiplier, index-sum) of a monomial; as partials, code << 8."""
+    code = weight = 0
+    for i, k, e in mono:
+        if e >= EXPONENT_BOUND:
+            raise InvalidParameter("exponent %s%d^%d is at or above the packing bound %d"
+                                   % (k, i, e, EXPONENT_BOUND))
+        code += e * _bit(i, k)
+        weight += i * e
+    return code, weight
+
+
+def _packed_hits(mono, cap):
+    """Every sub-multiset of ``mono`` with at most ``cap`` factors, the empty one first, as
+    (size, code, index-sum, falling factorials of ``mono`` by it, ways to pick it)."""
+    found = [(0, 0, 0, 1, 1)]
+    for i, k, e in mono:
+        bit = _bit(i, k)
+        grown = []
+        for entry in found:
+            grown.append(entry)
+            n, code, w, fall, ways = entry
+            for j in range(1, min(e, cap - n) + 1):
+                fall *= e - j + 1
+                ways = ways * (e - j + 1) // j
+                grown.append((n + j, code + j * bit, w + j * i, fall, ways))
+        found = grown
+    return found
+
+
+def _decoded(out, window):
+    """The operator of the nonzero entries of ``out``: code -> coeff."""
+    raws = ((k.to_bytes((k.bit_length() + 7) >> 3, "little"), c) for k, c in out.items() if c)
+    return Operator({(_unpacked(raw[::2]), _unpacked(raw[1::2])): c for raw, c in raws}, window)
+
+
+def _unpacked(fields):
+    """The monomial whose exponent of the variable v is ``fields[v]``."""
+    return tuple(((v >> 1) + 1, Q_KIND if v & 1 else P_KIND, fields[v])
+                 for v in range(len(fields) - 1, -1, -1) if fields[v])
+
+
+def _sub_multisets(mono, cap):
     """Every sub-multiset of the monomial ``mono`` with at most ``cap``
-    factors (any number when None), the empty one first, as (the
-    sub-multiset, the rest of ``mono``, the falling factorials from
-    differentiating ``mono`` by it, its number of factors); uncapped,
-    ``mono`` itself comes last."""
+    factors, as (the sub-multiset, the rest of ``mono``, the falling
+    factorials from differentiating ``mono`` by it, its size)."""
     found = [(MONO_ONE, MONO_ONE, 1, 0)]
     for var in mono:
         i, k, e = var
         grown = []
         for sub, rest, factor, size in found:
             grown.append((sub, rest + (var,), factor, size))
-            for j in range(1, (e if cap is None else min(e, cap - size)) + 1):
+            for j in range(1, min(e, cap - size) + 1):
                 factor *= e - j + 1
                 left = rest + ((i, k, e - j),) if j < e else rest
                 grown.append((sub + ((i, k, j),), left, factor, size + j))
@@ -79,20 +124,11 @@ def term_weight_shift(key):
     return mono_weight(mult) - mono_weight(parts)
 
 
-class ProductTable(dict):
-    """``table[a, b]`` is ``mono_mul(a, b)``, computed on first use; it
-    grows with every distinct pair, so scope it to the operators' life."""
-
-    def __missing__(self, pair):
-        product = self[pair] = mono_mul(*pair)
-        return product
-
-
 class Operator:
     """Canonical normal-ordered operator: dict (multiplier, partials) ->
     nonzero coefficient, plus a validity window."""
 
-    __slots__ = ("terms", "window", "_cache")
+    __slots__ = ("terms", "window", "_cache", "__weakref__")
 
     def __init__(self, terms=None, window=None):
         clean = {}
@@ -103,7 +139,7 @@ class Operator:
                     clean[key] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "window", window)
-        object.__setattr__(self, "_cache", None)
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
@@ -151,7 +187,7 @@ class Operator:
 
     def max_weight_shift(self):
         """Largest weight shift over stored terms (None when empty)."""
-        return self._lazy()[0]
+        return self._lazy("hits")[3]
 
     def weight_shifts(self):
         return sorted({term_weight_shift(k) for k in self.terms})
@@ -190,15 +226,12 @@ class Operator:
             w = f.max_weight()
             if w > self.window:
                 raise WindowExceeded(w, self.window)
-        _shift, table, _listed, order, _by_var, _variables = self._lazy()
+        exact, order = self._lazy("apply")
         out = {}
         get = out.get
         for m, c in f.terms.items():
             for sub, rest, factor, _n in _sub_multisets(m, order):
-                # the terms whose partials equal ``sub`` lead its entries
-                for _s, mult, left, oc in table.get(sub, ()):
-                    if left:
-                        break
+                for mult, oc in exact.get(sub, ()):
                     res = mono_mul(mult, rest)
                     out[res] = get(res, 0) + c * oc * factor
         return Poly(out)
@@ -212,8 +245,8 @@ class Operator:
         """
         win = _compose_window(self, other)
         out = {}
-        self._contract(other, win, out, 1, False, ProductTable())
-        return Operator(out, win)
+        self._contract(other, win, out, 1, 0)
+        return _decoded(out, win)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -224,85 +257,87 @@ class Operator:
         The uncontracted products of the two orders are equal, so only
         the contraction terms are formed; the window is the smaller of
         the two compositions' windows."""
+        win = _commute_window(self, other)
         out = {}
-        return Operator(out, self._commute_into(other, out, ProductTable()))
+        self._commute_into(other, out, win)
+        return _decoded(out, win)
 
-    def _commute_into(self, other, out, products):
-        """Add the terms of [self, other] into the dict ``out``; return its window."""
-        win = _min_window(_compose_window(self, other), _compose_window(other, self))
-        self._contract(other, win, out, 1, True, products)
-        other._contract(self, win, out, -1, True, products)
-        return win
+    def _commute_into(self, other, out, limit):
+        """Add the terms of [self, other] up to ``limit`` into ``out``."""
+        self._contract(other, limit, out, 1, 1)
+        other._contract(self, limit, out, -1, 1)
 
-    def _contract(self, other, win, out, sign, contracted_only, products):
-        """Add ``sign`` times the terms of self o other with partial
-        index-sum <= win into the dict ``out``: only the contraction
-        terms (the partials of self hit at least one multiplier
-        variable of other) when ``contracted_only``.
+    def _add_into(self, out, scale, limit):
+        """Add ``scale`` times self's terms up to ``limit`` into ``out``."""
+        for c, psum, hits in self._lazy("hits")[0]:
+            if psum <= limit:
+                out[hits[0][2]] = out.get(hits[0][2], 0) + scale * c
 
-        For each term of other and each way to hit its multiplier, the
-        terms of self whose partials contain the hits come from self's
-        table.  Contraction terms come only from the terms of other
-        whose multiplier holds a variable of self's partials; each of
-        them is visited once, in term order, multiplied through ``products``."""
-        _shift, table, _listed, _order, _by_var, variables = self._lazy()
-        _shift, _table, listed, _order, by_var, _variables = other._lazy()
-        if contracted_only:
+    def _contract(self, other, limit, out, sign, first):
+        """Add ``sign`` times the terms of self o other with partial index-sum
+        <= ``limit`` (all when None) into ``out``; with ``first`` 1, only the
+        contraction terms, from the terms of other whose multiplier holds a
+        variable of self's partials (a key of self's one-factor table)."""
+        listed, by_var, degree, _shift = other._lazy("hits")
+        if first:
             picked = set()
-            for var in variables:
+            for var in self._lazy(1):
                 picked.update(by_var.get(var, ()))
             listed = [listed[i] for i in sorted(picked)]
+        tables = [self._lazy(k) if k >= first else None for k in range(degree + 1)]
         get = out.get
-        for bparts, bc, bsum, patterns in listed:
+        for bc, bsum, hits in listed:
             bc *= sign
-            limit = None if win is None else win - bsum
-            # patterns[0] hits nothing: the uncontracted product
-            for hits, red_b, bfactor, _n in patterns[1 if contracted_only else 0:]:
-                for lsum, amult, left, ac in table.get(hits, ()):
-                    if limit is not None and lsum > limit:
+            cut = inf if limit is None else limit - bsum
+            for size, hit, bcode, bfactor in hits[first:]:
+                bfactor *= bc
+                for lsum, acode, ac in tables[size].get(hit, ()):
+                    if lsum > cut:
                         break  # entries are sorted by lsum
-                    key = (products[amult, red_b] if red_b else amult,
-                           products[left, bparts] if left else bparts)
-                    out[key] = get(key, 0) + ac * bc * bfactor
+                    key = acode + bcode
+                    out[key] = get(key, 0) + ac * bfactor
 
-    def _lazy(self):
-        """(max weight shift, table, term list, largest number of
-        partials, multiplier index, partial variables), computed on first
-        use.  The table maps each sub-multiset of each term's partials to
-        the terms that contain it, as (index-sum of the partials left
-        over, multiplier, those partials, coeff times the ways to pick the
-        sub-multiset from the partials) sorted by that index-sum, so the
-        terms whose partials equal it come first.  The term list holds
-        (partials, coeff, partial index-sum, the multiplier's
-        sub-multisets); the multiplier index maps each variable (index,
-        kind) to the positions in the term list of the terms whose
-        multiplier holds it, and the partial variables are the variables
-        of all terms' partials."""
-        lazy = self._cache
-        if lazy is None:
-            table = {}
-            listed = []
-            by_var = {}
-            variables = set()
-            order = 0
-            hits = {mult: _sub_multisets(mult) for mult, _parts in self.terms}
+    def _lazy(self, key):
+        """Self's index ``key``, built on first use and kept with self.
+        ``"apply"``: partials -> [(multiplier, coeff)], and the largest number
+        of partials.  ``"hits"``: the terms as (coeff, partial index-sum,
+        [(size, code, code of the term without it, falling factorials) for
+        each hit of the multiplier]); variable code -> positions of the terms
+        whose multiplier holds it; the largest multiplier degree and weight
+        shift.  An int k: the Leibniz table, code of each k-factor hit of each
+        term's partials -> [(index-sum of the partials left, code of the term
+        with them, coeff times the ways to pick the hit)] by that index-sum."""
+        index = self._cache.get(key)
+        if index is not None:
+            return index
+        if key == "apply":
+            index = ({}, max((sum(e for *_v, e in p) for _m, p in self.terms), default=0))
+            for (mult, parts), c in self.terms.items():
+                index[0].setdefault(parts, []).append((mult, c))
+        elif key == "hits":
+            listed, by_var, degree, shifts = [], {}, 0, []
             for (mult, parts), c in self.terms.items():
                 for i, k, _e in mult:
-                    by_var.setdefault((i, k), []).append(len(listed))
-                variables.update((i, k) for i, k, _e in parts)
-                listed.append((parts, c, mono_weight(parts), hits[mult]))
-                for sub, left, pick, size in _sub_multisets(parts):
-                    for _i, _k, j in sub:
-                        pick //= factorial(j)
-                    entry = (mono_weight(left), mult, left, c if pick == 1 else pick * c)
-                    table.setdefault(sub, []).append(entry)
-                order = max(order, size)
-            for entries in table.values():
+                    by_var.setdefault(_bit(i, k), []).append(len(listed))
+                (mcode, mweight), (pcode, psum) = _pack(mult), _pack(parts)
+                hits = [(n, hit, mcode + (pcode << 8) - hit, fall)
+                        for n, hit, _w, fall, _ways in _packed_hits(mult, inf)]
+                listed.append((c, psum, hits))
+                degree = max(degree, hits[-1][0])
+                shifts.append(mweight - psum)
+            index = (listed, by_var, degree, max(shifts, default=None))
+        else:
+            index = {}
+            for (mult, parts), c in self.terms.items():
+                (mcode, _mweight), (pcode, psum) = _pack(mult), _pack(parts)
+                for n, hit, w, _fall, ways in _packed_hits(parts, key):
+                    if n == key:
+                        entry = (psum - w, mcode + ((pcode - hit) << 8), ways * c)
+                        index.setdefault(hit, []).append(entry)
+            for entries in index.values():
                 entries.sort(key=lambda entry: entry[0])
-            shift = max((term_weight_shift(k) for k in self.terms), default=None)
-            lazy = (shift, table, listed, order, by_var, variables)
-            object.__setattr__(self, "_cache", lazy)
-        return lazy
+        self._cache[key] = index
+        return index
 
     def truncated(self, w):
         """Drop terms with partial index-sum above w; window becomes w."""

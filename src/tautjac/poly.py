@@ -17,6 +17,8 @@ monomial 1.
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InvalidParameter
+
 MONOMIAL_ORDER_ID = "plex-interleaved-v1"
 
 MONO_ONE = ()
@@ -44,15 +46,17 @@ def qdiv(a, b):
 def variable(kind, index):
     """A variable as an ``(index, kind)`` pair; index must be >= 1."""
     if kind not in (P_KIND, Q_KIND):
-        raise ValueError("variable kind must be 'p' or 'q', got %r" % (kind,))
+        raise InvalidParameter("variable kind must be 'p' or 'q', got %r" % (kind,))
     if index < 1:
-        raise ValueError("variable index must be >= 1, got %r" % (index,))
+        raise InvalidParameter("variable index must be >= 1, got %r" % (index,))
     return (index, kind)
 
 
 def var_from_name(name):
-    kind, index = name[0], name[1:]
-    return variable(kind, int(index))
+    """The variable named e.g. "p1" or "q12"."""
+    if not name[1:].isdecimal():
+        raise InvalidParameter("variable name must be p or q and an index, got %r" % (name,))
+    return variable(name[:1], int(name[1:]))
 
 
 def mono_mul(a, b):
@@ -283,15 +287,10 @@ class Poly:
 
 def p(n):
     """The generator p_n as a polynomial."""
-    if n < 1:
-        raise ValueError("p indices start at 1")
-    return Poly.monomial(((n, P_KIND, 1),))
+    return Poly.monomial((variable(P_KIND, n) + (1,),))
 
 
 def q(n):
-    """The generator q_n as a polynomial (q0 is not a variable)."""
-    if n == 0:
-        raise ValueError("q0 is not a variable; substitute the genus scalar")
-    if n < 0:
-        raise ValueError("q indices start at 1")
-    return Poly.monomial(((n, Q_KIND, 1),))
+    """The generator q_n as a polynomial (q0 is not a variable: the
+    engine substitutes the genus scalar for it)."""
+    return Poly.monomial((variable(Q_KIND, n) + (1,),))

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import weakref
 from math import comb, factorial
 
@@ -289,14 +291,14 @@ def test_genus_residuals_match_direct_brackets(kind):
             if kind == "raw_field":
                 corr = 4 * (comb(n, 2) * comb(mp, 2) - comb(np_, 2) * comb(m, 2))
                 expected = expected - corr * density_op(m + mp - 2, n + np_ - 2, ctx)
-            res, w = _residual(*_bracket_identity(kind, a, b, parts), window, parts.products)
+            res, w = _residual(*_bracket_identity(kind, a, b, parts), window)
             assert w == (window if bracket.window is None else max(bracket.window, 0))
             direct = (bracket - expected).truncated(w)
             assert _at_genus(res, g).terms == direct.terms, (kind, a, b, g)
 
 
 def _assert_residual_matches_oracle(x, y, rhs, parts):
-    res, w = _residual(x, y, rhs, parts.window, parts.products)
+    res, w = _residual(x, y, rhs, parts.window)
     expected, ew = residual_oracle(x, y, rhs, parts.window)
     assert w == ew
     assert [(r.terms, r.window) for r in res] == [(r.terms, r.window) for r in expected]
@@ -334,7 +336,6 @@ def test_residual_matches_operator_arithmetic_oracle():
     small = _GenusParts(2)
     res = _assert_residual_matches_oracle(small("field", 0, 6), small("descent"), [], small)
     assert [r.window for r in res] == [-3, -3, 0]
-    assert parts.products
 
 
 def test_residual_matches_oracle_on_a_planted_fault(monkeypatch):
@@ -357,27 +358,32 @@ def test_residual_matches_oracle_on_a_planted_fault(monkeypatch):
     assert nonzero >= 10
 
 
-def test_product_table_lives_no_longer_than_its_members(monkeypatch):
+def test_members_live_no_longer_than_their_users(monkeypatch):
+    # the members at a window, with the packed codes and Leibniz tables
+    # cached on them, are freed with the last context or sweep using them
     ctx = LieContext(3, 7)
-    table = weakref.ref(ctx._parts.products)
     run_bracket_suite([2, 3], 3, 7)
     verify_bracket("sl2", {"max_order": 4}, ctx)
-    assert len(table()) > 0
+    member = ctx._parts("field", 2, 1)[0]
+    assert member._cache.keys() >= {"hits", 1}
+    member = weakref.ref(member)
     del ctx
     gc.collect()
-    assert table() is None
-    # a sweep with no live context at its window frees its table on return
-    tables = []
+    assert 7 not in lie._LIVE_PARTS and member() is None
+    # a sweep with no live context at its window frees its members on return
+    members = []
     build = lie._BUILDERS["density"]
 
     def spy(m, n, parts):
-        tables.append(weakref.ref(parts.products))
-        return build(m, n, parts)
+        built = build(m, n, parts)
+        members.extend(weakref.ref(op) for op in built)
+        return built
 
     monkeypatch.setitem(lie._BUILDERS, "density", spy)
     run_bracket_suite([2], 3, 6)
     gc.collect()
-    assert tables and all(ref() is None for ref in tables)
+    assert members and all(ref() is None for ref in members)
+    assert 6 not in lie._LIVE_PARTS
 
 
 def test_planted_genus_part_error_names_exactly_the_affected_genera(monkeypatch):
@@ -518,6 +524,15 @@ def test_run_bracket_suite_small():
     # both genera got every pair
     for kind in ("field_field", "field_density", "density_density"):
         assert summary["counts"]["%s@g2" % kind] == summary["counts"]["%s@g5" % kind]
+
+
+def test_benchmark_bracket_suite_summary_is_pinned():
+    # the sweep the benchmark's verify_suite workload runs: 2,964
+    # identities, no failures, and the summary byte for byte
+    summary = run_bracket_suite([2, 3, 5, 10], 5, 9)
+    assert summary["checked"] == 2964 and summary["failures"] == []
+    digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+    assert digest == "2ce68432253deefe1d779277eb190568124bb22e599a1f974923c2ee7a7b6bfa"
 
 
 def test_verification_failure_carries_counterexample():

@@ -12,7 +12,7 @@ from helpers import (
     random_poly,
     seeded,
 )
-from tautjac.errors import WindowExceeded
+from tautjac.errors import InvalidParameter, WindowExceeded
 from tautjac.lie import (
     LieContext,
     density_op,
@@ -22,8 +22,8 @@ from tautjac.lie import (
     field_params,
     sl2_triple,
 )
-from tautjac.operators import Operator, ProductTable, mul_op
-from tautjac.poly import Poly, enumerate_monomials, mono_mul, p, q
+from tautjac.operators import EXPONENT_BOUND, Operator, _decoded, _min_window, mul_op
+from tautjac.poly import Poly, enumerate_monomials, p, q
 
 
 def test_apply_examples():
@@ -109,13 +109,16 @@ def test_commutator_apply_oracle_randomized():
 
 
 def test_products_apply_oracle_repeated_hits():
-    # several multiplier variables hit more than once each
+    # multipliers of degree 2 and 3 with repeated variables, so hits of
+    # two and three factors; compose, commutator and the commutator
+    # summed below a limit against apply-only oracles
     mono = mono_from_str
     ops = [
         Operator.single(2, mono("p2^2*q1^3"), mono("p1")),
         Operator.single(-3, mono("p1"), mono("p2^2*q1^2")),
         Operator.single(Fraction(1, 2), mono("p1^2*q1^2"), mono("p1*q1")),
         Operator.single(5, mono("p2*q1"), mono("p2*q1^2")),
+        Operator({(mono("p1^3"), mono("p1^2")): 7, (mono("q1^2*p2"), mono("q1^3")): -1}),
     ]
     oracle = ApplyOracle()
     for a in ops:
@@ -124,6 +127,63 @@ def test_products_apply_oracle_repeated_hits():
             for f in all_monomials_up_to(7):
                 assert ab.apply(f) == oracle.apply(a, oracle.apply(b, f)), (a, b, f)
                 assert bracket.apply(f) == oracle.commutator(a, b, f), (a, b, f)
+            for limit in range(6):
+                out = {}
+                a._commute_into(b, out, limit)
+                for f in all_monomials_up_to(limit):
+                    assert _decoded(out, limit).apply(f) == oracle.commutator(a, b, f), (a, b, f)
+    assert all(any(op._lazy(k) for op in ops) for k in (2, 3))
+
+
+def test_products_match_oracle_on_windowed_and_unbounded_pairs():
+    # a windowed pair whose limit (one below its commutator's window)
+    # falls inside a Leibniz entry list, and pairs with window None on
+    # one or both sides
+    ctx = LieContext(3, 6)
+    a, b = field_op(3, 1, ctx), field_op(1, 3, ctx)
+    unbounded = mul_op(p(2) * q(1) + 3 * p(1) ** 2)
+    limit = a.commutator(b).window - 1
+    cut = False
+    for _c, bsum, hits in b._lazy("hits")[0]:
+        for size, hit, _code, _factor in hits[1:]:
+            lsums = [lsum for lsum, _code, _ac in a._lazy(size).get(hit, ())]
+            cut |= bool(lsums) and min(lsums) <= limit - bsum < max(lsums)
+    assert cut
+    oracle = ApplyOracle()
+    for x, y in [(a, b), (b, a), (a, unbounded), (unbounded, b), (unbounded, Operator.derivative("p1", "q1"))]:
+        xy, bracket = x @ y, x.commutator(y)
+        assert bracket.window == _min_window(xy.window, (y @ x).window)
+        top = 6 if bracket.window is None else bracket.window
+        out = {}
+        x._commute_into(y, out, top - 1)
+        for f in all_monomials_up_to(top):
+            if xy.window is None or f.max_weight() <= xy.window:
+                assert xy.apply(f) == oracle.apply(x, oracle.apply(y, f)), (x, y, f)
+            assert bracket.apply(f) == oracle.commutator(x, y, f), (x, y, f)
+            if f.max_weight() < top:
+                assert _decoded(out, top - 1).apply(f) == oracle.commutator(x, y, f), (x, y, f)
+
+
+def test_packing_bound_is_exact_or_refuses():
+    # exponents just below the bound pack exactly, and their products
+    # (up to twice the bound) decode exactly; one at the bound refuses
+    top = EXPONENT_BOUND - 1
+    a = Operator.single(2, mono_from_str("p1^%d*q2" % top), mono_from_str("q1"))
+    b = Operator.single(-3, mono_from_str("p1^%d*q1^%d" % (top, top)), mono_from_str("p2"))
+    ab = a @ b
+    assert max(e for mult, _parts in ab.terms for _i, _k, e in mult) == 2 * top
+    bracket = a.commutator(b)
+    for f in [p(2), p(2) * q(1), p(2) ** 2 * q(1) ** 3, p(1) * p(2) * q(1) * q(2)]:
+        assert ab.apply(f) == leibniz_apply(a, leibniz_apply(b, f)), f
+        assert bracket.apply(f) == ab.apply(f) - leibniz_apply(b, leibniz_apply(a, f)), f
+    at_bound = Operator.single(1, mono_from_str("q3^%d" % EXPONENT_BOUND), mono_from_str("p1"))
+    f = p(1) * q(3)
+    assert at_bound.apply(f) == leibniz_apply(at_bound, f)
+    for x, y in [(at_bound, b), (b, at_bound), (ab, a)]:
+        with pytest.raises(InvalidParameter, match="packing bound %d" % EXPONENT_BOUND):
+            x @ y
+        with pytest.raises(InvalidParameter, match="packing bound %d" % EXPONENT_BOUND):
+            x.commutator(y)
 
 
 def test_commutator_contracts_each_term_once():
@@ -153,24 +213,26 @@ def test_commutator_contracts_each_term_once():
         assert not bracket.is_zero()
 
 
-def test_shared_product_table_leaves_products_unchanged():
-    # one ProductTable serving many commutators gives the same terms as
-    # the public commutator, which with compose still matches the
-    # leibniz_apply oracle
+def test_commute_into_matches_truncated_commutator():
+    # the packed terms _commute_into adds below a limit, decoded, are the
+    # public commutator truncated there; with compose, that commutator
+    # still matches the leibniz_apply oracle
     rng = seeded(23)
-    table = ProductTable()
     ops = [random_operator(rng, max_terms=4) for _ in range(10)]
+    cut = 0
     for a in ops:
         for b in ops:
+            limit = rng.randint(0, 5)
             out = {}
-            window = a._commute_into(b, out, table)
+            a._commute_into(b, out, limit)
             bracket = a.commutator(b)
-            assert Operator(out, window) == bracket
+            assert _decoded(out, limit) == bracket.truncated(limit), (a, b, limit)
+            cut += len(bracket.truncated(limit).terms) < len(bracket.terms)
             for f in all_monomials_up_to(4):
                 ab = leibniz_apply(a, leibniz_apply(b, f))
                 assert (a @ b).apply(f) == ab, (a, b, f)
                 assert bracket.apply(f) == ab - leibniz_apply(b, leibniz_apply(a, f)), (a, b, f)
-    assert table and all(mono_mul(x, y) == xy for (x, y), xy in table.items())
+    assert cut >= 10
 
 
 def test_compose_apply_consistency_windowed():

@@ -12,6 +12,8 @@ from helpers import (
     mono_pdeg,
     mono_qdeg,
 )
+from tautjac.errors import InvalidParameter
+from tautjac.operators import Operator
 from tautjac.poly import (
     MONO_ONE,
     Poly,
@@ -112,14 +114,22 @@ def test_canonical_text_form():
 
 
 def test_variable_validation():
-    with pytest.raises(ValueError):
+    # typed errors, still ValueErrors for callers that catch those
+    with pytest.raises(InvalidParameter, match="index must be >= 1"):
         q(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter, match="index must be >= 1"):
         p(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter, match="kind must be"):
         variable("x", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter, match="index must be >= 1"):
         variable("p", 0)
+    with pytest.raises(InvalidParameter, match="index must be >= 1"):
+        Operator.derivative("p0")
+    with pytest.raises(InvalidParameter, match="kind must be"):
+        Operator.derivative("x1")
+    with pytest.raises(InvalidParameter, match="name must be"):
+        Operator.derivative("p")
+    assert issubclass(InvalidParameter, ValueError)
 
 
 coeffs = st.one_of(
