@@ -18,12 +18,12 @@ from .cache import (
     resolve_cache_dir,
 )
 from .errors import (
-    InvalidGenus,
     InvalidParameter,
     ParseError,
     TautjacError,
     VerificationFailure,
 )
+from .ideal import check_genus
 from .parse import parse_poly
 from .newton import d_to_w, w_to_d
 
@@ -223,8 +223,7 @@ def _parse_rational_list(text):
 
 
 def _cmd_newton(args):
-    if args.genus < 2:
-        raise InvalidGenus("genus must be an integer >= 2, got %r" % (args.genus,))
+    check_genus(args.genus)
     raw = args.to_d if args.to_d is not None else args.to_w
     try:
         values = _parse_rational_list(raw)

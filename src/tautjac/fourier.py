@@ -8,21 +8,23 @@ exponentials below are finite sums and
     S = exp(e) exp(D) exp(e)
 
 is exact.  Everything here is linear on the finite quotient, so it is
-computed on the quotient basis, as column maps: the normal form of the
-image of each basis monomial, by basis monomial.  The columns of e and
-D (normal forms have weight at most g, so D is built at window g) give
-the columns of exp(e) and exp(D) by their series, and S is held once,
-as one integer column map over a scale.  S sends a (weight w, s-degree
-s) class to one of bidegree (g - w + s, s), and S^2 = (-1)^g [-1]^*
+computed on the quotient basis, as integer column maps over a scale,
+each column the image of a basis monomial as ``RelationIdeal.reduce``
+returns it.  The columns of e and D (normal forms have weight at most
+g, so D is built at window g) give the columns of exp(e) and exp(D) by
+their series, and S is held once, as one integer column map over a
+scale.  S sends a (weight w, s-degree s) class to one of bidegree
+(g - w + s, s), and S^2 = (-1)^g [-1]^*
 where [-1]^* scales an s-homogeneous class by (-1)^s; both laws are
 checked as identities on the integer columns.  S^{-1} has no map of its
 own: its column at b is that of S with each row d signed
 (-1)^g (-1)^{s(d)}.  The conjugation S op(m,n) S^{-1} = (-1)^n op(n,m)
 is checked from the columns of the two members, shared between op(m,n)
 and op(n,m), combined with those of S and S^{-1}.  Column combinations
-run fraction free and divide once at the end.  The Pontryagin product
-is a * b = S^{-1}(S(a) S(b)); S(a) and S(b) are normal forms, so only
-their term pairs of total weight at most g are multiplied.
+run fraction free; a public method's result is divided once, at the
+end.  The Pontryagin product is a * b = S^{-1}(S(a) S(b)); S(a) and
+S(b) are normal forms, so only their term pairs of total weight at most
+g are multiplied.
 """
 
 from functools import cached_property
@@ -54,22 +56,23 @@ def _combine(columns, vec):
     return {d: v for d, v in out.items() if v}
 
 
-def _integral(columns):
-    """(scale, integer column map): the lcm of the denominators of a
-    column map's coefficients, and the columns times it."""
-    scale = lcm(1, *(c.denominator for col in columns.values() for c in col.values()))
-    return scale, {
-        b: {d: c.numerator * (scale // c.denominator) for d, c in col.items()}
-        for b, col in columns.items()
-    }
+def _over_lcm(columns):
+    """(scale, integer column map) in lowest terms from columns given as
+    (integer vector, divisor): each column cut by the gcd of its divisor
+    and entries, zeros dropped, then all put over the divisors' lcm."""
+    cut = {}
+    for b, (vec, div) in columns.items():
+        content = gcd(div, *vec.values())
+        cut[b] = ({d: c // content for d, c in vec.items() if c}, div // content)
+    scale = lcm(1, *(div for _vec, div in cut.values()))
+    return scale, {b: {d: c * (scale // div) for d, c in v.items()} for b, (v, div) in cut.items()}
 
 
-def _exp_columns(columns):
-    """exp of a nilpotent column map, one series per column, fraction
-    free: with C = A / s for the integer column map A of scale s, the
-    k-th term C^k b / k! is A^k b over s^k k!, accumulated over that
-    growing common denominator until A^k b is zero."""
-    scale, ints = _integral(columns)
+def _exp_columns(scale, ints):
+    """exp of the nilpotent map C = A / scale as (scale, integer column
+    map), A an integer column map, one series per column, fraction free:
+    the k-th term C^k b / k! is A^k b over scale^k k!, accumulated over
+    that growing common denominator until A^k b is zero."""
     out = {}
     for b in ints:
         total = term = {b: 1}
@@ -83,8 +86,8 @@ def _exp_columns(columns):
                 total[d] = total.get(d, 0) + c
             den *= scale * k
             k += 1
-        out[b] = {d: qdiv(c, den) for d, c in total.items() if c}
-    return out
+        out[b] = total, den
+    return _over_lcm(out)
 
 
 def minus_one_pullback(f):
@@ -155,10 +158,10 @@ class FourierMap:
         return self.ideal.genus
 
     def _columns(self, image):
-        """The column map of a linear map on the quotient: basis
-        monomial -> terms of the normal form of ``image(monomial)``."""
-        nf = self.ideal.normal_form
-        return {m: nf(image(m)).terms for _w, _s, m in self.quotient_basis()}
+        """A linear map on the quotient as (scale, integer column map):
+        basis monomial -> the normal form of ``image(monomial)``."""
+        reduce = self.ideal.reduce
+        return _over_lcm({m: reduce(image(m).terms) for _w, _s, m in self.quotient_basis()})
 
     @cached_property
     def _s_map(self):
@@ -166,23 +169,13 @@ class FourierMap:
         :meth:`quotient_basis` order, built on first use from the columns
         of e and D (one descent apply per basis monomial): S(b) is exp(e)
         of exp(D) of the exp(e) column of b, in integers over the product
-        of the three scales, then divided by the content of the map."""
+        of the three scales, then in lowest terms."""
         descent = descent_op(self.ctx)
-        raising = _exp_columns(self._columns(lambda m: Poly.monomial(mono_mul(m, _P1))))
-        lowering = _exp_columns(self._columns(lambda m: descent.apply(Poly.monomial(m))))
-        (r_scale, r_ints), (l_scale, l_ints) = _integral(raising), _integral(lowering)
+        r_scale, r_ints = _exp_columns(*self._columns(lambda m: Poly.monomial(mono_mul(m, _P1))))
+        l_scale, l_ints = _exp_columns(*self._columns(lambda m: descent.apply(Poly.monomial(m))))
         scale = r_scale * l_scale * r_scale
         cols = {m: _combine(r_ints, _combine(l_ints, col)) for m, col in r_ints.items()}
-        content = gcd(scale, *(c for col in cols.values() for c in col.values()))
-        cols = {m: {d: c // content for d, c in col.items()} for m, col in cols.items()}
-        return scale // content, cols
-
-    @cached_property
-    def images(self):
-        """S on the quotient basis, the rational view of the integer map:
-        basis monomial -> S(monomial) in normal form."""
-        scale, cols = self._s_map
-        return {m: Poly({d: qdiv(c, scale) for d, c in col.items()}) for m, col in cols.items()}
+        return _over_lcm({m: (col, scale) for m, col in cols.items()})
 
     @cached_property
     def _bidegrees(self):
@@ -193,14 +186,16 @@ class FourierMap:
 
     def _image(self, f):
         """S(f) as (integer vector, divisor): the columns of S combined
-        over the normal form of f (f itself when it is a combination of
-        basis monomials) times the lcm of its denominators."""
+        over f cleared of denominators, reduced unless it is already a
+        combination of basis monomials."""
         if not isinstance(f, Poly):
             raise InvalidParameter("expected a Poly, got %s" % type(f).__name__)
         scale, cols = self._s_map
-        terms = f.terms if all(m in cols for m in f.terms) else self.ideal.normal_form(f).terms
-        den = lcm(*[c.denominator for c in terms.values()])
-        vec = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+        den = lcm(*[c.denominator for c in f.terms.values()])
+        vec = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+        if not all(m in cols for m in vec):
+            vec, div = self.ideal.reduce(vec)
+            den *= div
         return _combine(cols, vec), den * scale
 
     def _divided(self, vec, divisor, inverse=False):
@@ -221,8 +216,8 @@ class FourierMap:
     def pontryagin(self, a, b):
         """Convolution product: S^{-1}(S(a) S(b)).  S(a) and S(b) stay
         integer vectors, and only their term pairs of total weight <= g
-        are multiplied (normal_form sends every heavier product to 0);
-        S^{-1} of the product's normal form is divided once."""
+        are multiplied (the ideal sends every heavier product to 0);
+        S^{-1} of the product's reduction is divided once."""
         (left, l_div), (right, r_div) = self._image(a), self._image(b)
         grading, out = self._bidegrees, {}
         for ma, ca in left.items():
@@ -233,8 +228,9 @@ class FourierMap:
                     out[m] = out.get(m, 0) + ca * cb
         if not out:
             return Poly()
-        vec, div = self._image(self.ideal.normal_form(Poly(out)))
-        return self._divided(vec, div * l_div * r_div, inverse=True)
+        vec, div = self.ideal.reduce(out)
+        scale, cols = self._s_map
+        return self._divided(_combine(cols, vec), scale * div * l_div * r_div, inverse=True)
 
     def unit(self):
         """The Pontryagin unit S^{-1}(1)."""
@@ -284,7 +280,7 @@ class FourierMap:
             sign = self._bidegrees[m][2]
             if _combine(cols, col) == {m: sign * scale * scale}:
                 return ""
-            return str(self.transform(self.images[m]) - sign * Poly.monomial(m))
+            return str(self._divided(_combine(cols, col), scale * scale) - sign * Poly.monomial(m))
 
         return self._basis_failures("S^2 = (-1)^g [-1]^*", residual)
 
@@ -294,7 +290,7 @@ class FourierMap:
         key = (family, m, n)
         if key not in self._members:
             op = {"field": field_op, "density": density_op}[family](m, n, self.ctx)
-            self._members[key] = _integral(self._columns(lambda b: op.apply(Poly.monomial(b))))
+            self._members[key] = self._columns(lambda b: op.apply(Poly.monomial(b)))
         return self._members[key]
 
     def verify_conjugation(self, m, n, family="field"):
@@ -330,9 +326,7 @@ class FourierMap:
             cross = {d: sign * scale * c for d, c in right.items()}
             if {d: flip_scale * c for d, c in left.items()} != cross:
                 params = {"monomial": mono_str(mono), "weight": mono_weight(mono)}
-                diff = Poly({d: qdiv(c, scale) for d, c in left.items()}) - Poly(
-                    {d: qdiv(sign * c, flip_scale) for d, c in right.items()}
-                )
+                diff = self._divided(left, scale) - sign * self._divided(right, flip_scale)
                 entry = report_entry(
                     name, params, self.genus, self.ctx.window, "fail", str(diff)
                 )

@@ -23,10 +23,10 @@ insertion back-substitutes by cross-multiplying and dividing out the
 content (Bareiss, Math. Comp. 22, 1968).  The closure reads tables
 built once per genus: descent as one sparse integer column per monomial
 of weight 1..g+1 (one ``Operator.apply`` each), and each variable
-product as one index list per weight.  Rows become monomials with
-rational coefficients only where a caller reads them: relation bases,
-the JSON form, quotient bases, normal forms and stability
-counterexamples.
+product as one index list per weight.  Queries reduce through
+``RelationIdeal.reduce``, to an integer vector over one divisor.  Rows
+become rational only where a caller reads them: relation bases, the
+JSON form, quotient bases, normal forms and stability counterexamples.
 
 The result is a *derived* sub-ideal of the true relation ideal: a
 polynomial outside it is not thereby proven nonzero in the Chow ring.
@@ -236,22 +236,27 @@ class RelationIdeal:
 
     # -- queries ---------------------------------------------------------
 
+    def reduce(self, terms):
+        """The normal form of monomial -> int terms as (integer vector,
+        divisor), fraction free: zeros and weights above the genus drop
+        out, and the divisor is the lcm of the weights' scales."""
+        vecs = {}
+        for m, c in terms.items():
+            w = mono_weight(m)
+            if c and w <= self.genus:
+                vecs.setdefault(w, {})[_monomials(w)[1][m]] = c
+        parts = [(_monomials(w)[0], *self.spaces[w].reduce(vec)) for w, vec in vecs.items()]
+        div = lcm(1, *(scale for _mons, _red, scale in parts))
+        vec = {mons[i]: c * (div // scale) for mons, red, scale in parts for i, c in red.items()}
+        return vec, div
+
     def normal_form(self, f):
         """Unique reduction of f modulo the stored bases, with every
         weight above the genus sent to 0; idempotent and linear, and
         f - normal_form(f) always lies in the ideal."""
-        vecs = {}
-        for m, c in f.terms.items():
-            w = mono_weight(m)
-            if w <= self.genus:
-                vecs.setdefault(w, {})[_monomials(w)[1][m]] = c
-        out = {}
-        for w, vec in vecs.items():
-            mons = _monomials(w)[0]
-            red, scale = self.spaces[w].reduce(vec)
-            for i, c in red.items():
-                out[mons[i]] = c if scale == 1 else qdiv(c, scale)
-        return Poly(out)
+        den = lcm(1, *(c.denominator for c in f.terms.values()))
+        vec, div = self.reduce({m: c.numerator * den // c.denominator for m, c in f.terms.items()})
+        return Poly({m: qdiv(c, div * den) for m, c in vec.items()})
 
     def contains(self, f):
         """Membership in the derived ideal (graded reduction to zero)."""

@@ -49,7 +49,8 @@ from fractions import Fraction
 from math import comb, factorial
 from weakref import WeakValueDictionary
 
-from .errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
+from .errors import InvalidParameter, VerificationFailure, report_entry
+from .ideal import check_genus
 from .operators import Operator, _commute_window, _decoded, _min_window, mul_op, term_weight_shift
 from .poly import (
     MONO_ONE,
@@ -71,8 +72,7 @@ def binom(n, k):
 
 
 def _check_context(genus, window):
-    if not isinstance(genus, int) or genus < 2:
-        raise InvalidGenus("genus must be an integer >= 2, got %r" % (genus,))
+    check_genus(genus)
     if not isinstance(window, int) or window < 1:
         raise InvalidParameter("window must be a positive integer, got %r" % (window,))
 

@@ -265,6 +265,12 @@ def pontryagin_oracle(ideal, a, b):
     return sign * minus_one_pullback(series_transform(ideal, product))
 
 
+def images(fmap):
+    """S on the quotient basis, rationally: basis monomial -> its
+    transform, in quotient_basis order."""
+    return {m: fmap.transform(Poly.monomial(m)) for _w, _s, m in fmap.quotient_basis()}
+
+
 def plant_column(fmap, mono, column):
     """A planted fault: the column of S at a basis monomial replaced, in
     the integer map of a FourierMap whose S has not been read yet."""
@@ -282,12 +288,13 @@ def basis_law_oracle(fmap):
     g, window = fmap.genus, fmap.ctx.window
     sign = -1 if g % 2 else 1
     s2, degree = [], []
-    for m, img in fmap.images.items():
+    columns = images(fmap)
+    for m, img in columns.items():
         w, s, b = mono_weight(m), mono_sdeg(m), Poly.monomial(m)
         params = {"weight": w, "sdeg": s, "monomial": str(b)}
         square = {}
         for d, c in img.terms.items():
-            for d2, c2 in fmap.images[d].terms.items():
+            for d2, c2 in columns[d].terms.items():
                 square[d2] = square.get(d2, 0) + c * c2
         diff = Poly(square) - sign * minus_one_pullback(b)
         if diff:
@@ -312,14 +319,15 @@ def conjugation_oracle(fmap, m, n, family):
     name = "S %s(%d,%d) S^-1 = %s%s(%d,%d)" % (
         family, m, n, "-" if sign < 0 else "", family, n, m
     )
-    for mono in fmap.images:
+    basis = fmap.quotient_basis()
+    for _w, _s, mono in basis:
         b = Poly.monomial(mono)
         left = fmap.transform(op.apply(fmap.inverse(b)))
         right = sign * fmap.ideal.normal_form(flipped.apply(b))
         if left != right:
             params = {"monomial": str(b), "weight": mono_weight(mono)}
             return report_entry(name, params, fmap.genus, fmap.ctx.window, "fail", str(left - right))
-    params = {"basis_size": len(fmap.images)}
+    params = {"basis_size": len(basis)}
     return report_entry(name, params, fmap.genus, fmap.ctx.window)
 
 

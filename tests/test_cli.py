@@ -276,6 +276,17 @@ def test_newton_commands(capsys):
     assert code == 2
 
 
+def test_genus_errors_share_one_message(capsys):
+    # the operator context, the bracket suite and the newton command all
+    # reject a genus below 2 with the text of ideal.check_genus
+    text = "genus must be an integer >= 2, got 1"
+    for call in (lambda: lie.LieContext(1, 5), lambda: lie.run_bracket_suite([1], 2, 4)):
+        with pytest.raises(InvalidGenus) as info:
+            call()
+        assert str(info.value) == text
+    assert run(capsys, "newton", "--genus", "1", "--to-d", "1") == (2, "", "error: %s\n" % text)
+
+
 def test_dump_operator(capsys):
     code, out, _ = run(
         capsys, "dump-operator", "--genus", "2", "--op", "descent", "--window", "3"

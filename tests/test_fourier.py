@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from fractions import Fraction
@@ -6,6 +9,7 @@ import tautjac.fourier
 from helpers import (
     basis_law_oracle,
     conjugation_oracle,
+    images,
     named,
     plant_column,
     pontryagin_oracle,
@@ -15,9 +19,10 @@ from helpers import (
 )
 from tautjac.errors import InvalidParameter, NotNilpotent, VerificationFailure
 from tautjac.fourier import FourierMap, exp_apply, minus_one_pullback
+from tautjac.ideal import RelationIdeal
 from tautjac.lie import LieContext, density_op, descent_op
 from tautjac.operators import Operator, mul_op
-from tautjac.poly import Poly, enumerate_monomials, p, q
+from tautjac.poly import Poly, enumerate_monomials, mono_str, p, q
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +134,7 @@ def test_descent_applied_once_per_basis_monomial(monkeypatch, ideal_g3):
     monos = [m for _w, _s, m in fmap.quotient_basis()]
     basis = [Poly.monomial(m) for m in monos]
     assert applied == [] and len(basis) == 10
-    assert len(fmap.images) == 10
+    assert len(images(fmap)) == 10
     assert len(descents) == 1
     assert applied == [("descent", b) for b in basis]
     applied.clear()
@@ -144,16 +149,32 @@ def test_descent_applied_once_per_basis_monomial(monkeypatch, ideal_g3):
     fmap.verify_conjugation(0, 2, "field")
     assert len(applied) == 2 * len(basis)
     assert series_calls == [] and len(descents) == 1
+    columns = images(fmap)
     for m, b in zip(monos, basis):
-        assert fmap.images[m] == series_transform(ideal_g3, b)
+        assert columns[m] == series_transform(ideal_g3, b)
 
 
 @pytest.mark.parametrize("genus", [7, 8])
 def test_images_match_series_oracle_large_genus(genus, ideals):
-    fmap = FourierMap(ideals[genus])
-    assert len(fmap.images) == {7: 110, 8: 185}[genus]
-    for m, img in fmap.images.items():
+    columns = images(FourierMap(ideals[genus]))
+    assert len(columns) == {7: 110, 8: 185}[genus]
+    for m, img in columns.items():
         assert img == series_transform(ideals[genus], Poly.monomial(m)), m
+
+
+@pytest.mark.parametrize("genus, digest", [
+    (9, "7c416c2fbd7c13de80a7578e0cb31a52ed9d5d03b6d78061fe264984526b40db"),
+    (10, "b7ca374e2980cdddf4f531841d78b25ff9ec55a7bc4515e88db21f764362294e"),
+])
+def test_s_map_pinned_beyond_series_oracle(genus, digest):
+    # S in lowest terms (no factor common to the scale and every entry)
+    # is unique, so its canonical form (the scale, then the columns
+    # sorted by monomial) is pinned where the series oracle is too slow
+    scale, cols = FourierMap(RelationIdeal.build(genus))._s_map
+    canon = [scale] + [
+        [mono_str(m)] + [[mono_str(d), c] for d, c in sorted(cols[m].items())] for m in sorted(cols)
+    ]
+    assert hashlib.sha256(json.dumps(canon, separators=(",", ":")).encode()).hexdigest() == digest
 
 
 def test_minus_one_pullback():
@@ -234,7 +255,7 @@ def test_planted_conjugation_fault_matches_oracle(genus, ideals):
     # S with the image of one basis monomial doubled: S^-1 is no longer
     # its inverse, and the first failing monomial and its counterexample
     # are the ones the direct formula finds
-    basis = list(FourierMap(ideals[genus]).images)
+    basis = [m for _w, _s, m in FourierMap(ideals[genus]).quotient_basis()]
     failed = 0
     for k in (0, len(basis) // 2, len(basis) - 1):
         for m, n, family in ((0, 2, "field"), (1, 2, "field"), (1, 0, "density"), (2, 1, "density")):

@@ -2,7 +2,7 @@ import copy
 import hashlib
 import json
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -344,6 +344,34 @@ def test_normal_form_matches_fraction_oracle(fraction_oracles):
             assert str(nf) == str(fraction_normal_form(spaces, f)), (g, f)
             fractional += any(type(c) is Fraction for c in nf.terms.values())
     assert fractional > 100
+
+
+def test_reduce_matches_fraction_oracle(fraction_oracles):
+    # the integer reduction of f times the lcm of its denominators is an
+    # integer vector over a positive divisor, and the two divide to the
+    # oracle's normal form of f, for rational inputs with pivot terms and
+    # terms above the genus, and for zero
+    rng = seeded(11)
+    scaled = 0
+    for g, (ideal, spaces) in fraction_oracles.items():
+        pivots = [m for w, space in enumerate(ideal.spaces) for m in named(w, space.pivots)]
+        heavy = enumerate_monomials(g + 1) + enumerate_monomials(g + 2)
+        inputs = [Poly.zero()]
+        for _ in range(25):
+            terms = dict(random_poly(rng, max_index=g, max_terms=5, max_exp=3).terms)
+            for m in rng.sample(pivots, 3):
+                terms[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            terms[rng.choice(heavy)] = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+            inputs.append(Poly(terms))
+        for f in inputs:
+            den = lcm(1, *(c.denominator for c in f.terms.values()))
+            vec, divisor = ideal.reduce({m: int(c * den) for m, c in f.terms.items()})
+            assert all(type(c) is int and c for c in vec.values()) and divisor > 0, (g, f)
+            nf = Poly({m: Fraction(c, divisor * den) for m, c in vec.items()})
+            assert nf == fraction_normal_form(spaces, f), (g, f)
+            scaled += divisor > 1
+    assert ideal.reduce({}) == ({}, 1)
+    assert scaled > 100
 
 
 def test_descent_coefficients_are_integers():
