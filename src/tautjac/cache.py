@@ -15,6 +15,7 @@ import tempfile
 from math import gcd
 from pathlib import Path
 
+from .errors import InvalidParameter
 from .ideal import RelationIdeal, _Space, check_genus
 from .poly import MONOMIAL_ORDER_ID
 
@@ -92,9 +93,9 @@ def _decode(payload, genus):
 
 def store_ideal(ideal, root):
     """Write an ideal to the cache atomically, then remove the entries
-    of the same genus under other cache versions; returns the path."""
+    of the same genus under other cache versions; returns the path.
+    Raises :class:`InvalidParameter` when the entry cannot be written."""
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
     payload = _payload(ideal)
     body = _canonical_body(payload)
     envelope = {
@@ -104,17 +105,22 @@ def store_ideal(ideal, root):
         "ideal": payload,
     }
     path = cache_path(root, ideal.genus)
-    fd, tmp = tempfile.mkstemp(dir=str(root), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(envelope, handle, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
+        root.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(root), suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump(envelope, handle, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as err:
+        reason = err.strerror or err
+        raise InvalidParameter("cache directory %s is not usable: %s" % (root, reason)) from err
     for stale in root.glob("relideal-g%d-v*.json" % ideal.genus):
         if stale != path:
             stale.unlink(missing_ok=True)

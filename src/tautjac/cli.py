@@ -97,6 +97,13 @@ def _emit_json(data):
     print(json.dumps(data, indent=2))
 
 
+def _failed(entries):
+    """Print each failed check's entry as one JSON line on stderr; the exit code 1."""
+    for entry in entries:
+        print(json.dumps(entry), file=sys.stderr)
+    return 1
+
+
 def _load_ideal(args):
     return get_or_build(args.genus, resolve_cache_dir(args.cache_dir))
 
@@ -121,9 +128,7 @@ def _cmd_verify(args):
                 print("  %-24s %5d checked" % (key, count))
             print("  total %d" % summary["checked"])
         if summary["failures"]:
-            for failure in summary["failures"]:
-                print(json.dumps(failure), file=sys.stderr)
-            return 1
+            return _failed(summary["failures"])
     kinds = {
         "sl2": ["sl2"],
         "tilde": ["raw_field"],
@@ -131,11 +136,7 @@ def _cmd_verify(args):
         "all": ["sl2", "raw_field", "grading"],
     }.get(args.suite, [])
     for kind in kinds:
-        try:
-            entries = verify_bracket(kind, {"max_order": args.max_order}, ctx)
-        except VerificationFailure as failure:
-            print(json.dumps(failure.entry), file=sys.stderr)
-            return 1
+        entries = verify_bracket(kind, {"max_order": args.max_order}, ctx)
         if args.format == "json":
             reports.extend(entries)
         else:
@@ -199,21 +200,14 @@ def _cmd_fourier(args):
     fmap = FourierMap(_load_ideal(args))
     if args.check == "s2":
         failures = fmap.check_s2()
-        if not failures:
-            print(
-                "S^2 = (-1)^g [-1]^* on all %d quotient basis elements"
-                % len(fmap.quotient_basis())
-            )
-            return 0
-        for failure in failures:
-            print(json.dumps(failure), file=sys.stderr)
-        return 1
-    try:
-        entries = fmap.verify_conjugation(args.m, args.n, args.family)
-    except VerificationFailure as failure:
-        print(json.dumps(failure.entry), file=sys.stderr)
-        return 1
-    for entry in entries:
+        if failures:
+            return _failed(failures)
+        print(
+            "S^2 = (-1)^g [-1]^* on all %d quotient basis elements"
+            % len(fmap.quotient_basis())
+        )
+        return 0
+    for entry in fmap.verify_conjugation(args.m, args.n, args.family):
         print("%s: %s" % (entry["identity"], entry["status"]))
     return 0
 
@@ -243,6 +237,8 @@ def _cmd_cache(args):
     if root is None:
         print("no cache directory configured (use --dir or TAUTJAC_CACHE_DIR)")
         return 0
+    if root.exists() and not root.is_dir():
+        raise InvalidParameter("cache directory %s is not a directory" % root)
     if args.clear:
         removed = clear_cache(root)
         print("removed %d entries from %s" % (removed, root))
@@ -303,8 +299,7 @@ def main(argv=None):
         print("error: %s" % err, file=sys.stderr)
         return 2
     except VerificationFailure as failure:
-        print(json.dumps(failure.entry), file=sys.stderr)
-        return 1
+        return _failed([failure.entry])
     except TautjacError as err:
         print("error: %s" % err, file=sys.stderr)
         return 1

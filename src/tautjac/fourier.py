@@ -33,7 +33,7 @@ from math import gcd, lcm
 from .errors import InvalidParameter, NotNilpotent, VerificationFailure, report_entry
 from .lie import LieContext, density_op, descent_op, field_op
 from .operators import term_weight_shift
-from .poly import P_KIND, Poly, mono_mul, mono_sdeg, mono_str, mono_weight, qdiv
+from .poly import P_KIND, Poly, merged_terms, mono_mul, mono_sdeg, mono_str, mono_weight, qdiv
 
 __all__ = [
     "FourierMap",
@@ -81,9 +81,7 @@ def _exp_columns(scale, ints):
             term = _combine(ints, term)
             if not term:
                 break
-            total = {d: c * scale * k for d, c in total.items()}
-            for d, c in term.items():
-                total[d] = total.get(d, 0) + c
+            total = merged_terms({d: c * scale * k for d, c in total.items()}, term, 1)
             den *= scale * k
             k += 1
         out[b] = total, den

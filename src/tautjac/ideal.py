@@ -339,8 +339,8 @@ class RelationIdeal:
             "weights": weights,
         }
 
-    def to_json(self, indent=None):
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=False)
+    def to_json(self):
+        return json.dumps(self.to_json_dict(), sort_keys=False)
 
     def __repr__(self):
         return "RelationIdeal(genus=%d, dims=%s)" % (self.genus, self.quotient_dims())

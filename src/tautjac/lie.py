@@ -64,13 +64,6 @@ from .poly import (
 )
 
 
-def binom(n, k):
-    """Binomial coefficient with C(n, k) = 0 for k < 0 or n < k."""
-    if k < 0 or n < k:
-        return 0
-    return comb(n, k)
-
-
 def _check_context(genus, window):
     check_genus(genus)
     if not isinstance(window, int) or window < 1:
@@ -171,9 +164,9 @@ def _descent_parts(_m, _n, parts):
     for m in range(1, W + 1):
         for n in range(1, W - m + 1):
             key = (_pvar(m + n - 1), mono_mul(_pvar(m), _pvar(n)))
-            terms[key] = terms.get(key, 0) + half * binom(m + n, n)
+            terms[key] = terms.get(key, 0) + half * comb(m + n, n)
             key = (_qvar(m + n - 1), mono_mul(_qvar(m), _pvar(n)))
-            terms[key] = terms.get(key, 0) + binom(m + n - 1, n)
+            terms[key] = terms.get(key, 0) + comb(m + n - 1, n)
     for n in range(2, W + 1):
         key = (_qvar(n - 1), _pvar(n))
         terms[key] = terms.get(key, 0) - 1
@@ -415,7 +408,7 @@ def _bracket_identity(kind, a, b, parts):
     elif kind == "density_density":
         rhs = []
     else:
-        corr = 4 * (binom(n, 2) * binom(mp, 2) - binom(np_, 2) * binom(m, 2))
+        corr = 4 * (comb(n, 2) * comb(mp, 2) - comb(np_, 2) * comb(m, 2))
         rhs = [
             (coeff, parts("raw_field", *r)),
             (-corr, parts("density", m + mp - 2, n + np_ - 2)),
@@ -473,9 +466,9 @@ def _sweep_sl2(params, ctx):
         for m in range(1, max_order - n + 1):
             nested = [
                 ("[[f,p%d.],p%d.] = -C(%d,%d) p%d." % (n, m, m + n, m, m + n - 1),
-                 fp, p(m), -binom(m + n, m) * p(m + n - 1)),
+                 fp, p(m), -comb(m + n, m) * p(m + n - 1)),
                 ("[[f,p%d.],q%d.] = -C(%d,%d) q%d." % (n, m, m + n - 1, m - 1, m + n - 1),
-                 fp, q(m), -binom(m + n - 1, m - 1) * q(m + n - 1)),
+                 fp, q(m), -comb(m + n - 1, m - 1) * q(m + n - 1)),
                 ("[[f,q%d.],q%d.] = 0" % (n, m), fq, q(m), Poly.zero()),
             ]
             for name, inner, var, expected in nested:

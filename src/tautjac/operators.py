@@ -27,12 +27,17 @@ caller may share.  There a term is one int: the exponent of the variable
 v = 2(i - 1) + (k == 'q'), so multiplying two terms' multipliers and
 partials adds their codes.  Exponents at or above ``EXPONENT_BOUND`` =
 128 are refused with :class:`InvalidParameter`, so no sum carries.
+
+The term map is cleaned, merged and printed by helpers shared with
+``Poly`` (:mod:`tautjac.poly`); windows and ``d(..)`` factors are this module's own.
 """
 
+from fractions import Fraction
 from math import inf
 
 from .errors import InvalidParameter, WindowExceeded
-from .poly import MONO_ONE, P_KIND, Q_KIND, Poly, mono_mul, mono_str, mono_weight, norm_coeff
+from .poly import (MONO_ONE, P_KIND, Q_KIND, Poly, merged_terms, mono_mul, mono_str, mono_weight,
+                   nonzero_terms, signed_sum, var_from_name)
 
 EXPONENT_BOUND = 128  # half the range of a byte field: a sum of two never carries
 
@@ -131,13 +136,7 @@ class Operator:
     __slots__ = ("terms", "window", "_cache", "__weakref__")
 
     def __init__(self, terms=None, window=None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = norm_coeff(c)
-                if c:
-                    clean[key] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", nonzero_terms(terms))
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "_cache", {})
 
@@ -153,17 +152,8 @@ class Operator:
         return cls({(MONO_ONE, MONO_ONE): 1}, window)
 
     @classmethod
-    def multiplication(cls, f, window=None):
-        """Multiplication by a polynomial; exact at every weight."""
-        if not isinstance(f, Poly):
-            f = Poly.constant(f)
-        return cls({(m, MONO_ONE): c for m, c in f.terms.items()}, window)
-
-    @classmethod
     def derivative(cls, *var_names, window=None):
         """Pure partial-derivative operator, e.g. derivative("p1", "p1")."""
-        from .poly import var_from_name
-
         parts = MONO_ONE
         for name in var_names:
             index, kind = var_from_name(name)
@@ -195,25 +185,19 @@ class Operator:
     def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return Operator(out, _min_window(self.window, other.window))
+        window = _min_window(self.window, other.window)
+        return Operator(merged_terms(self.terms, other.terms, 1), window)
 
     def __sub__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) - c
-        return Operator(out, _min_window(self.window, other.window))
+        window = _min_window(self.window, other.window)
+        return Operator(merged_terms(self.terms, other.terms, -1), window)
 
     def __neg__(self):
         return Operator({k: -c for k, c in self.terms.items()}, self.window)
 
     def __mul__(self, scalar):
-        from fractions import Fraction
-
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return Operator({k: c * scalar for k, c in self.terms.items()}, self.window)
@@ -347,36 +331,24 @@ class Operator:
             win,
         )
 
-    def sorted_terms(self):
-        """Terms ordered by partial multiset, then multiplier."""
-        return sorted(self.terms.items(), key=lambda kc: (kc[0][1], kc[0][0]))
-
     def __str__(self):
-        if not self.terms:
-            return "0"
+        """The terms, by partial multiset and then multiplier, as a signed sum."""
         pieces = []
-        for (mult, parts), c in self.sorted_terms():
-            neg = c < 0
-            mag = -c if neg else c
-            bits = [str(mag)]
+        for (mult, parts), c in sorted(self.terms.items(), key=lambda kc: (kc[0][1], kc[0][0])):
+            bits = [str(abs(c))]
             if mult:
                 bits.append(mono_str(mult))
             if parts:
-                bits.append(
-                    "".join(
-                        "d(%s%d)" % (k, i) * e for i, k, e in reversed(parts)
-                    )
-                )
-            body = " * ".join(bits)
-            if not pieces:
-                pieces.append("-" + body if neg else body)
-            else:
-                pieces.append((" - " if neg else " + ") + body)
-        return "".join(pieces)
+                bits.append("".join("d(%s%d)" % (k, i) * e for i, k, e in reversed(parts)))
+            pieces.append((c < 0, " * ".join(bits)))
+        return signed_sum(pieces)
 
     def __repr__(self):
         return "Operator(%s; window=%s)" % (self, self.window)
 
 
-def mul_op(f, window=None):
-    return Operator.multiplication(f, window)
+def mul_op(f):
+    """Multiplication by a polynomial (or a scalar); exact at every weight."""
+    if not isinstance(f, Poly):
+        f = Poly.constant(f)
+    return Operator({(m, MONO_ONE): c for m, c in f.terms.items()})

@@ -12,6 +12,9 @@ comparison of two monomials is then exactly the canonical term order
 used everywhere in the package (exponent vectors compared
 lexicographically, highest variable first).  The empty tuple is the
 monomial 1.
+
+``nonzero_terms``, ``merged_terms`` and ``signed_sum`` clean, merge and
+print the sparse term maps of both ``Poly`` and ``Operator``.
 """
 
 from fractions import Fraction
@@ -41,6 +44,33 @@ def qdiv(a, b):
     if isinstance(a, int) and isinstance(b, int):
         return norm_coeff(Fraction(a, b))
     return norm_coeff(a / b)
+
+
+def nonzero_terms(terms):
+    """The entries of a term map (or None) with a nonzero coefficient, through norm_coeff."""
+    clean = {}
+    if terms:
+        for key, c in terms.items():
+            c = norm_coeff(c)
+            if c:
+                clean[key] = c
+    return clean
+
+
+def merged_terms(a, b, sign):
+    """The term map a + sign * b; coefficients that cancel stay as 0."""
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + sign * c
+    return out
+
+
+def signed_sum(pieces):
+    """The text "a - b + c" of (negative, magnitude text) pieces; "0" for none."""
+    text = "".join((" - " if neg else " + ") + body for neg, body in pieces)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def variable(kind, index):
@@ -142,13 +172,7 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                c = norm_coeff(c)
-                if c:
-                    clean[m] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", nonzero_terms(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -190,10 +214,7 @@ class Poly:
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Poly(out)
+        return Poly(merged_terms(self.terms, other.terms, 1))
 
     __radd__ = __add__
 
@@ -205,10 +226,7 @@ class Poly:
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return Poly(out)
+        return Poly(merged_terms(self.terms, other.terms, -1))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -258,28 +276,19 @@ class Poly:
             buckets.setdefault(key, {})[m] = c
         return {key: Poly(t) for key, t in sorted(buckets.items())}
 
-    def sorted_terms(self):
-        """Terms as (monomial, coeff) pairs, leading monomial first."""
-        return sorted(self.terms.items(), key=lambda mc: mc[0], reverse=True)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
+        """The terms, leading monomial first, as a signed sum."""
         pieces = []
-        for m, c in self.sorted_terms():
-            neg = c < 0
-            mag = -c if neg else c
+        for m, c in sorted(self.terms.items(), key=lambda mc: mc[0], reverse=True):
+            mag = abs(c)
             if not m:
                 body = str(mag)
             elif mag == 1:
                 body = mono_str(m)
             else:
                 body = "%s*%s" % (mag, mono_str(m))
-            if not pieces:
-                pieces.append("-" + body if neg else body)
-            else:
-                pieces.append((" - " if neg else " + ") + body)
-        return "".join(pieces)
+            pieces.append((c < 0, body))
+        return signed_sum(pieces)
 
     def __repr__(self):
         return "Poly(%s)" % self

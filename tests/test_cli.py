@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 import tautjac
+from helpers import plant_column
 from tautjac import lie
 from tautjac.cache import _decode, _payload, cache_path, get_or_build, load_ideal, store_ideal
 from tautjac.errors import InvalidGenus
@@ -109,9 +110,9 @@ def test_verify_all_builds_each_member_once(capsys, monkeypatch):
     assert set(built.values()) == {1}, sorted(k for k, c in built.items() if c > 1)
 
 
-def test_verify_grading_failure_exits_1(capsys, monkeypatch):
-    # field(1,2) with an extra term of the wrong bigrading: the report
-    # names the failing identity on stderr and nothing reaches stdout
+@pytest.fixture
+def planted_field(monkeypatch):
+    """field(1,2) built with an extra term q3 d(p1) of the wrong bigrading."""
     build = lie._BUILDERS["field"]
 
     def planted(m, n, parts):
@@ -121,12 +122,36 @@ def test_verify_grading_failure_exits_1(capsys, monkeypatch):
         return a, b
 
     monkeypatch.setitem(lie._BUILDERS, "field", planted)
-    gc.collect()  # no live context holds unplanted window 8 members
+    gc.collect()  # no live context holds unplanted members
+
+
+def test_verify_grading_failure_exits_1(capsys, planted_field):
+    # the report names the failing identity on stderr and nothing
+    # reaches stdout
     code, out, err = run(capsys, "verify", "grading", "--genus", "3", "--max-order", "4")
     assert code == 1 and out == ""
     entry = json.loads(err)
     assert entry["identity"] == "field(1,2) is bigraded of shift (1, 1)"
     assert entry["status"] == "fail" and entry["counterexample"] == "1 * q3 * d(p1)"
+
+
+def test_verify_lie_failures_follow_the_table(capsys, planted_field):
+    # the table reaches stdout in full; then each failing bracket is one
+    # JSON line on stderr, and the exit code is 1
+    code, out, err = run(capsys, "verify", "lie", "--genus", "3", "--max-order", "3", "--window", "7")
+    assert code == 1
+    assert out == (
+        "bracket suite: genus 3, orders <= 3, window 7\n"
+        "  density_density@g3          45 checked\n"
+        "  field_density@g3            70 checked\n"
+        "  field_field@g3              21 checked\n"
+        "  total 136\n"
+    )
+    lines = err.splitlines()
+    assert len(lines) == 6 and all(json.loads(line)["status"] == "fail" for line in lines)
+    assert json.loads(lines[0])["counterexample"] == "-2 * q3"
+    digest = "b79634099ec316378196a2f3ec5d084e081d574e6057d731f4ad9bad61cd1eda"
+    assert hashlib.sha256(err.encode()).hexdigest() == digest
 
 
 # sha256 of the stdout of verify reports: a change to their bytes must be
@@ -262,6 +287,29 @@ def test_fourier_s2_failure_exits_1(capsys, monkeypatch, genus):
     assert json.loads(err) == entry
 
 
+def test_fourier_conj_failure_exits_1(capsys, monkeypatch):
+    # a doubled column of S breaks S field(1,2) S^-1 = field(2,1): the
+    # entry is one JSON line on stderr and nothing reaches stdout
+    verify = FourierMap.verify_conjugation
+
+    def planted(self, m, n, family="field"):
+        mono = self.quotient_basis()[6][2]
+        plant_column(self, mono, {d: 2 * c for d, c in self._s_map[1][mono].items()})
+        return verify(self, m, n, family)
+
+    monkeypatch.setattr(FourierMap, "verify_conjugation", planted)
+    code, out, err = run(capsys, "fourier", "--genus", "3", "--check", "conj", "--m", "1", "--n", "2")
+    entry = {
+        "identity": "S field(1,2) S^-1 = field(2,1)",
+        "params": {"monomial": "p1^2", "weight": 2},
+        "genus": 3,
+        "window": 3,
+        "status": "fail",
+        "counterexample": "12*p2 - 8*p1*q1",
+    }
+    assert (code, out, err) == (1, "", json.dumps(entry) + "\n")
+
+
 def test_newton_commands(capsys):
     code, out, _ = run(capsys, "newton", "--genus", "3", "--to-d", "1,2,3")
     assert code == 0
@@ -295,6 +343,52 @@ def test_dump_operator(capsys):
     assert "d(p1)" in out
     code, _, err = run(capsys, "dump-operator", "--genus", "2", "--op", "field")
     assert code == 2
+
+
+# sha256 of the stdout of every dump-operator at window 5 (field, density
+# and raw at m, n in {0, 1, 3}) and of normal-form over EXPRESSIONS: both
+# print through the signed-sum text of Operator and Poly
+DUMP_DIGESTS = {
+    "2": "27e4704c4fd005c18236c857c50bfc4158e855a0981736f36bec92429f22b759",
+    "5": "12afe74f7adf48865bfda191d29199002129659a3a26c3d3355f18910868b8b2",
+}
+EXPRESSIONS = [
+    "p2*q1", "p1^3 - 2*q2 + 1/3", "-1/7*(p1 + q1)^3", "p3*q2 - 5/2*p1*q1^2 + q4",
+    "(p1*q1 - p2)^2 - 1", "p2 - p1*q1",
+]
+NORMAL_FORM_DIGESTS = {
+    "2": "2ad00928a6780599914f51f653d29e7226694a7a09b70d9f42e9b5b16ed6c141",
+    "3": "eea1d8b7e988de965f3e460b0db696b45cdfa334cbac190b518d438754f91e54",
+    "5": "ed3c211b629dff2e68479a39b03b59c7afc65a4941e22e2caf1329b65c309ee5",
+}
+
+
+def _joined_stdout(capsys, commands):
+    outs = []
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        outs.append(out)
+    return "".join(outs)
+
+
+@pytest.mark.parametrize("genus", sorted(DUMP_DIGESTS))
+def test_dump_operator_digests(capsys, genus):
+    base = ["dump-operator", "--genus", genus, "--window", "5", "--op"]
+    commands = [base + [op] for op in ("descent", "e", "f", "h")]
+    commands += [
+        base + [op, "--m", str(m), "--n", str(n)]
+        for op in ("field", "density", "raw") for m in (0, 1, 3) for n in (0, 1, 3)
+    ]
+    out = _joined_stdout(capsys, commands)
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_DIGESTS[genus]
+
+
+@pytest.mark.parametrize("genus", sorted(NORMAL_FORM_DIGESTS))
+def test_normal_form_digests(capsys, genus):
+    commands = [["normal-form", "--genus", genus, "--expr", expr] for expr in EXPRESSIONS]
+    out = _joined_stdout(capsys, commands)
+    assert hashlib.sha256(out.encode()).hexdigest() == NORMAL_FORM_DIGESTS[genus]
 
 
 def test_cache_round_trip(tmp_path):
@@ -552,6 +646,35 @@ def test_env_var_overrides_dir(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert cache_path(env_dir, 2).exists()
     assert not flag_dir.exists()
+
+
+def test_unusable_cache_dir_exits_2(capsys, tmp_path):
+    # a regular file where the cache directory should be, or a directory
+    # where the entry should be: a typed error naming the directory, and
+    # no temporary file is left behind
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    cache_path(tmp_path, 2).mkdir()
+    cases = [
+        (["member", "--genus", "2", "--expr", "p1"], blocked, "File exists"),
+        (["relations", "--genus", "2"], blocked / "sub", "Not a directory"),
+        (["normal-form", "--genus", "2", "--expr", "p2"], tmp_path, "Is a directory"),
+    ]
+    for argv, root, reason in cases:
+        code, out, err = run(capsys, *argv, "--cache-dir", str(root))
+        assert (code, out) == (2, ""), argv
+        assert err == "error: cache directory %s is not usable: %s\n" % (root, reason), argv
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["blocked", cache_path(tmp_path, 2).name]
+
+
+def test_cache_command_on_a_file_exits_2(capsys, tmp_path):
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    for extra in ([], ["--clear"]):
+        code, out, err = run(capsys, "cache", "--dir", str(blocked), *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: cache directory %s is not a directory\n" % blocked
+    assert blocked.read_text() == ""
 
 
 def test_cache_command(capsys, tmp_path):
