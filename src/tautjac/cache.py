@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import suppress
 from math import gcd
 from pathlib import Path
 
@@ -92,9 +93,9 @@ def _decode(payload, genus):
 
 
 def store_ideal(ideal, root):
-    """Write an ideal to the cache atomically, then remove the entries
-    of the same genus under other cache versions; returns the path.
-    Raises :class:`InvalidParameter` when the entry cannot be written."""
+    """Write an ideal to the cache atomically, then remove the entries of the
+    same genus under other cache versions that can be removed; returns the
+    path.  Raises :class:`InvalidParameter` when the entry cannot be written."""
     root = Path(root)
     payload = _payload(ideal)
     body = _canonical_body(payload)
@@ -123,7 +124,8 @@ def store_ideal(ideal, root):
         raise InvalidParameter("cache directory %s is not usable: %s" % (root, reason)) from err
     for stale in root.glob("relideal-g%d-v*.json" % ideal.genus):
         if stale != path:
-            stale.unlink(missing_ok=True)
+            with suppress(OSError):  # gone already, or not a file: never read either way
+                stale.unlink()
     return path
 
 
@@ -164,14 +166,17 @@ def get_or_build(genus, root=None):
 
 
 def clear_cache(root):
-    """Remove every cache entry under root; returns the removed count."""
-    root = Path(root)
-    removed = 0
-    if root.is_dir():
-        for path in sorted(root.glob("relideal-*.json")):
-            path.unlink()
-            removed += 1
-    return removed
+    """Remove every cache entry under root that can be removed; returns the
+    removed count, or raises :class:`InvalidParameter` naming the rest."""
+    names, kept = list_entries(root), []
+    for name in names:
+        try:
+            (Path(root) / name).unlink()
+        except OSError:
+            kept.append(name)
+    if kept:
+        raise InvalidParameter("cannot remove cache entries in %s: %s" % (root, ", ".join(kept)))
+    return len(names)
 
 
 def list_entries(root):

@@ -32,10 +32,9 @@ class NotNilpotent(TautjacError):
 class VerificationFailure(TautjacError):
     """An exact identity check failed; carries the first counterexample."""
 
-    def __init__(self, entry, difference=None):
+    def __init__(self, entry):
         super().__init__("identity failed: %s" % (entry,))
         self.entry = entry
-        self.difference = difference
 
 
 def report_entry(identity, params, genus, window, status="ok", counterexample=None):

@@ -328,6 +328,6 @@ class FourierMap:
                 entry = report_entry(
                     name, params, self.genus, self.ctx.window, "fail", str(diff)
                 )
-                raise VerificationFailure(entry, None)
+                raise VerificationFailure(entry)
         params = {"basis_size": len(s_cols)}
         return [report_entry(name, params, self.genus, self.ctx.window)]

@@ -436,7 +436,7 @@ def _record(reports, ctx, name, params, diff):
     it is zero."""
     if not diff.is_zero():
         entry = report_entry(name, params, ctx.genus, ctx.window, "fail", str(diff))
-        raise VerificationFailure(entry, diff)
+        raise VerificationFailure(entry)
     reports.append(report_entry(name, params, ctx.genus, ctx.window))
 
 
@@ -521,7 +521,7 @@ def verify_bracket(kind, params, ctx):
     ``kind`` is one of ``field_field``, ``field_density``,
     ``density_density``, ``raw_field``, ``sl2``, ``grading``.  Returns
     the list of report entries; raises :class:`VerificationFailure`
-    (carrying the difference) on the first failing identity, and
+    (the difference as counterexample) on the first failing identity, and
     :class:`InvalidParameter` for an unknown kind, when ``max_order`` is
     below 2, or when the context window is too small for it (below it
     for the brackets and ``grading``, below it plus 2 for ``sl2``).

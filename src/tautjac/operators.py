@@ -17,16 +17,16 @@ window.
 Every product is the Leibniz rule, read from indexes each operator
 builds on first use.  ``apply`` looks up each sub-multiset of a monomial
 (up to the largest number of partials) among the terms whose partials
-equal it.  A product a o b takes each sub-multiset (*hit*) of each
-multiplier of b to a's Leibniz table for hits of that many factors: the
-empty hit gives the uncontracted products, the others the contraction
-terms.  Those of a o b and b o a agree, so a commutator adds only
-contraction terms, up to a partial index-sum, into a term dict the
-caller may share.  There a term is one int: the exponent of the variable
-(i, k) sits in byte 2v of the multiplier and 2v + 1 of the partials,
-v = 2(i - 1) + (k == 'q'), so multiplying two terms' multipliers and
-partials adds their codes.  Exponents at or above ``EXPONENT_BOUND`` =
-128 are refused with :class:`InvalidParameter`, so no sum carries.
+equal it.  Products read one packed term table per operator: a term is
+one int, the exponent of (i, k) in byte 2v of the multiplier and 2v + 1
+of the partials, v = 2(i - 1) + (k == 'q'), so multiplying terms adds
+codes; exponents >= ``EXPONENT_BOUND`` = 128 raise
+:class:`InvalidParameter`, so no sum carries.  A product a o b takes
+each sub-multiset (*hit*) of each multiplier of b to a's Leibniz table
+for hits of that many factors: the empty hit gives the uncontracted
+products, the others the contraction terms.  Those of a o b and b o a
+agree, so a commutator adds only contraction terms, up to a partial
+index-sum, into a term dict the caller may share.
 
 The term map is cleaned, merged and printed by helpers shared with
 ``Poly`` (:mod:`tautjac.poly`); windows and ``d(..)`` factors are this module's own.
@@ -63,16 +63,16 @@ def _bit(i, k):
     return 1 << (32 * i - (16 if k == Q_KIND else 32))
 
 
-def _pack(mono):
-    """(code as a multiplier, index-sum) of a monomial; as partials, code << 8."""
-    code = weight = 0
-    for i, k, e in mono:
-        if e >= EXPONENT_BOUND:
-            raise InvalidParameter("exponent %s%d^%d is at or above the packing bound %d"
-                                   % (k, i, e, EXPONENT_BOUND))
-        code += e * _bit(i, k)
-        weight += i * e
-    return code, weight
+def _pack(term):
+    """(partial index-sum, code, multiplier code) of a (multiplier, partials) term."""
+    codes = [0, 0]
+    for side, mono in enumerate(term):
+        for i, k, e in mono:
+            if e >= EXPONENT_BOUND:
+                raise InvalidParameter("exponent %s%d^%d is at or above the packing bound %d"
+                                       % (k, i, e, EXPONENT_BOUND))
+            codes[side] += e * _bit(i, k)
+    return mono_weight(term[1]), codes[0] + (codes[1] << 8), codes[0]
 
 
 def _packed_hits(mono, cap):
@@ -106,9 +106,8 @@ def _unpacked(fields):
 
 
 def _sub_multisets(mono, cap):
-    """Every sub-multiset of the monomial ``mono`` with at most ``cap``
-    factors, as (the sub-multiset, the rest of ``mono``, the falling
-    factorials from differentiating ``mono`` by it, its size)."""
+    """Every sub-multiset of ``mono`` with at most ``cap`` factors, as (it, the
+    rest of ``mono``, the falling factorials from differentiating by it, its size)."""
     found = [(MONO_ONE, MONO_ONE, 1, 0)]
     for var in mono:
         i, k, e = var
@@ -148,21 +147,21 @@ class Operator:
         return cls({}, window)
 
     @classmethod
-    def identity(cls, window=None):
-        return cls({(MONO_ONE, MONO_ONE): 1}, window)
+    def identity(cls):
+        return cls({(MONO_ONE, MONO_ONE): 1})
 
     @classmethod
-    def derivative(cls, *var_names, window=None):
+    def derivative(cls, *var_names):
         """Pure partial-derivative operator, e.g. derivative("p1", "p1")."""
         parts = MONO_ONE
         for name in var_names:
             index, kind = var_from_name(name)
             parts = mono_mul(parts, ((index, kind, 1),))
-        return cls({(MONO_ONE, parts): 1}, window)
+        return cls({(MONO_ONE, parts): 1})
 
     @classmethod
-    def single(cls, coeff, multiplier=MONO_ONE, partials=MONO_ONE, window=None):
-        return cls({(multiplier, partials): coeff}, window)
+    def single(cls, coeff, multiplier=MONO_ONE, partials=MONO_ONE):
+        return cls({(multiplier, partials): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -177,7 +176,7 @@ class Operator:
 
     def max_weight_shift(self):
         """Largest weight shift over stored terms (None when empty)."""
-        return self._lazy("hits")[3]
+        return self._lazy("packed")[1]
 
     def weight_shifts(self):
         return sorted({term_weight_shift(k) for k in self.terms})
@@ -253,24 +252,22 @@ class Operator:
 
     def _add_into(self, out, scale, limit):
         """Add ``scale`` times self's terms up to ``limit`` into ``out``."""
-        for c, psum, hits in self._lazy("hits")[0]:
+        for c, psum, code, *_rest in self._lazy("packed")[0]:
             if psum <= limit:
-                out[hits[0][2]] = out.get(hits[0][2], 0) + scale * c
+                out[code] = out.get(code, 0) + scale * c
 
     def _contract(self, other, limit, out, sign, first):
         """Add ``sign`` times the terms of self o other with partial index-sum
         <= ``limit`` (all when None) into ``out``; with ``first`` 1, only the
-        contraction terms, from the terms of other whose multiplier holds a
-        variable of self's partials (a key of self's one-factor table)."""
-        listed, by_var, degree, _shift = other._lazy("hits")
-        if first:
-            picked = set()
-            for var in self._lazy(1):
-                picked.update(by_var.get(var, ()))
-            listed = [listed[i] for i in sorted(picked)]
+        contraction terms, from the terms of other whose multiplier shares a
+        byte with the mask of self's partial variables (its one-factor hits)."""
+        listed, degree = other._lazy("hits")
+        mask = first and 255 * sum(self._lazy(1))
         tables = [self._lazy(k) if k >= first else None for k in range(degree + 1)]
         get = out.get
-        for bc, bsum, hits in listed:
+        for bc, bsum, bmcode, hits in listed:
+            if first and not bmcode & mask:
+                continue
             bc *= sign
             cut = inf if limit is None else limit - bsum
             for size, hit, bcode, bfactor in hits[first:]:
@@ -284,13 +281,15 @@ class Operator:
     def _lazy(self, key):
         """Self's index ``key``, built on first use and kept with self.
         ``"apply"``: partials -> [(multiplier, coeff)], and the largest number
-        of partials.  ``"hits"``: the terms as (coeff, partial index-sum,
-        [(size, code, code of the term without it, falling factorials) for
-        each hit of the multiplier]); variable code -> positions of the terms
-        whose multiplier holds it; the largest multiplier degree and weight
-        shift.  An int k: the Leibniz table, code of each k-factor hit of each
-        term's partials -> [(index-sum of the partials left, code of the term
-        with them, coeff times the ways to pick the hit)] by that index-sum."""
+        of partials.  ``"packed"``, the one index that packs: the terms as
+        (coeff, partial index-sum, code, multiplier code, multiplier, partials),
+        and the largest weight shift.  ``"hits"``, for right operands of
+        products: the terms as (coeff, partial index-sum, multiplier code,
+        [(size, code, code of the term without it, falling factorials) for each
+        hit of the multiplier]), and the largest multiplier degree.  An int k:
+        the Leibniz table, code of each k-factor hit of each term's partials ->
+        [(index-sum of the partials left, code of the term with them, coeff
+        times the ways to pick the hit)] by that index-sum."""
         index = self._cache.get(key)
         if index is not None:
             return index
@@ -298,26 +297,23 @@ class Operator:
             index = ({}, max((sum(e for *_v, e in p) for _m, p in self.terms), default=0))
             for (mult, parts), c in self.terms.items():
                 index[0].setdefault(parts, []).append((mult, c))
+        elif key == "packed":
+            rows = [(c, *_pack(term), *term) for term, c in self.terms.items()]
+            index = (rows, max(map(term_weight_shift, self.terms), default=None))
         elif key == "hits":
-            listed, by_var, degree, shifts = [], {}, 0, []
-            for (mult, parts), c in self.terms.items():
-                for i, k, _e in mult:
-                    by_var.setdefault(_bit(i, k), []).append(len(listed))
-                (mcode, mweight), (pcode, psum) = _pack(mult), _pack(parts)
-                hits = [(n, hit, mcode + (pcode << 8) - hit, fall)
+            listed, degree = [], 0
+            for c, psum, code, mcode, mult, _parts in self._lazy("packed")[0]:
+                hits = [(n, hit, code - hit, fall)
                         for n, hit, _w, fall, _ways in _packed_hits(mult, inf)]
-                listed.append((c, psum, hits))
+                listed.append((c, psum, mcode, hits))
                 degree = max(degree, hits[-1][0])
-                shifts.append(mweight - psum)
-            index = (listed, by_var, degree, max(shifts, default=None))
+            index = (listed, degree)
         else:
             index = {}
-            for (mult, parts), c in self.terms.items():
-                (mcode, _mweight), (pcode, psum) = _pack(mult), _pack(parts)
+            for c, psum, code, _mcode, _mult, parts in self._lazy("packed")[0]:
                 for n, hit, w, _fall, ways in _packed_hits(parts, key):
                     if n == key:
-                        entry = (psum - w, mcode + ((pcode - hit) << 8), ways * c)
-                        index.setdefault(hit, []).append(entry)
+                        index.setdefault(hit, []).append((psum - w, code - (hit << 8), ways * c))
             for entries in index.values():
                 entries.sort(key=lambda entry: entry[0])
         self._cache[key] = index
@@ -326,10 +322,7 @@ class Operator:
     def truncated(self, w):
         """Drop terms with partial index-sum above w; window becomes w."""
         win = w if self.window is None else min(w, self.window)
-        return Operator(
-            {k: c for k, c in self.terms.items() if mono_weight(k[1]) <= win},
-            win,
-        )
+        return Operator({k: c for k, c in self.terms.items() if mono_weight(k[1]) <= win}, win)
 
     def __str__(self):
         """The terms, by partial multiset and then multiplier, as a signed sum."""

@@ -29,7 +29,7 @@ def _tokenize(src):
 
     def read_int(start):
         j = start
-        while j < n and src[j].isdigit():
+        while j < n and src[j].isdecimal():
             j += 1
         return int(src[start:j]), j
 
@@ -44,7 +44,7 @@ def _tokenize(src):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             num, j = read_int(i)
             k = j
             while k < n and src[k].isspace():
@@ -53,7 +53,7 @@ def _tokenize(src):
                 k += 1
                 while k < n and src[k].isspace():
                     k += 1
-                if k >= n or not src[k].isdigit():
+                if k >= n or not src[k].isdecimal():
                     raise ParseError(
                         "expected an integer denominator after '/'",
                         k,
@@ -68,7 +68,7 @@ def _tokenize(src):
             continue
         if ch in "pq":
             j = i + 1
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise ParseError(

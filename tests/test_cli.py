@@ -47,6 +47,11 @@ def test_expression_errors_exit_2(capsys):
     assert "q0" in err
     code, _, err = run(capsys, "normal-form", "--genus", "2", "--expr", "p1 +")
     assert code == 2
+    # superscripts pass str.isdigit but not int(): typed errors, not tracebacks
+    for expr in ["p²", "3²", "p1^²", "3/²"]:
+        code, out, err = run(capsys, "member", "--genus", "2", "--expr", expr)
+        assert (code, out) == (2, ""), expr
+        assert err.startswith("expression error:") and err.count("\n") == 1, (expr, err)
 
 
 def test_usage_errors_exit_2(capsys):
@@ -675,6 +680,29 @@ def test_cache_command_on_a_file_exits_2(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err == "error: cache directory %s is not a directory\n" % blocked
     assert blocked.read_text() == ""
+
+
+def test_unremovable_stale_entry_is_skipped(capsys, tmp_path):
+    # a directory under another version's entry name cannot be unlinked;
+    # it is never read, so the run prints and exits as one without it
+    clean, blocked = tmp_path / "clean", tmp_path / "blocked"
+    blocked.mkdir()
+    (blocked / "relideal-g2-v2.json").mkdir()
+    argv = ["normal-form", "--genus", "2", "--expr", "p2", "--cache-dir"]
+    assert run(capsys, *argv, str(blocked)) == run(capsys, *argv, str(clean)) == (0, "p1*q1\n", "")
+    assert sorted(path.name for path in blocked.iterdir()) == ["relideal-g2-v2.json", "relideal-g2-v3.json"]
+    assert load_ideal(blocked, 2) is not None
+
+
+def test_cache_clear_removes_what_it_can_then_exits_2(capsys, tmp_path):
+    # the unremovable v2 name sorts first; every other entry still goes
+    (tmp_path / "relideal-g2-v2.json").mkdir()
+    store_ideal(RelationIdeal.build(2), tmp_path)
+    store_ideal(RelationIdeal.build(3), tmp_path)
+    code, out, err = run(capsys, "cache", "--dir", str(tmp_path), "--clear")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot remove cache entries in %s: relideal-g2-v2.json\n" % tmp_path
+    assert [path.name for path in tmp_path.iterdir()] == ["relideal-g2-v2.json"]
 
 
 def test_cache_command(capsys, tmp_path):

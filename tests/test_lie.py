@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 
 from helpers import ApplyOracle, all_monomials_up_to, equal_within, residual_oracle
-from tautjac import lie
+from tautjac import lie, operators
 from tautjac.errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
 from tautjac.lie import (
     LieContext,
@@ -345,7 +345,7 @@ def test_residual_matches_oracle_on_a_planted_fault(monkeypatch):
     def planted(m, n, parts):
         a, b = build(m, n, parts)
         if (m, n) == (1, 2):
-            return a + Operator.single(3, ((2, "p", 1),), ((1, "q", 1),), 9), b
+            return a + Operator({(((2, "p", 1),), ((1, "q", 1),)): 3}, 9), b
         return a, b
 
     monkeypatch.setitem(lie._BUILDERS, "field", planted)
@@ -384,6 +384,44 @@ def test_members_live_no_longer_than_their_users(monkeypatch):
     gc.collect()
     assert members and all(ref() is None for ref in members)
     assert 6 not in lie._LIVE_PARTS
+
+
+def test_right_hand_sides_are_packed_once_and_get_no_hit_index(monkeypatch):
+    # one residual: every operator's terms are packed once, in its packed
+    # table; the hit index is built for the commutator's operands only,
+    # not for the right-hand side field(2,2), which is only added
+    parts = _GenusParts(7)
+    x, y, rhs = _bracket_identity("field_field", (1, 2), (2, 1), parts)
+    (_c, z), = rhs
+    ops = [op for op in (*x, *y, *z) if op.terms]
+    assert not any(op._cache for op in ops)
+    packed = []
+    pack = operators._pack
+    monkeypatch.setattr(operators, "_pack", lambda term: packed.append(term) or pack(term))
+    _residual(x, y, rhs, parts.window)
+    assert sorted(packed) == sorted(term for op in ops for term in op.terms)
+    for op in ops:
+        assert "packed" in op._cache
+        assert ("hits" in op._cache) == any(op is u for u in (*x, *y))
+    assert z[0].terms and "hits" not in z[0]._cache
+
+
+def test_suite_builds_hit_indexes_for_right_operands_only(monkeypatch):
+    # the verify_suite sweep indexes 89 operators; only the 41 contracted
+    # as a right operand of a commutator get a hit index
+    monkeypatch.setattr(lie, "_LIVE_PARTS", weakref.WeakValueDictionary())
+    indexed = {}
+    lazy = Operator._lazy
+
+    def spy(op, key):
+        indexed[id(op)] = op
+        return lazy(op, key)
+
+    monkeypatch.setattr(Operator, "_lazy", spy)
+    run_bracket_suite([2, 3, 5, 10], 5, 9)
+    ops = list(indexed.values())
+    assert len(ops) == 89 and all("packed" in op._cache for op in ops)
+    assert sum("hits" in op._cache for op in ops) == 41
 
 
 def test_planted_genus_part_error_names_exactly_the_affected_genera(monkeypatch):
@@ -425,7 +463,7 @@ def test_planted_field11_error_fails_the_h_identity(monkeypatch):
     def planted(m, n, parts):
         a, b = build(m, n, parts)
         if (m, n) == (1, 1):
-            return a + Operator.single(1, ((2, "q", 1),), ((2, "q", 1),), 8), b
+            return a + Operator({(((2, "q", 1),), ((2, "q", 1),)): 1}, 8), b
         return a, b
 
     monkeypatch.setitem(lie._BUILDERS, "field", planted)
@@ -536,6 +574,6 @@ def test_benchmark_bracket_suite_summary_is_pinned():
 
 
 def test_verification_failure_carries_counterexample():
-    err = VerificationFailure({"identity": "x", "status": "fail"}, difference=None)
+    err = VerificationFailure({"identity": "x", "status": "fail"})
     assert err.entry["identity"] == "x"
     assert "identity" in str(err)

@@ -144,7 +144,7 @@ def test_products_match_oracle_on_windowed_and_unbounded_pairs():
     unbounded = mul_op(p(2) * q(1) + 3 * p(1) ** 2)
     limit = a.commutator(b).window - 1
     cut = False
-    for _c, bsum, hits in b._lazy("hits")[0]:
+    for _c, bsum, _mcode, hits in b._lazy("hits")[0]:
         for size, hit, _code, _factor in hits[1:]:
             lsums = [lsum for lsum, _code, _ac in a._lazy(size).get(hit, ())]
             cut |= bool(lsums) and min(lsums) <= limit - bsum < max(lsums)
