@@ -40,7 +40,6 @@ def _build_parser():
     pv.add_argument("--genus", type=int, required=True)
     pv.add_argument("--max-order", type=int, default=4)
     pv.add_argument("--window", type=int, default=None)
-    pv.add_argument("--jobs", type=int, default=None, help="ignored; kept for compatibility")
     pv.add_argument("--format", choices=["table", "json"], default="table")
     pv.add_argument(
         "--verbose", action="store_true", help="list every checked bracket"

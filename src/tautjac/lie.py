@@ -34,14 +34,14 @@ operator (B = -d(p1)), field(1,1) (B = id), field(2,0) (B = -2 d(p1))
 and density(0,0) (B = id).  The public constructors return A + g*B at
 the context's genus.
 
-Every identity that ``verify_bracket`` and ``run_bracket_suite`` check
-is a bracket [X, Y] = sum c*Z (or, for h = -field(1,1), X = sum c*Z),
-and all take one path: the residual parts R0 + g*R1 + g^2*R2 of
-[X, Y] - sum c*Z are summed in place, one term dict per power of g,
-from the genus parts of the operands, up to a cut fixed before any
-sum (the smallest part-commutator window), and evaluated at each
-genus.  The grading laws are read off the terms: a normal-ordered term
-M d(P) shifts (weight, s-degree) by (w(M) - w(P), s(M) - s(P)).
+Every bracket identity [X, Y] = sum c*Z takes one path: the residual
+parts R0 + g*R1 + g^2*R2 of [X, Y] - sum c*Z are summed in place, one
+term dict per power of g, from the genus parts of the operands, up to
+a cut fixed before any sum (the smallest part-commutator window), and
+evaluated at each genus; a linear identity such as h = -field(1,1) is
+an operator sum.  The grading laws are read off the terms: a
+normal-ordered term M d(P) shifts (weight, s-degree) by
+(w(M) - w(P), s(M) - s(P)).
 """
 
 from collections import namedtuple
@@ -368,17 +368,16 @@ def _residual(x, y, rhs, fallback):
     """Genus parts of [X, Y] - sum c*Z over ``rhs`` = [(c, parts of Z)],
     cut to the checked window, and that window: the smallest window of
     the part commutators, or ``fallback`` when none is bounded.  With
-    ``y`` None the left-hand side is X itself.  With X = A + g*B and
-    Y = C + g*E, [X, Y] = [A,C] + g([A,E] + [B,C]) + g^2 [B,E].  Each
-    part's cut (the smallest of the checked window and its contributions'
-    windows) is fixed first; then the part commutators and each -c*Z add
-    their terms within it into the dict of their genus power."""
-    pairs = [(i + k, u, v) for i, u in enumerate(x) for k, v in enumerate(y or ())
+    X = A + g*B and Y = C + g*E, [X, Y] = [A,C] + g([A,E] + [B,C]) +
+    g^2 [B,E].  Each part's cut (the smallest of the checked window and
+    its contributions' windows) is fixed first; then the part
+    commutators and each -c*Z add their terms within it into the dict
+    of their genus power."""
+    pairs = [(i + k, u, v) for i, u in enumerate(x) for k, v in enumerate(y)
              if u.terms and v.terms]
-    adds = [(k, 1, u) for k, u in enumerate(x)] if y is None else []
-    adds += [(k, -c, z) for c, parts in rhs for k, z in enumerate(parts) if c and z.terms]
+    adds = [(k, -c, z) for c, parts in rhs for k, z in enumerate(parts) if c and z.terms]
     windows = [_commute_window(u, v) for _k, u, v in pairs]
-    wins = [None] * (len(x) if y is None else len(x) + len(y) - 1)
+    wins = [None] * (len(x) + len(y) - 1)
     for (k, _u, _v), win in zip(pairs, windows):
         wins[k] = _min_window(wins[k], win)
     for k, _c, z in adds:
@@ -400,24 +399,15 @@ def _bracket_identity(kind, a, b, parts):
     (m, n), (mp, np_) = a, b
     _la, _lb, left, right = _BRACKETS[kind]
     coeff = n * mp - m * np_
-    r = (m + mp - 1, n + np_ - 1)
-    if kind == "field_field":
-        rhs = [(coeff, parts("field", *r))]
-    elif kind == "field_density":
-        rhs = [(coeff, parts("density", *r))]
-    elif kind == "density_density":
-        rhs = []
-    else:
+    rhs = [] if kind == "density_density" else [(coeff, parts(right, m + mp - 1, n + np_ - 1))]
+    if kind == "raw_field":
         corr = 4 * (comb(n, 2) * comb(mp, 2) - comb(np_, 2) * comb(m, 2))
-        rhs = [
-            (coeff, parts("raw_field", *r)),
-            (-corr, parts("density", m + mp - 2, n + np_ - 2)),
-        ]
+        rhs.append((-corr, parts("density", m + mp - 2, n + np_ - 2)))
     return parts(left, m, n), parts(right, mp, np_), rhs
 
 
 def _bracket_checks(kind, max_order, genera, parts):
-    """Yield (report entry arguments, difference) for every bracket
+    """Yield (name, params, genus, difference) for every bracket
     identity of one kind at every genus; each identity is computed once,
     in genus parts, and evaluated at each genus.  The difference is the
     discrepancy within the checked window, zero when the identity holds."""
@@ -427,39 +417,25 @@ def _bracket_checks(kind, max_order, genera, parts):
         name = "[%s(%d,%d), %s(%d,%d)]" % (la, a[0], a[1], lb, b[0], b[1])
         params = {"pair": [list(a), list(b)], "checked_window": w}
         for g in genera:
-            yield (name, params, g), _at_genus(res, g)
+            yield name, params, g, _at_genus(res, g)
 
 
-def _record(reports, ctx, name, params, diff):
-    """Append the report entry of one identity whose discrepancy is
-    ``diff`` (a Poly or an Operator); raise VerificationFailure unless
-    it is zero."""
-    if not diff.is_zero():
-        entry = report_entry(name, params, ctx.genus, ctx.window, "fail", str(diff))
-        raise VerificationFailure(entry)
-    reports.append(report_entry(name, params, ctx.genus, ctx.window))
-
-
-def _sweep_sl2(params, ctx):
-    max_order = params.get("max_order", 6)
-    _require_window(ctx.window, max_order, 2)
+def _sl2_checks(max_order, ctx):
+    """Yield (name, params, difference) for the sl2 relations, h =
+    -field(1,1), f on the variables and the brackets [[f, u.], v.]."""
+    g = ctx.genus
     e, f, h = _sl2_parts(ctx._parts)
-    reports = []
-
-    def check(name, x, y, rhs, extra=None):
-        res, _w = _residual(x, y, rhs, ctx.window)
-        _record(reports, ctx, name, extra or {}, _at_genus(res, ctx.genus))
-
-    check("[e,f] = h", e, f, [(1, h)])
-    check("[h,e] = 2e", h, e, [(2, e)])
-    check("[h,f] = -2f", h, f, [(-2, f)])
-    check("h = -field(1,1)", h, None, [(-1, ctx._parts("field", 1, 1))])
-    f_at_g = _at_genus(f, ctx.genus)
+    yield "[e,f] = h", {}, _at_genus(_residual(e, f, [(1, h)], ctx.window)[0], g)
+    yield "[h,e] = 2e", {}, _at_genus(_residual(h, e, [(2, e)], ctx.window)[0], g)
+    yield "[h,f] = -2f", {}, _at_genus(_residual(h, f, [(-2, f)], ctx.window)[0], g)
+    h_plus_field = _at_genus(h, g) + _member(ctx, "field", 1, 1)
+    yield "h = -field(1,1)", {}, h_plus_field.truncated(ctx.window)
+    f_at_g = _at_genus(f, g)
     for n in range(1, max_order + 1):
-        expected = Poly.constant(ctx.genus) if n == 1 else q(n - 1)
+        expected = Poly.constant(g) if n == 1 else q(n - 1)
         name = "f(p%d) = %s" % (n, "g" if n == 1 else "q%d" % (n - 1))
-        _record(reports, ctx, name, {"n": n}, f_at_g.apply(p(n)) - expected)
-        _record(reports, ctx, "f(q%d) = 0" % n, {"n": n}, f_at_g.apply(q(n)))
+        yield name, {"n": n}, f_at_g.apply(p(n)) - expected
+        yield "f(q%d) = 0" % n, {"n": n}, f_at_g.apply(q(n))
     for n in range(1, max_order):
         fp = _residual(f, (mul_op(p(n)),), [], ctx.window)[0]
         fq = _residual(f, (mul_op(q(n)),), [], ctx.window)[0]
@@ -472,29 +448,27 @@ def _sweep_sl2(params, ctx):
                 ("[[f,q%d.],q%d.] = 0" % (n, m), fq, q(m), Poly.zero()),
             ]
             for name, inner, var, expected in nested:
-                rhs = [(1, (mul_op(expected),))]
-                check(name, inner, (mul_op(var),), rhs, {"n": n, "m": m})
-    return reports
+                res = _residual(inner, (mul_op(var),), [(1, (mul_op(expected),))], ctx.window)[0]
+                yield name, {"n": n, "m": m}, _at_genus(res, g)
 
 
-def _sweep_grading(params, ctx):
-    """The grading laws on the terms with partial index-sum <=
-    ``max_weight``, which fix the action up to that weight; terms of
-    different shifts cannot cancel on a monomial."""
-    max_order = params.get("max_order", 4)
-    _require_window(ctx.window, max_order)
+def _grading_checks(params, max_order, ctx):
+    """Yield (name, params, difference) for the grading laws on the
+    terms with partial index-sum <= ``max_weight``, which fix the action
+    up to that weight; terms of different shifts cannot cancel on a
+    monomial."""
+    g = ctx.genus
     max_weight = min(params.get("max_weight", ctx.window), ctx.window)
     if max_weight < 0:
         raise InvalidParameter("max_weight must be >= 0, got %r" % (max_weight,))
     h = _sl2_parts(ctx._parts).h
     # h is diagonal: it scales each variable v by 2w(v) - s(v), minus g*id
-    diagonal = {(MONO_ONE, MONO_ONE): -ctx.genus}
+    diagonal = {(MONO_ONE, MONO_ONE): -g}
     for i in range(1, max_weight + 1):
         for v in (_pvar(i), _qvar(i)):
             diagonal[(v, v)] = cartan_eigenvalue(i, mono_sdeg(v), 0)
-    reports = []
-    residual = _at_genus(h, ctx.genus).truncated(max_weight) - Operator(diagonal)
-    _record(reports, ctx, "h acts by 2w - s - g", {"max_weight": max_weight}, residual)
+    residual = _at_genus(h, g).truncated(max_weight) - Operator(diagonal)
+    yield "h acts by 2w - s - g", {"max_weight": max_weight}, residual
     members = [
         ("field", m, n, n - 1, n + m - 2) for m, n in field_params(max_order)
     ] + [
@@ -504,41 +478,46 @@ def _sweep_grading(params, ctx):
         op = ctx._parts(family, m, n)
         res, w = _residual(h, op, [(n - m, op)], ctx.window)
         label = "%s(%d,%d)" % (family, m, n)
-        name = "[h, %s] = %d*%s" % (label, n - m, label)
-        _record(reports, ctx, name, {"checked_window": w}, _at_genus(res, ctx.genus))
+        yield "[h, %s] = %d*%s" % (label, n - m, label), {"checked_window": w}, _at_genus(res, g)
         off_shift = Operator({
-            k: c for k, c in _at_genus(op, ctx.genus).truncated(max_weight).terms.items()
+            k: c for k, c in _at_genus(op, g).truncated(max_weight).terms.items()
             if (term_weight_shift(k), mono_sdeg(k[0]) - mono_sdeg(k[1])) != (wshift, sshift)
         })
         name = "%s is bigraded of shift (%d, %d)" % (label, wshift, sshift)
-        _record(reports, ctx, name, {"max_weight": max_weight}, off_shift)
-    return reports
+        yield name, {"max_weight": max_weight}, off_shift
 
 
 def verify_bracket(kind, params, ctx):
     """Run one family of exact identity checks.
 
     ``kind`` is one of ``field_field``, ``field_density``,
-    ``density_density``, ``raw_field``, ``sl2``, ``grading``.  Returns
-    the list of report entries; raises :class:`VerificationFailure`
-    (the difference as counterexample) on the first failing identity, and
+    ``density_density``, ``raw_field``, ``sl2``, ``grading``.  Every
+    check yields its difference (a Poly or an Operator), and this is the
+    one place that records it.  Returns the list of report entries;
+    raises :class:`VerificationFailure` (the difference as
+    counterexample) on the first failing identity, and
     :class:`InvalidParameter` for an unknown kind, when ``max_order`` is
     below 2, or when the context window is too small for it (below it
     for the brackets and ``grading``, below it plus 2 for ``sl2``).
     """
-    if kind in _BRACKETS:
-        max_order = params.get("max_order", 4)
-        _require_window(ctx.window, max_order)
-        reports = []
-        checks = _bracket_checks(kind, max_order, [ctx.genus], ctx._parts)
-        for (name, pair_params, _g), diff in checks:
-            _record(reports, ctx, name, pair_params, diff)
-        return reports
+    if kind not in _BRACKETS and kind not in ("sl2", "grading"):
+        raise InvalidParameter("unknown verification kind %r" % (kind,))
+    max_order = params.get("max_order", 6 if kind == "sl2" else 4)
+    _require_window(ctx.window, max_order, 2 if kind == "sl2" else 0)
     if kind == "sl2":
-        return _sweep_sl2(params, ctx)
-    if kind == "grading":
-        return _sweep_grading(params, ctx)
-    raise InvalidParameter("unknown verification kind %r" % (kind,))
+        checks = _sl2_checks(max_order, ctx)
+    elif kind == "grading":
+        checks = _grading_checks(params, max_order, ctx)
+    else:
+        bracket_checks = _bracket_checks(kind, max_order, [ctx.genus], ctx._parts)
+        checks = ((name, pair, diff) for name, pair, _g, diff in bracket_checks)
+    reports = []
+    for name, check_params, diff in checks:
+        if not diff.is_zero():
+            entry = report_entry(name, check_params, ctx.genus, ctx.window, "fail", str(diff))
+            raise VerificationFailure(entry)
+        reports.append(report_entry(name, check_params, ctx.genus, ctx.window))
+    return reports
 
 
 def run_bracket_suite(genera, max_order, window, jobs=None):
@@ -565,7 +544,7 @@ def run_bracket_suite(genera, max_order, window, jobs=None):
     counts = {}
     failures = []
     for kind in BRACKET_KINDS:
-        for (name, params, g), diff in _bracket_checks(kind, max_order, genera, parts):
+        for name, params, g, diff in _bracket_checks(kind, max_order, genera, parts):
             counts[(kind, g)] = counts.get((kind, g), 0) + 1
             if not diff.is_zero():
                 failures.append(

@@ -153,17 +153,14 @@ def residual_oracle(x, y, rhs, fallback):
     """Oracle for ``lie._residual`` by operator arithmetic: the genus
     parts of [X, Y] summed from whole part commutators, minus each c*Z,
     each part truncated to the smallest part-commutator window (or
-    ``fallback``).  With ``y`` None the left-hand side is X itself."""
-    if y is None:
-        res, windows = list(x), []
-    else:
-        res, windows = [Operator.zero()] * (len(x) + len(y) - 1), []
-        for i, u in enumerate(x):
-            for k, v in enumerate(y):
-                if u.terms and v.terms:
-                    bracket = u.commutator(v)
-                    windows.append(bracket.window)
-                    res[i + k] = res[i + k] + bracket
+    ``fallback``)."""
+    res, windows = [Operator.zero()] * (len(x) + len(y) - 1), []
+    for i, u in enumerate(x):
+        for k, v in enumerate(y):
+            if u.terms and v.terms:
+                bracket = u.commutator(v)
+                windows.append(bracket.window)
+                res[i + k] = res[i + k] + bracket
     for c, z in rhs:
         for k, part in enumerate(z):
             if c and part.terms:

@@ -52,6 +52,14 @@ def test_expression_errors_exit_2(capsys):
         code, out, err = run(capsys, "member", "--genus", "2", "--expr", expr)
         assert (code, out) == (2, ""), expr
         assert err.startswith("expression error:") and err.count("\n") == 1, (expr, err)
+    # a '/' outside a rational literal names its position
+    for expr, position in [("p1/2", 2), ("/3", 0)]:
+        code, out, err = run(capsys, "member", "--genus", "2", "--expr", expr)
+        assert (code, out) == (2, "")
+        assert err == (
+            "expression error: '/' is only valid inside a rational literal"
+            " like 3/4 (at position %d)\n" % position
+        )
 
 
 def test_usage_errors_exit_2(capsys):
@@ -63,11 +71,11 @@ def test_usage_errors_exit_2(capsys):
     assert info.value.code == 2
     capsys.readouterr()
     bad = [
-        ["verify", "lie", "--genus", "2", "--window", "0", "--jobs", "1"],
+        ["verify", "lie", "--genus", "2", "--window", "0"],
         ["dump-operator", "--genus", "2", "--op", "descent", "--window", "0"],
         ["relations", "--genus", "2", "--weight", "-1"],
         ["relations", "--genus", "2", "--weight", "3"],
-        ["verify", "lie", "--genus", "2", "--max-order", "-3", "--jobs", "1"],
+        ["verify", "lie", "--genus", "2", "--max-order", "-3"],
         ["verify", "sl2", "--genus", "2", "--max-order", "1"],
         ["fourier", "--genus", "2", "--check", "conj", "--m=-1", "--n", "2"],
         ["dump-operator", "--genus", "2", "--op", "field", "--m=-1", "--n", "2"],
@@ -82,7 +90,7 @@ def test_usage_errors_exit_2(capsys):
     ]
     # --window must reach --max-order (lie, tilde, grading) or
     # --max-order + 2 (sl2, all): the bound passes, one below exits 2
-    verify = ["verify", "--genus", "2", "--max-order", "4", "--jobs", "1", "--window"]
+    verify = ["verify", "--genus", "2", "--max-order", "4", "--window"]
     bounds = {"lie": 4, "tilde": 4, "grading": 4, "sl2": 6, "all": 6}
     for suite, bound in bounds.items():
         argv = verify[:1] + [suite] + verify[1:]
@@ -93,6 +101,11 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == "" and err.startswith("error: "), argv
+    # verify takes no --jobs flag: argparse rejects it
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "lie", "--genus", "2", "--jobs", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --jobs 1" in capsys.readouterr().err
 
 
 def test_verify_all_builds_each_member_once(capsys, monkeypatch):
@@ -177,6 +190,16 @@ def test_verify_report_digests(capsys, suite, genus, order, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_verify_all_verbose_digest(capsys):
+    # the table of every suite with the per-identity listing of the sl2,
+    # tilde and grading sweeps; the JSON form of the same run is the
+    # ("all", "3", "4") row of REPORT_DIGESTS
+    code, out, err = run(capsys, "verify", "all", "--genus", "3", "--max-order", "4", "--verbose")
+    assert code == 0 and err == ""
+    digest = "3597292d1a0d4b7f99a32c44509a86a6c863717f6d7b16ce4cfa54f29eaf118c"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_import_starts_no_process_machinery():
     # the CLI runs in one process; importing it must not pay for the
     # multiprocessing or concurrent.futures modules
@@ -223,7 +246,7 @@ def test_member_on_a_warm_cache_loads_no_operator_layer(tmp_path):
 def test_verify_lie_table(capsys):
     code, out, _ = run(
         capsys, "verify", "lie", "--genus", "3", "--max-order", "3",
-        "--window", "6", "--jobs", "1",
+        "--window", "6",
     )
     assert code == 0
     assert "bracket suite" in out
@@ -233,7 +256,7 @@ def test_verify_lie_table(capsys):
 def test_verify_all_json(capsys):
     code, out, _ = run(
         capsys, "verify", "all", "--genus", "2", "--max-order", "3",
-        "--window", "7", "--jobs", "1", "--format", "json",
+        "--window", "7", "--format", "json",
     )
     assert code == 0
     data = json.loads(out)
@@ -714,6 +737,8 @@ def test_cache_command(capsys, tmp_path):
     code, out, _ = run(capsys, "cache", "--dir", str(tmp_path), "--clear")
     assert code == 0
     assert "removed 1" in out
+    code, out, _ = run(capsys, "cache", "--dir", str(tmp_path))
+    assert (code, out) == (0, "cache dir: %s\n  (empty)\n" % tmp_path)
     code, out, _ = run(capsys, "cache")
     assert code == 0
     assert "no cache directory" in out

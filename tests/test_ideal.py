@@ -408,3 +408,21 @@ def test_stability_failure_reports_the_pivot_one_row(ideal_g3):
     with pytest.raises(VerificationFailure) as info:
         clone.check_stability()
     assert info.value.entry["counterexample"] == "q2 - 1/4*q1^2"
+
+
+def test_descent_stability_failure_names_the_top_monomial(ideal_g3):
+    # a descent column of weight g + 1 that leaves the ideal: p1^4 (column
+    # 0 of weight 4) gains a weight-3 quotient-basis monomial
+    tables = _closure_tables(3)
+    basis_index = _monomials(3)[1][ideal_g3.quotient_basis(3)[0]]
+    tables[0][4][0].append((basis_index, 1))
+    with pytest.raises(VerificationFailure) as info:
+        ideal_g3.check_stability(tables)
+    assert info.value.entry == {
+        "identity": "descent stability",
+        "params": {"weight": 4},
+        "genus": 3,
+        "window": 4,
+        "status": "fail",
+        "counterexample": "p1^4",
+    }

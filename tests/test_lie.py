@@ -309,7 +309,8 @@ def test_residual_matches_operator_arithmetic_oracle():
     # the in-place residual (one term dict per genus power, a shared
     # product table) against whole operators added, scaled, subtracted
     # and truncated, on every bracket identity at order 5, window 9, the
-    # sl2 relations and nested brackets, and h = -field(1,1)
+    # sl2 relations and nested brackets, and h = -field(1,1) in bracket
+    # form: [field(1,1), e] = -2e and [field(1,1), f] = 2f
     parts = _GenusParts(9)
     for kind in _BRACKETS:
         for a, b in _bracket_pairs(kind, 5):
@@ -317,7 +318,9 @@ def test_residual_matches_operator_arithmetic_oracle():
     e, f, h = _sl2_parts(parts)
     for x, y, rhs in [(e, f, [(1, h)]), (h, e, [(2, e)]), (h, f, [(-2, f)])]:
         _assert_residual_matches_oracle(x, y, rhs, parts)
-    _assert_residual_matches_oracle(h, None, [(-1, parts("field", 1, 1))], parts)
+    field11 = parts("field", 1, 1)
+    for y, c in [(e, -2), (f, 2)]:
+        _assert_residual_matches_oracle(field11, y, [(c, y)], parts)
     for n in range(1, 5):
         for var in (p(n), q(n)):
             inner = _assert_residual_matches_oracle(f, (mul_op(var),), [], parts)
@@ -325,12 +328,15 @@ def test_residual_matches_operator_arithmetic_oracle():
                 for outer in (p(m), q(m)):
                     rhs = [(1, (mul_op(p(m + n - 1)),))]
                     _assert_residual_matches_oracle(inner, (mul_op(outer),), rhs, parts)
-    # part windows below the checked one: on the right-hand side, on an
-    # empty left part, and a negative commutator window (p5. against D
-    # at window 2), where the checked window is raised to 0
-    a, b = parts("field", 1, 1)
+    # part windows below the checked one (5, from the commutator) on the
+    # right-hand side; an empty left part, whose commutators are skipped,
+    # so the g^2 part is cut at the checked window; and a negative
+    # commutator window (p5. against D at window 2), raised to 0
+    a, b = field11
     left = (a.truncated(5), Operator.zero(3))
-    _assert_residual_matches_oracle(left, None, [(2, (b.truncated(4),))], parts)
+    rhs = [(2, (f[0].truncated(4), f[1].truncated(3)))]
+    res = _assert_residual_matches_oracle(left, f, rhs, parts)
+    assert [r.window for r in res] == [4, 3, 5]
     x, y = parts("field", 2, 1), parts("field", 1, 2)
     _assert_residual_matches_oracle(x, y, [(1, (a.truncated(4), b))], parts)
     small = _GenusParts(2)
@@ -574,6 +580,8 @@ def test_benchmark_bracket_suite_summary_is_pinned():
 
 
 def test_verification_failure_carries_counterexample():
-    err = VerificationFailure({"identity": "x", "status": "fail"})
+    entry = report_entry("x", {}, 2, 4, "fail", "-2 * q3 * d(p1)")
+    err = VerificationFailure(entry)
     assert err.entry["identity"] == "x"
-    assert "identity" in str(err)
+    assert err.entry["counterexample"] == "-2 * q3 * d(p1)"
+    assert "identity" in str(err) and "-2 * q3 * d(p1)" in str(err)
