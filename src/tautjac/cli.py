@@ -25,7 +25,6 @@ from .errors import (
 )
 from .ideal import check_genus
 from .parse import parse_poly
-from .newton import d_to_w, w_to_d
 
 
 def _build_parser():
@@ -42,7 +41,8 @@ def _build_parser():
     pv.add_argument("--window", type=int, default=None)
     pv.add_argument("--format", choices=["table", "json"], default="table")
     pv.add_argument(
-        "--verbose", action="store_true", help="list every checked bracket"
+        "--verbose", action="store_true",
+        help="list each identity of the sl2, tilde and grading suites",
     )
 
     pr = sub.add_parser("relations", help="build and export the relation ideal")
@@ -216,6 +216,8 @@ def _parse_rational_list(text):
 
 
 def _cmd_newton(args):
+    from .newton import d_to_w, w_to_d
+
     check_genus(args.genus)
     raw = args.to_d if args.to_d is not None else args.to_w
     try:

@@ -32,20 +32,23 @@ the only way the genus enters: each member is built once per window as
 A + g*B with A and B free of g, and B is nonzero only for the descent
 operator (B = -d(p1)), field(1,1) (B = id), field(2,0) (B = -2 d(p1))
 and density(0,0) (B = id).  The public constructors return A + g*B at
-the context's genus.
+the context's genus.  The index multisets the members are summed over
+are one table per process, shared by every member and window.
 
 Every bracket identity [X, Y] = sum c*Z takes one path: the residual
 parts R0 + g*R1 + g^2*R2 of [X, Y] - sum c*Z are summed in place, one
 term dict per power of g, from the genus parts of the operands, up to
 a cut fixed before any sum (the smallest part-commutator window), and
-evaluated at each genus; a linear identity such as h = -field(1,1) is
-an operator sum.  The grading laws are read off the terms: a
-normal-ordered term M d(P) shifts (weight, s-degree) by
+evaluated at each genus; a part whose terms all cancel becomes the zero
+operator with no decoding pass.  A linear identity such as
+h = -field(1,1) is an operator sum.  The grading laws are read off the
+terms: a normal-ordered term M d(P) shifts (weight, s-degree) by
 (w(M) - w(P), s(M) - s(P)).
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from weakref import WeakValueDictionary
 
@@ -92,14 +95,15 @@ class LieContext:
         return "LieContext(genus=%d, window=%d)" % (self.genus, self.window)
 
 
+@lru_cache(maxsize=None)
 def _index_multisets(count, cap, largest=None):
-    """The multisets of ``count`` positive indices with index sum <= cap,
-    as (p-monomial, index sum, product of the index factorials, number
-    of distinct orderings)."""
+    """The multisets of ``count`` positive indices, none above ``largest``,
+    with index sum <= cap, as (p-monomial, index sum, product of the index
+    factorials, number of distinct orderings); one table per process."""
     if count == 0:
-        yield MONO_ONE, 0, 1, 1
-        return
+        return ((MONO_ONE, 0, 1, 1),)
     largest = cap if largest is None else largest
+    found = []
     for first in range(min(largest, cap - count + 1), 0, -1):
         for rest, s, denom, orderings in _index_multisets(count - 1, cap - first, first):
             if rest and rest[0][0] == first:
@@ -108,7 +112,8 @@ def _index_multisets(count, cap, largest=None):
             else:
                 e = 1
                 mono = ((first, P_KIND, 1),) + rest
-            yield mono, s + first, denom * factorial(first), orderings * count // e
+            found.append((mono, s + first, denom * factorial(first), orderings * count // e))
+    return tuple(found)
 
 
 def _pvar(i):

@@ -21,18 +21,23 @@ equal it.  Products read one packed term table per operator: a term is
 one int, the exponent of (i, k) in byte 2v of the multiplier and 2v + 1
 of the partials, v = 2(i - 1) + (k == 'q'), so multiplying terms adds
 codes; exponents >= ``EXPONENT_BOUND`` = 128 raise
-:class:`InvalidParameter`, so no sum carries.  A product a o b takes
-each sub-multiset (*hit*) of each multiplier of b to a's Leibniz table
-for hits of that many factors: the empty hit gives the uncontracted
-products, the others the contraction terms.  Those of a o b and b o a
-agree, so a commutator adds only contraction terms, up to a partial
-index-sum, into a term dict the caller may share.
+:class:`InvalidParameter`, so no sum carries.  A monomial's code and
+weight, and its sub-multisets up to a size, are per-process tables that
+every operator shares (they hold monomials, never an operator).  A
+product a o b takes each sub-multiset (*hit*) of each multiplier of b to
+a's Leibniz table for hits of that many factors: the empty hit gives the
+uncontracted products, the others the contraction terms.  Those of a o b
+and b o a agree, so a commutator adds only contraction terms, up to a
+partial index-sum, into a term dict the caller may share, skipping the
+terms of b that share no byte with a's mask of partial variables.  A sum
+whose entries all cancelled is the zero operator, with no decoding pass.
 
 The term map is cleaned, merged and printed by helpers shared with
 ``Poly`` (:mod:`tautjac.poly`); windows and ``d(..)`` factors are this module's own.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import inf
 
 from .errors import InvalidParameter, WindowExceeded
@@ -63,18 +68,25 @@ def _bit(i, k):
     return 1 << (32 * i - (16 if k == Q_KIND else 32))
 
 
+@lru_cache(maxsize=None)
+def _mono_code(mono):
+    """(multiplier code, weight) of a monomial; a bad exponent raises on every call."""
+    code = 0
+    for i, k, e in mono:
+        if e >= EXPONENT_BOUND:
+            raise InvalidParameter("exponent %s%d^%d is at or above the packing bound %d"
+                                   % (k, i, e, EXPONENT_BOUND))
+        code += e * _bit(i, k)
+    return code, mono_weight(mono)
+
+
 def _pack(term):
     """(partial index-sum, code, multiplier code) of a (multiplier, partials) term."""
-    codes = [0, 0]
-    for side, mono in enumerate(term):
-        for i, k, e in mono:
-            if e >= EXPONENT_BOUND:
-                raise InvalidParameter("exponent %s%d^%d is at or above the packing bound %d"
-                                       % (k, i, e, EXPONENT_BOUND))
-            codes[side] += e * _bit(i, k)
-    return mono_weight(term[1]), codes[0] + (codes[1] << 8), codes[0]
+    (mcode, _mweight), (pcode, psum) = map(_mono_code, term)
+    return psum, mcode + (pcode << 8), mcode
 
 
+@lru_cache(maxsize=None)
 def _packed_hits(mono, cap):
     """Every sub-multiset of ``mono`` with at most ``cap`` factors, the empty one first, as
     (size, code, index-sum, falling factorials of ``mono`` by it, ways to pick it)."""
@@ -90,11 +102,13 @@ def _packed_hits(mono, cap):
                 ways = ways * (e - j + 1) // j
                 grown.append((n + j, code + j * bit, w + j * i, fall, ways))
         found = grown
-    return found
+    return tuple(found)
 
 
 def _decoded(out, window):
-    """The operator of the nonzero entries of ``out``: code -> coeff."""
+    """The operator of the nonzero entries of ``out`` (code -> coeff), decoded only if any."""
+    if not any(out.values()):
+        return Operator.zero(window)
     raws = ((k.to_bytes((k.bit_length() + 7) >> 3, "little"), c) for k, c in out.items() if c)
     return Operator({(_unpacked(raw[::2]), _unpacked(raw[1::2])): c for raw, c in raws}, window)
 
@@ -262,7 +276,7 @@ class Operator:
         contraction terms, from the terms of other whose multiplier shares a
         byte with the mask of self's partial variables (its one-factor hits)."""
         listed, degree = other._lazy("hits")
-        mask = first and 255 * sum(self._lazy(1))
+        mask = first and self._lazy("mask")
         tables = [self._lazy(k) if k >= first else None for k in range(degree + 1)]
         get = out.get
         for bc, bsum, bmcode, hits in listed:
@@ -286,7 +300,9 @@ class Operator:
         and the largest weight shift.  ``"hits"``, for right operands of
         products: the terms as (coeff, partial index-sum, multiplier code,
         [(size, code, code of the term without it, falling factorials) for each
-        hit of the multiplier]), and the largest multiplier degree.  An int k:
+        hit of the multiplier]), and the largest multiplier degree.  ``"mask"``,
+        for left operands of commutators: 255 in the multiplier byte of each
+        of self's partial variables.  An int k:
         the Leibniz table, code of each k-factor hit of each term's partials ->
         [(index-sum of the partials left, code of the term with them, coeff
         times the ways to pick the hit)] by that index-sum."""
@@ -299,7 +315,7 @@ class Operator:
                 index[0].setdefault(parts, []).append((mult, c))
         elif key == "packed":
             rows = [(c, *_pack(term), *term) for term, c in self.terms.items()]
-            index = (rows, max(map(term_weight_shift, self.terms), default=None))
+            index = (rows, max((_mono_code(row[4])[1] - row[1] for row in rows), default=None))
         elif key == "hits":
             listed, degree = [], 0
             for c, psum, code, mcode, mult, _parts in self._lazy("packed")[0]:
@@ -308,6 +324,8 @@ class Operator:
                 listed.append((c, psum, mcode, hits))
                 degree = max(degree, hits[-1][0])
             index = (listed, degree)
+        elif key == "mask":
+            index = 255 * sum(self._lazy(1))
         else:
             index = {}
             for c, psum, code, _mcode, _mult, parts in self._lazy("packed")[0]:

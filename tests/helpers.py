@@ -6,8 +6,11 @@ of a recursive descent over variables), so agreement is meaningful.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import factorial, prod
 
 from tautjac import ideal as ideal_module
 from tautjac.errors import WindowExceeded, report_entry
@@ -168,6 +171,33 @@ def residual_oracle(x, y, rhs, fallback):
     finite = [w for w in windows if w is not None]
     w = max(min(finite), 0) if finite else fallback
     return [r.truncated(w) for r in res], w
+
+
+def index_multisets_oracle(count, cap):
+    """Oracle for ``lie._index_multisets``: the non-increasing ``count``-tuples
+    of indices cap..1 with sum <= cap, from ``combinations_with_replacement``
+    (which yields them in descending lexicographic order), as (p-monomial,
+    index sum, product of the index factorials, distinct orderings)."""
+    found = []
+    for indices in combinations_with_replacement(range(cap, 0, -1), count):
+        if sum(indices) <= cap:
+            mults = Counter(indices)
+            mono = tuple((i, P_KIND, e) for i, e in sorted(mults.items(), reverse=True))
+            orderings = factorial(count) // prod(factorial(e) for e in mults.values())
+            found.append((mono, sum(indices), prod(map(factorial, indices)), orderings))
+    return found
+
+
+def pack_oracle(term):
+    """Oracle for ``operators._pack``, one variable at a time: the exponent of
+    (i, k) in byte 2v of the multiplier and byte 2v + 1 of the partials, with
+    v = 2(i - 1) + (k == 'q'), as (partial index-sum, term code, multiplier code)."""
+    codes = [0, 0]
+    for side, mono in enumerate(term):
+        for i, k, e in mono:
+            v = 2 * (i - 1) + (k == Q_KIND)
+            codes[side] |= e << 8 * (2 * v + side)
+    return sum(i * e for i, _k, e in term[1]), codes[0] | codes[1], codes[0]
 
 
 def all_monomials_up_to(w):

@@ -200,6 +200,19 @@ def test_verify_all_verbose_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_verify_lie_verbose_lists_nothing_more(capsys):
+    # --verbose lists the identities of the sl2, tilde and grading suites;
+    # the bracket suite prints its counts either way, and the help says so
+    argv = ["verify", "lie", "--genus", "2", "--max-order", "2"]
+    plain = run(capsys, *argv)
+    assert plain[0] == 0 and run(capsys, *argv, "--verbose") == plain
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    usage = " ".join(capsys.readouterr().out.split())
+    assert "bracket" not in usage
+    assert "list each identity of the sl2, tilde and grading suites" in usage
+
+
 def test_cli_import_starts_no_process_machinery():
     # the CLI runs in one process; importing it must not pay for the
     # multiprocessing or concurrent.futures modules
@@ -224,15 +237,15 @@ def test_every_public_name_resolves():
 
 def test_member_on_a_warm_cache_loads_no_operator_layer(tmp_path):
     # the query path reads the cached ideal and reduces; the operator
-    # layers (lie, operators, fourier) are imported only by the commands
-    # and the cold build that run them
+    # layers (lie, operators, fourier) and newton are imported only by the
+    # commands and the cold build that run them
     store_ideal(RelationIdeal.build(3), tmp_path)
     code = (
         "import sys, tautjac.cli\n"
         "status = tautjac.cli.main(['member', '--genus', '3', '--expr', 'q3',"
         " '--cache-dir', sys.argv[1]])\n"
         "print(status, sorted(m for m in sys.modules"
-        " if m in ('tautjac.lie', 'tautjac.operators', 'tautjac.fourier')))"
+        " if m in ('tautjac.lie', 'tautjac.operators', 'tautjac.fourier', 'tautjac.newton')))"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(tautjac.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -2,11 +2,18 @@ import gc
 import hashlib
 import json
 import weakref
-from math import comb, factorial
+from math import comb, factorial, inf
 
 import pytest
 
-from helpers import ApplyOracle, all_monomials_up_to, equal_within, residual_oracle
+from helpers import (
+    ApplyOracle,
+    all_monomials_up_to,
+    equal_within,
+    index_multisets_oracle,
+    pack_oracle,
+    residual_oracle,
+)
 from tautjac import lie, operators
 from tautjac.errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
 from tautjac.lie import (
@@ -16,6 +23,7 @@ from tautjac.lie import (
     _BRACKETS,
     _bracket_pairs,
     _GenusParts,
+    _index_multisets,
     _residual,
     _sl2_parts,
     cartan_eigenvalue,
@@ -29,7 +37,7 @@ from tautjac.lie import (
     sl2_triple,
     verify_bracket,
 )
-from tautjac.operators import Operator, mul_op
+from tautjac.operators import Operator, _pack, _packed_hits, mul_op, term_weight_shift
 from tautjac.poly import MONO_ONE, P_KIND, Poly, enumerate_monomials, mono_sdeg, p, q
 
 ENTRY_KEYS = ["identity", "params", "genus", "window", "status"]
@@ -428,6 +436,67 @@ def test_suite_builds_hit_indexes_for_right_operands_only(monkeypatch):
     ops = list(indexed.values())
     assert len(ops) == 89 and all("packed" in op._cache for op in ops)
     assert sum("hits" in op._cache for op in ops) == 41
+
+
+def _suite_operators(monkeypatch):
+    """The operators the verify_suite sweep indexes, run with no member
+    live and every per-process table empty."""
+    monkeypatch.setattr(lie, "_LIVE_PARTS", weakref.WeakValueDictionary())
+    for table in (operators._mono_code, _packed_hits, _index_multisets):
+        table.cache_clear()
+    indexed = {}
+    lazy = Operator._lazy
+
+    def spy(op, key):
+        indexed[id(op)] = op
+        return lazy(op, key)
+
+    monkeypatch.setattr(Operator, "_lazy", spy)
+    run_bracket_suite([2, 3, 5, 10], 5, 9)
+    return list(indexed.values())
+
+
+def test_suite_builds_each_table_entry_once(monkeypatch):
+    # the code table packs each distinct monomial of the 89 indexed
+    # operators once (295), and the hits table each (monomial, cap) once
+    # (271): the multipliers of the 41 contracted operators with no cap,
+    # and their partials for the one-factor Leibniz tables, the only size
+    # the suite's one-variable multipliers reach
+    ops = _suite_operators(monkeypatch)
+    monos = {mono for op in ops for term in op.terms for mono in term}
+    hit_keys = set()
+    for op in ops:
+        if "hits" in op._cache:
+            hit_keys |= {(mult, inf) for mult, _parts in op.terms}
+        sizes = [key for key in op._cache if isinstance(key, int)]
+        hit_keys |= {(parts, n) for n in sizes for _mult, parts in op.terms}
+    assert operators._mono_code.cache_info().misses == len(monos) == 295
+    assert _packed_hits.cache_info().misses == len(hit_keys) == 271
+
+
+def test_pack_matches_per_variable_oracle_on_the_suite(monkeypatch):
+    # every term of the suite's operators against packing one variable at
+    # a time; the packed table's largest shift and the partial-variable
+    # mask against the terms
+    ops = _suite_operators(monkeypatch)
+    assert len(ops) == 89
+    for op in ops:
+        for term in op.terms:
+            assert _pack(term) == pack_oracle(term), term
+        shifts = [term_weight_shift(term) for term in op.terms]
+        assert op._lazy("packed")[1] == max(shifts)
+        if "mask" in op._cache:
+            variables = {(i, k) for _mult, parts in op.terms for i, k, _e in parts}
+            units = [pack_oracle((((i, k, 1),), ()))[2] for i, k in variables]
+            assert op._cache["mask"] == 255 * sum(units)
+
+
+def test_index_multisets_match_combinations_oracle():
+    # the same monomials, index sums, factorial products and orderings,
+    # in the same order
+    for count in range(6):
+        for cap in range(10):
+            assert list(_index_multisets(count, cap)) == index_multisets_oracle(count, cap)
 
 
 def test_planted_genus_part_error_names_exactly_the_affected_genera(monkeypatch):

@@ -22,7 +22,7 @@ from tautjac.lie import (
     field_params,
     sl2_triple,
 )
-from tautjac.operators import EXPONENT_BOUND, Operator, _decoded, _min_window, mul_op
+from tautjac.operators import EXPONENT_BOUND, Operator, _decoded, _min_window, _pack, mul_op
 from tautjac.poly import Poly, enumerate_monomials, p, q
 
 
@@ -184,6 +184,17 @@ def test_packing_bound_is_exact_or_refuses():
             x @ y
         with pytest.raises(InvalidParameter, match="packing bound %d" % EXPONENT_BOUND):
             x.commutator(y)
+
+
+def test_packing_bound_refuses_on_every_call():
+    # the code table keeps no failed entry: the same monomial past the
+    # bound raises again, packed alone or through a fresh operator
+    bad = mono_from_str("q3^%d" % EXPONENT_BOUND)
+    for _ in range(2):
+        with pytest.raises(InvalidParameter, match="packing bound %d" % EXPONENT_BOUND):
+            _pack((bad, mono_from_str("p1")))
+        with pytest.raises(InvalidParameter, match="packing bound %d" % EXPONENT_BOUND):
+            Operator.derivative("q3") @ Operator.single(1, bad)
 
 
 def test_commutator_contracts_each_term_once():
