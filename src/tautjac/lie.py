@@ -39,8 +39,9 @@ Every bracket identity [X, Y] = sum c*Z takes one path: the residual
 parts R0 + g*R1 + g^2*R2 of [X, Y] - sum c*Z are summed in place, one
 term dict per power of g, from the genus parts of the operands, up to
 a cut fixed before any sum (the smallest part-commutator window), and
-evaluated at each genus; a part whose terms all cancel becomes the zero
-operator with no decoding pass.  A linear identity such as
+evaluated at each genus.  A residual whose terms all cancel, as in every
+identity that holds, is never decoded: its difference at every genus is
+one shared zero operator.  A linear identity such as
 h = -field(1,1) is an operator sum.  The grading laws are read off the
 terms: a normal-ordered term M d(P) shifts (weight, s-degree) by
 (w(M) - w(P), s(M) - s(P)).
@@ -62,6 +63,7 @@ from .poly import (
     Poly,
     mono_mul,
     mono_sdeg,
+    mono_weight,
     p,
     q,
 )
@@ -152,6 +154,9 @@ def _genus_parts(window):
     return _LIVE_PARTS.setdefault(window, _GenusParts(window))
 
 
+_ZERO = Operator.zero()  # the difference of every identity whose residual cancelled
+
+
 def _at_genus(parts, genus):
     """sum genus^k * parts[k]: a member (A, B), or a bracket residual
     (R0, R1, R2), at one genus."""
@@ -215,7 +220,7 @@ def _field_parts(m, n, parts):
             key = (_qvar(idx) if idx else MONO_ONE, parts_mono)
             target[key] = target.get(key, 0) + c
     a, b = Operator(terms, W), Operator(gterms, W)
-    assert (a + b).weight_shifts() in ([], [n - 1])
+    assert _shifts_are(n - 1, a, b)
     return a, b
 
 
@@ -233,8 +238,14 @@ def _density_parts(m, n, parts):
         key = (_qvar(n + s), parts_mono)
         terms[key] = terms.get(key, 0) + c
     a = Operator(terms, parts.window)
-    assert a.weight_shifts() in ([], [n])
+    assert _shifts_are(n, a)
     return a, Operator.zero()
+
+
+def _shifts_are(shift, *ops):
+    """Whether every term of ``ops`` shifts weight by ``shift``."""
+    return all(mono_weight(mult) - mono_weight(parts) == shift
+               for op in ops for mult, parts in op.terms)
 
 
 def _raw_field_parts(k, n, parts):
@@ -377,7 +388,8 @@ def _residual(x, y, rhs, fallback):
     g^2 [B,E].  Each part's cut (the smallest of the checked window and
     its contributions' windows) is fixed first; then the part
     commutators and each -c*Z add their terms within it into the dict
-    of their genus power."""
+    of their genus power.  When every entry of every dict cancelled, the
+    parts are None: nothing is decoded."""
     pairs = [(i + k, u, v) for i, u in enumerate(x) for k, v in enumerate(y)
              if u.terms and v.terms]
     adds = [(k, -c, z) for c, parts in rhs for k, z in enumerate(parts) if c and z.terms]
@@ -395,6 +407,8 @@ def _residual(x, y, rhs, fallback):
         u._commute_into(v, sums[k], cuts[k])
     for k, c, z in adds:
         z._add_into(sums[k], c, cuts[k])
+    if not any(any(terms.values()) for terms in sums):
+        return None, w
     return [_decoded(terms, cut) for terms, cut in zip(sums, cuts)], w
 
 
@@ -422,7 +436,13 @@ def _bracket_checks(kind, max_order, genera, parts):
         name = "[%s(%d,%d), %s(%d,%d)]" % (la, a[0], a[1], lb, b[0], b[1])
         params = {"pair": [list(a), list(b)], "checked_window": w}
         for g in genera:
-            yield name, params, g, _at_genus(res, g)
+            yield name, params, g, _ZERO if res is None else _at_genus(res, g)
+
+
+def _checked(x, y, rhs, ctx):
+    """[X, Y] - sum c*Z at the context's genus, and its checked window."""
+    res, w = _residual(x, y, rhs, ctx.window)
+    return _ZERO if res is None else _at_genus(res, ctx.genus), w
 
 
 def _sl2_checks(max_order, ctx):
@@ -430,9 +450,9 @@ def _sl2_checks(max_order, ctx):
     -field(1,1), f on the variables and the brackets [[f, u.], v.]."""
     g = ctx.genus
     e, f, h = _sl2_parts(ctx._parts)
-    yield "[e,f] = h", {}, _at_genus(_residual(e, f, [(1, h)], ctx.window)[0], g)
-    yield "[h,e] = 2e", {}, _at_genus(_residual(h, e, [(2, e)], ctx.window)[0], g)
-    yield "[h,f] = -2f", {}, _at_genus(_residual(h, f, [(-2, f)], ctx.window)[0], g)
+    yield "[e,f] = h", {}, _checked(e, f, [(1, h)], ctx)[0]
+    yield "[h,e] = 2e", {}, _checked(h, e, [(2, e)], ctx)[0]
+    yield "[h,f] = -2f", {}, _checked(h, f, [(-2, f)], ctx)[0]
     h_plus_field = _at_genus(h, g) + _member(ctx, "field", 1, 1)
     yield "h = -field(1,1)", {}, h_plus_field.truncated(ctx.window)
     f_at_g = _at_genus(f, g)
@@ -442,8 +462,9 @@ def _sl2_checks(max_order, ctx):
         yield name, {"n": n}, f_at_g.apply(p(n)) - expected
         yield "f(q%d) = 0" % n, {"n": n}, f_at_g.apply(q(n))
     for n in range(1, max_order):
-        fp = _residual(f, (mul_op(p(n)),), [], ctx.window)[0]
-        fq = _residual(f, (mul_op(q(n)),), [], ctx.window)[0]
+        # the parts of [f, u.], one zero part if they all cancelled
+        fp = _residual(f, (mul_op(p(n)),), [], ctx.window)[0] or (_ZERO,)
+        fq = _residual(f, (mul_op(q(n)),), [], ctx.window)[0] or (_ZERO,)
         for m in range(1, max_order - n + 1):
             nested = [
                 ("[[f,p%d.],p%d.] = -C(%d,%d) p%d." % (n, m, m + n, m, m + n - 1),
@@ -453,8 +474,8 @@ def _sl2_checks(max_order, ctx):
                 ("[[f,q%d.],q%d.] = 0" % (n, m), fq, q(m), Poly.zero()),
             ]
             for name, inner, var, expected in nested:
-                res = _residual(inner, (mul_op(var),), [(1, (mul_op(expected),))], ctx.window)[0]
-                yield name, {"n": n, "m": m}, _at_genus(res, g)
+                rhs = [(1, (mul_op(expected),))]
+                yield name, {"n": n, "m": m}, _checked(inner, (mul_op(var),), rhs, ctx)[0]
 
 
 def _grading_checks(params, max_order, ctx):
@@ -481,9 +502,9 @@ def _grading_checks(params, max_order, ctx):
     ]
     for family, m, n, wshift, sshift in members:
         op = ctx._parts(family, m, n)
-        res, w = _residual(h, op, [(n - m, op)], ctx.window)
+        diff, w = _checked(h, op, [(n - m, op)], ctx)
         label = "%s(%d,%d)" % (family, m, n)
-        yield "[h, %s] = %d*%s" % (label, n - m, label), {"checked_window": w}, _at_genus(res, g)
+        yield "[h, %s] = %d*%s" % (label, n - m, label), {"checked_window": w}, diff
         off_shift = Operator({
             k: c for k, c in _at_genus(op, g).truncated(max_weight).terms.items()
             if (term_weight_shift(k), mono_sdeg(k[0]) - mono_sdeg(k[1])) != (wshift, sshift)

@@ -24,13 +24,15 @@ codes; exponents >= ``EXPONENT_BOUND`` = 128 raise
 :class:`InvalidParameter`, so no sum carries.  A monomial's code and
 weight, and its sub-multisets up to a size, are per-process tables that
 every operator shares (they hold monomials, never an operator).  A
-product a o b takes each sub-multiset (*hit*) of each multiplier of b to
-a's Leibniz table for hits of that many factors: the empty hit gives the
-uncontracted products, the others the contraction terms.  Those of a o b
-and b o a agree, so a commutator adds only contraction terms, up to a
-partial index-sum, into a term dict the caller may share, skipping the
-terms of b that share no byte with a's mask of partial variables.  A sum
-whose entries all cancelled is the zero operator, with no decoding pass.
+product a o b is a join on hit codes: b's hit table sends the code of
+each sub-multiset (*hit*) of each of its multipliers to the terms that
+hold it, a's Leibniz table for hits of that many factors sends it to the
+terms whose partials hold it, and only codes in both are visited.  The
+empty hit gives the uncontracted products, the others the contraction
+terms.  Those of a o b and b o a agree, so a commutator adds only
+contraction terms, up to a partial index-sum, into a term dict the
+caller may share.  A sum whose entries all cancelled is the zero
+operator, with no decoding pass.
 
 The term map is cleaned, merged and printed by helpers shared with
 ``Poly`` (:mod:`tautjac.poly`); windows and ``d(..)`` factors are this module's own.
@@ -81,9 +83,9 @@ def _mono_code(mono):
 
 
 def _pack(term):
-    """(partial index-sum, code, multiplier code) of a (multiplier, partials) term."""
+    """(partial index-sum, code) of a (multiplier, partials) term."""
     (mcode, _mweight), (pcode, psum) = map(_mono_code, term)
-    return psum, mcode + (pcode << 8), mcode
+    return psum, mcode + (pcode << 8)
 
 
 @lru_cache(maxsize=None)
@@ -273,36 +275,31 @@ class Operator:
     def _contract(self, other, limit, out, sign, first):
         """Add ``sign`` times the terms of self o other with partial index-sum
         <= ``limit`` (all when None) into ``out``; with ``first`` 1, only the
-        contraction terms, from the terms of other whose multiplier shares a
-        byte with the mask of self's partial variables (its one-factor hits)."""
-        listed, degree = other._lazy("hits")
-        mask = first and self._lazy("mask")
-        tables = [self._lazy(k) if k >= first else None for k in range(degree + 1)]
+        contraction terms.  For each hit size, other's hit table is joined
+        with self's Leibniz table on the hit codes both hold."""
         get = out.get
-        for bc, bsum, bmcode, hits in listed:
-            if first and not bmcode & mask:
-                continue
-            bc *= sign
-            cut = inf if limit is None else limit - bsum
-            for size, hit, bcode, bfactor in hits[first:]:
-                bfactor *= bc
-                for lsum, acode, ac in tables[size].get(hit, ()):
-                    if lsum > cut:
-                        break  # entries are sorted by lsum
-                    key = acode + bcode
-                    out[key] = get(key, 0) + ac * bfactor
+        for size, rights in enumerate(other._lazy("hits")[first:], first):
+            lefts_by_hit = self._lazy(size)
+            for hit in rights.keys() & lefts_by_hit.keys():
+                lefts = lefts_by_hit[hit]
+                for bsum, bcode, bc in rights[hit]:
+                    bc *= sign
+                    cut = inf if limit is None else limit - bsum
+                    for lsum, acode, ac in lefts:
+                        if lsum > cut:
+                            break  # entries are sorted by lsum
+                        key = acode + bcode
+                        out[key] = get(key, 0) + ac * bc
 
     def _lazy(self, key):
         """Self's index ``key``, built on first use and kept with self.
         ``"apply"``: partials -> [(multiplier, coeff)], and the largest number
         of partials.  ``"packed"``, the one index that packs: the terms as
-        (coeff, partial index-sum, code, multiplier code, multiplier, partials),
+        (coeff, partial index-sum, code, multiplier, partials),
         and the largest weight shift.  ``"hits"``, for right operands of
-        products: the terms as (coeff, partial index-sum, multiplier code,
-        [(size, code, code of the term without it, falling factorials) for each
-        hit of the multiplier]), and the largest multiplier degree.  ``"mask"``,
-        for left operands of commutators: 255 in the multiplier byte of each
-        of self's partial variables.  An int k:
+        products: for each hit size n, the code of each n-factor hit of each
+        term's multiplier -> [(partial index-sum, code of the term without
+        the hit, coeff times the falling factorials)].  An int k:
         the Leibniz table, code of each k-factor hit of each term's partials ->
         [(index-sum of the partials left, code of the term with them, coeff
         times the ways to pick the hit)] by that index-sum."""
@@ -315,20 +312,17 @@ class Operator:
                 index[0].setdefault(parts, []).append((mult, c))
         elif key == "packed":
             rows = [(c, *_pack(term), *term) for term, c in self.terms.items()]
-            index = (rows, max((_mono_code(row[4])[1] - row[1] for row in rows), default=None))
+            index = (rows, max((_mono_code(row[3])[1] - row[1] for row in rows), default=None))
         elif key == "hits":
-            listed, degree = [], 0
-            for c, psum, code, mcode, mult, _parts in self._lazy("packed")[0]:
-                hits = [(n, hit, code - hit, fall)
-                        for n, hit, _w, fall, _ways in _packed_hits(mult, inf)]
-                listed.append((c, psum, mcode, hits))
-                degree = max(degree, hits[-1][0])
-            index = (listed, degree)
-        elif key == "mask":
-            index = 255 * sum(self._lazy(1))
+            index = [{}]
+            for c, psum, code, mult, _parts in self._lazy("packed")[0]:
+                for n, hit, _w, fall, _ways in _packed_hits(mult, inf):
+                    if n == len(index):  # _packed_hits reaches each size after size n - 1
+                        index.append({})
+                    index[n].setdefault(hit, []).append((psum, code - hit, c * fall))
         else:
             index = {}
-            for c, psum, code, _mcode, _mult, parts in self._lazy("packed")[0]:
+            for c, psum, code, _mult, parts in self._lazy("packed")[0]:
                 for n, hit, w, _fall, ways in _packed_hits(parts, key):
                     if n == key:
                         index.setdefault(hit, []).append((psum - w, code - (hit << 8), ways * c))

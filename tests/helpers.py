@@ -9,7 +9,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import factorial, prod
 
 from tautjac import ideal as ideal_module
@@ -191,13 +191,32 @@ def index_multisets_oracle(count, cap):
 def pack_oracle(term):
     """Oracle for ``operators._pack``, one variable at a time: the exponent of
     (i, k) in byte 2v of the multiplier and byte 2v + 1 of the partials, with
-    v = 2(i - 1) + (k == 'q'), as (partial index-sum, term code, multiplier code)."""
+    v = 2(i - 1) + (k == 'q'), as (partial index-sum, term code)."""
     codes = [0, 0]
     for side, mono in enumerate(term):
         for i, k, e in mono:
             v = 2 * (i - 1) + (k == Q_KIND)
             codes[side] |= e << 8 * (2 * v + side)
-    return sum(i * e for i, _k, e in term[1]), codes[0] | codes[1], codes[0]
+    return sum(i * e for i, _k, e in term[1]), codes[0] | codes[1]
+
+
+def hits_oracle(op):
+    """Oracle for ``Operator._lazy("hits")``, one variable at a time: each
+    sub-multiset (hit) of each multiplier is a choice of how many factors
+    of each variable to take, and each hit size n maps the hit's code to
+    the sorted [(partial index-sum, code of the term without the hit,
+    coeff times the falling factorials)], codes from ``pack_oracle``."""
+    tables = {}
+    for (mult, parts), c in op.terms.items():
+        for picks in product(*(range(e + 1) for _i, _k, e in mult)):
+            hit = tuple((i, k, j) for (i, k, _e), j in zip(mult, picks) if j)
+            rest = tuple((i, k, e - j) for (i, k, e), j in zip(mult, picks) if j < e)
+            fall = prod(factorial(e) // factorial(e - j) for (_i, _k, e), j in zip(mult, picks))
+            hit_code = pack_oracle((hit, ()))[1]
+            table = tables.setdefault(sum(picks), {})
+            table.setdefault(hit_code, []).append((*pack_oracle((rest, parts)), c * fall))
+    return [{hit: sorted(entries) for hit, entries in tables.get(n, {}).items()}
+            for n in range(max(tables, default=0) + 1)]
 
 
 def all_monomials_up_to(w):

@@ -10,6 +10,7 @@ from helpers import (
     ApplyOracle,
     all_monomials_up_to,
     equal_within,
+    hits_oracle,
     index_multisets_oracle,
     pack_oracle,
     residual_oracle,
@@ -106,6 +107,12 @@ def test_field_weight_shifts_uniform():
             opd = density_op(m, n, ctx)
             if not opd.is_zero():
                 assert opd.weight_shifts() == [n], (m, n)
+    # members build past the packing bound (d(p1)^128): only products refuse
+    ctx = LieContext(2, 129)
+    for op, shift in [(field_op(128, 1, ctx), 0), (density_op(128, 0, ctx), 0)]:
+        assert op.weight_shifts() == [shift]
+        with pytest.raises(InvalidParameter, match="packing bound"):
+            op.commutator(mul_op(p(1)))
 
 
 def test_density_constructors():
@@ -302,14 +309,21 @@ def test_genus_residuals_match_direct_brackets(kind):
             res, w = _residual(*_bracket_identity(kind, a, b, parts), window)
             assert w == (window if bracket.window is None else max(bracket.window, 0))
             direct = (bracket - expected).truncated(w)
-            assert _at_genus(res, g).terms == direct.terms, (kind, a, b, g)
+            got = {} if res is None else _at_genus(res, g).terms
+            assert got == direct.terms, (kind, a, b, g)
 
 
 def _assert_residual_matches_oracle(x, y, rhs, parts):
+    # a residual that cancelled is reported as None, undecoded: the
+    # oracle's parts must then all be zero, at the same checked window
     res, w = _residual(x, y, rhs, parts.window)
     expected, ew = residual_oracle(x, y, rhs, parts.window)
     assert w == ew
-    assert [(r.terms, r.window) for r in res] == [(r.terms, r.window) for r in expected]
+    if res is None:
+        assert not any(r.terms for r in expected)
+    else:
+        assert any(r.terms for r in res)
+        assert [(r.terms, r.window) for r in res] == [(r.terms, r.window) for r in expected]
     return res
 
 
@@ -341,19 +355,27 @@ def test_residual_matches_operator_arithmetic_oracle():
     # so the g^2 part is cut at the checked window; and a negative
     # commutator window (p5. against D at window 2), raised to 0
     a, b = field11
+    # [A, f] = 2f for field(1,1) = A + g id, so with c = 2 every part
+    # cancels within its cut, and c = 3 leaves -f to read the cuts from
     left = (a.truncated(5), Operator.zero(3))
     rhs = [(2, (f[0].truncated(4), f[1].truncated(3)))]
+    assert _assert_residual_matches_oracle(left, f, rhs, parts) is None
+    rhs = [(3, (f[0].truncated(4), f[1].truncated(3)))]
     res = _assert_residual_matches_oracle(left, f, rhs, parts)
     assert [r.window for r in res] == [4, 3, 5]
     x, y = parts("field", 2, 1), parts("field", 1, 2)
     _assert_residual_matches_oracle(x, y, [(1, (a.truncated(4), b))], parts)
     small = _GenusParts(2)
-    res = _assert_residual_matches_oracle(small("field", 0, 6), small("descent"), [], small)
+    x, y = small("field", 0, 6), small("descent")
+    assert _assert_residual_matches_oracle(x, y, [], small) is None
+    # a g^2 right-hand side with no partials stays within the raised cut
+    rhs = [(1, (Operator.zero(), Operator.zero(), mul_op(p(1))))]
+    res = _assert_residual_matches_oracle(x, y, rhs, small)
     assert [r.window for r in res] == [-3, -3, 0]
 
 
-def test_residual_matches_oracle_on_a_planted_fault(monkeypatch):
-    # a wrong term in field(1,2) leaves nonzero residuals to compare
+def _plant_field_fault(monkeypatch):
+    """A wrong term in field(1,2), so some residuals do not cancel."""
     build = lie._BUILDERS["field"]
 
     def planted(m, n, parts):
@@ -363,13 +385,72 @@ def test_residual_matches_oracle_on_a_planted_fault(monkeypatch):
         return a, b
 
     monkeypatch.setitem(lie._BUILDERS, "field", planted)
+
+
+def test_residual_matches_oracle_on_a_planted_fault(monkeypatch):
+    # a wrong term in field(1,2) leaves nonzero residuals to compare
+    _plant_field_fault(monkeypatch)
     parts = _GenusParts(9)
     nonzero = 0
     for kind in ("field_field", "field_density"):
         for a, b in _bracket_pairs(kind, 5):
             res = _assert_residual_matches_oracle(*_bracket_identity(kind, a, b, parts), parts)
-            nonzero += any(r.terms for r in res)
+            nonzero += res is not None
     assert nonzero >= 10
+
+
+def _spy_suite(monkeypatch):
+    """Run the verify_suite sweep with no member live, logging each residual
+    as (its arguments, its parts, how many parts it decoded), and counting
+    the ``_contract`` calls; returns (summary, log, contract calls)."""
+    monkeypatch.setattr(lie, "_LIVE_PARTS", weakref.WeakValueDictionary())
+    log, decoded, contracts = [], [], []
+    residual, decode, contract = lie._residual, lie._decoded, Operator._contract
+
+    def spy_residual(*args):
+        before = len(decoded)
+        res, w = residual(*args)
+        log.append((args, res, len(decoded) - before))
+        return res, w
+
+    monkeypatch.setattr(lie, "_residual", spy_residual)
+    monkeypatch.setattr(lie, "_decoded", lambda *args: decoded.append(args) or decode(*args))
+    monkeypatch.setattr(Operator, "_contract", lambda *args: contracts.append(1) or contract(*args))
+    return run_bracket_suite([2, 3, 5, 10], 5, 9), log, len(contracts)
+
+
+def test_suite_work_is_pinned(monkeypatch):
+    # the verify_suite sweep makes 1,636 contractions, and every residual
+    # of the 741 identities cancels, so none is decoded
+    summary, log, contracts = _spy_suite(monkeypatch)
+    assert summary["checked"] == 2964 and not summary["failures"]
+    assert contracts == 1636
+    assert len(log) == 741 and all(res is None and not n for _args, res, n in log)
+
+
+# sha256 of the JSON (sorted keys) of the planted suite's failure entries,
+# as the kernel reported them before the hit-code join
+PLANTED_FAILURES_DIGEST = "95a58a87f7097044cf10f5dd4c23ec58b434738a2bba9c3c8c86e8a2ddbc6df4"
+
+
+def test_suite_decodes_exactly_the_residuals_that_do_not_cancel(monkeypatch):
+    # under the planted fault the sweep decodes each part of every residual
+    # that does not cancel (the oracle's parts are not all zero), nothing
+    # of the others, and reports the same failure entries byte for byte:
+    # the 31 identities that do not hold, at each of the 4 genera
+    _plant_field_fault(monkeypatch)
+    summary, log, contracts = _spy_suite(monkeypatch)
+    assert contracts == 1636 and len(log) == 741
+    nonzero = 0
+    for (x, y, rhs, fallback), res, n in log:
+        expected, _w = residual_oracle(x, y, rhs, fallback)
+        assert (res is not None) == any(r.terms for r in expected), (x, y, rhs)
+        assert n == (0 if res is None else len(res))
+        nonzero += res is not None
+    assert nonzero == 31
+    text = json.dumps(summary["failures"], sort_keys=True)
+    assert len(summary["failures"]) == 124
+    assert hashlib.sha256(text.encode()).hexdigest() == PLANTED_FAILURES_DIGEST
 
 
 def test_members_live_no_longer_than_their_users(monkeypatch):
@@ -476,19 +557,22 @@ def test_suite_builds_each_table_entry_once(monkeypatch):
 
 def test_pack_matches_per_variable_oracle_on_the_suite(monkeypatch):
     # every term of the suite's operators against packing one variable at
-    # a time; the packed table's largest shift and the partial-variable
-    # mask against the terms
+    # a time; the packed table's largest shift against the terms, and each
+    # of the 41 hit tables against one built a variable at a time
     ops = _suite_operators(monkeypatch)
     assert len(ops) == 89
+    hit_indexed = 0
     for op in ops:
         for term in op.terms:
             assert _pack(term) == pack_oracle(term), term
         shifts = [term_weight_shift(term) for term in op.terms]
         assert op._lazy("packed")[1] == max(shifts)
-        if "mask" in op._cache:
-            variables = {(i, k) for _mult, parts in op.terms for i, k, _e in parts}
-            units = [pack_oracle((((i, k, 1),), ()))[2] for i, k in variables]
-            assert op._cache["mask"] == 255 * sum(units)
+        if "hits" in op._cache:
+            hit_indexed += 1
+            got = [{hit: sorted(entries) for hit, entries in table.items()}
+                   for table in op._cache["hits"]]
+            assert got == hits_oracle(op), op
+    assert hit_indexed == 41
 
 
 def test_index_multisets_match_combinations_oracle():

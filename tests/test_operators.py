@@ -144,10 +144,11 @@ def test_products_match_oracle_on_windowed_and_unbounded_pairs():
     unbounded = mul_op(p(2) * q(1) + 3 * p(1) ** 2)
     limit = a.commutator(b).window - 1
     cut = False
-    for _c, bsum, _mcode, hits in b._lazy("hits")[0]:
-        for size, hit, _code, _factor in hits[1:]:
+    for size, table in enumerate(b._lazy("hits")[1:], 1):
+        for hit, entries in table.items():
             lsums = [lsum for lsum, _code, _ac in a._lazy(size).get(hit, ())]
-            cut |= bool(lsums) and min(lsums) <= limit - bsum < max(lsums)
+            for bsum, _code, _bc in entries:
+                cut |= bool(lsums) and min(lsums) <= limit - bsum < max(lsums)
     assert cut
     oracle = ApplyOracle()
     for x, y in [(a, b), (b, a), (a, unbounded), (unbounded, b), (unbounded, Operator.derivative("p1", "q1"))]:
