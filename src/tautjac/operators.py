@@ -17,22 +17,24 @@ window.
 Every product is the Leibniz rule, read from indexes each operator
 builds on first use.  ``apply`` looks up each sub-multiset of a monomial
 (up to the largest number of partials) among the terms whose partials
-equal it.  Products read one packed term table per operator: a term is
-one int, the exponent of (i, k) in byte 2v of the multiplier and 2v + 1
-of the partials, v = 2(i - 1) + (k == 'q'), so multiplying terms adds
-codes; exponents >= ``EXPONENT_BOUND`` = 128 raise
-:class:`InvalidParameter`, so no sum carries.  A monomial's code and
-weight, and its sub-multisets up to a size, are per-process tables that
-every operator shares (they hold monomials, never an operator).  A
-product a o b is a join on hit codes: b's hit table sends the code of
-each sub-multiset (*hit*) of each of its multipliers to the terms that
-hold it, a's Leibniz table for hits of that many factors sends it to the
-terms whose partials hold it, and only codes in both are visited.  The
-empty hit gives the uncontracted products, the others the contraction
-terms.  Those of a o b and b o a agree, so a commutator adds only
-contraction terms, up to a partial index-sum, into a term dict the
-caller may share.  A sum whose entries all cancelled is the zero
-operator, with no decoding pass.
+equal it.  Products read one packed term table per operator, in rows by
+partial index-sum: a term is one int, the exponent of (i, k) in byte 2v
+of the multiplier and 2v + 1 of the partials, v = 2(i - 1) + (k == 'q'),
+so multiplying terms adds codes; exponents >= ``EXPONENT_BOUND`` = 128
+raise :class:`InvalidParameter`, so no sum carries.  A monomial's code
+and weight, and its sub-multisets up to a size, are per-process tables
+that every operator shares (they hold monomials, never an operator).
+The contraction terms of a o b are a join on hit codes: b's hit table
+sends the code of each nonempty sub-multiset (*hit*) of each multiplier
+to the terms that hold it, in row order, a's Leibniz table for hits of
+that many factors to the terms whose partials hold it, by the index-sum
+left, and only codes in both are visited.  The uncontracted products of
+a o b and b o a agree: only ``compose`` forms them, from the packed
+rows, so a commutator adds contraction terms alone, up to a partial
+index-sum, into a term dict the caller may share.  Every such loop stops
+at its cut: right entries at the first that meets no left entry, left
+entries and rows at the first above it.  A sum whose entries all
+cancelled is the zero operator, with no decoding pass.
 
 The term map is cleaned, merged and printed by helpers shared with
 ``Poly`` (:mod:`tautjac.poly`); windows and ``d(..)`` factors are this module's own.
@@ -49,9 +51,9 @@ from .poly import (MONO_ONE, P_KIND, Q_KIND, Poly, merged_terms, mono_mul, mono_
 EXPONENT_BOUND = 128  # half the range of a byte field: a sum of two never carries
 
 
-def _min_window(*windows):
-    finite = [w for w in windows if w is not None]
-    return min(finite) if finite else None
+def _min_window(a, b):
+    """The smaller of two windows, None (unbounded) being the larger."""
+    return b if a is None else a if b is None or a < b else b
 
 
 def _compose_window(a, b):
@@ -244,7 +246,9 @@ class Operator:
         """
         win = _compose_window(self, other)
         out = {}
-        self._contract(other, win, out, 1, 0)
+        for bc, bsum, bcode, _mult, _parts in other._lazy("packed")[0]:  # the empty hit
+            self._add_into(out, bc, inf if win is None else win - bsum, bcode)
+        self._contract(other, win, out, 1)
         return _decoded(out, win)
 
     def __matmul__(self, other):
@@ -263,28 +267,34 @@ class Operator:
 
     def _commute_into(self, other, out, limit):
         """Add the terms of [self, other] up to ``limit`` into ``out``."""
-        self._contract(other, limit, out, 1, 1)
-        other._contract(self, limit, out, -1, 1)
+        self._contract(other, limit, out, 1)
+        other._contract(self, limit, out, -1)
 
-    def _add_into(self, out, scale, limit):
-        """Add ``scale`` times self's terms up to ``limit`` into ``out``."""
-        for c, psum, code, *_rest in self._lazy("packed")[0]:
-            if psum <= limit:
-                out[code] = out.get(code, 0) + scale * c
+    def _add_into(self, out, scale, limit, shift=0):
+        """Add ``scale`` times self's terms up to ``limit``, each times the
+        term of code ``shift`` (uncontracted), into ``out``."""
+        for c, psum, code, _mult, _parts in self._lazy("packed")[0]:
+            if psum > limit:
+                break  # rows are sorted by psum
+            code += shift
+            out[code] = out.get(code, 0) + scale * c
 
-    def _contract(self, other, limit, out, sign, first):
-        """Add ``sign`` times the terms of self o other with partial index-sum
-        <= ``limit`` (all when None) into ``out``; with ``first`` 1, only the
-        contraction terms.  For each hit size, other's hit table is joined
-        with self's Leibniz table on the hit codes both hold."""
-        get = out.get
-        for size, rights in enumerate(other._lazy("hits")[first:], first):
+    def _contract(self, other, limit, out, sign):
+        """Add ``sign`` times the contraction terms of self o other with
+        partial index-sum <= ``limit`` (all when None) into ``out``.  For
+        each hit size, other's hit table is joined with self's Leibniz
+        table on the hit codes both hold."""
+        get, limit = out.get, inf if limit is None else limit
+        for size, rights in other._lazy("hits").items():
             lefts_by_hit = self._lazy(size)
             for hit in rights.keys() & lefts_by_hit.keys():
                 lefts = lefts_by_hit[hit]
+                top = limit - lefts[0][0]
                 for bsum, bcode, bc in rights[hit]:
+                    if bsum > top:
+                        break  # sorted by bsum: no later entry meets a left entry
                     bc *= sign
-                    cut = inf if limit is None else limit - bsum
+                    cut = limit - bsum
                     for lsum, acode, ac in lefts:
                         if lsum > cut:
                             break  # entries are sorted by lsum
@@ -295,14 +305,16 @@ class Operator:
         """Self's index ``key``, built on first use and kept with self.
         ``"apply"``: partials -> [(multiplier, coeff)], and the largest number
         of partials.  ``"packed"``, the one index that packs: the terms as
-        (coeff, partial index-sum, code, multiplier, partials),
-        and the largest weight shift.  ``"hits"``, for right operands of
-        products: for each hit size n, the code of each n-factor hit of each
-        term's multiplier -> [(partial index-sum, code of the term without
-        the hit, coeff times the falling factorials)].  An int k:
+        (coeff, partial index-sum, code, multiplier, partials) stably sorted
+        by index-sum, and the largest weight shift.  ``"hits"``, for right
+        operands of contractions: hit size n >= 1 -> the code of each n-factor
+        hit of each term's multiplier -> [(partial index-sum, code of the term
+        without the hit, coeff times the falling factorials)] in row order;
+        ``compose`` reads the empty hit from the packed rows.  An int k:
         the Leibniz table, code of each k-factor hit of each term's partials ->
         [(index-sum of the partials left, code of the term with them, coeff
-        times the ways to pick the hit)] by that index-sum."""
+        times the ways to pick the hit)] in row order, so by that index-sum
+        (the hit's own index-sum is fixed by its code)."""
         index = self._cache.get(key)
         if index is not None:
             return index
@@ -311,23 +323,20 @@ class Operator:
             for (mult, parts), c in self.terms.items():
                 index[0].setdefault(parts, []).append((mult, c))
         elif key == "packed":
-            rows = [(c, *_pack(term), *term) for term, c in self.terms.items()]
+            rows = sorted(((c, *_pack(term), *term) for term, c in self.terms.items()),
+                          key=lambda row: row[1])
             index = (rows, max((_mono_code(row[3])[1] - row[1] for row in rows), default=None))
         elif key == "hits":
-            index = [{}]
+            index = {}
             for c, psum, code, mult, _parts in self._lazy("packed")[0]:
-                for n, hit, _w, fall, _ways in _packed_hits(mult, inf):
-                    if n == len(index):  # _packed_hits reaches each size after size n - 1
-                        index.append({})
-                    index[n].setdefault(hit, []).append((psum, code - hit, c * fall))
+                for n, hit, _w, fall, _ways in _packed_hits(mult, inf)[1:]:
+                    index.setdefault(n, {}).setdefault(hit, []).append((psum, code - hit, c * fall))
         else:
             index = {}
             for c, psum, code, _mult, parts in self._lazy("packed")[0]:
                 for n, hit, w, _fall, ways in _packed_hits(parts, key):
                     if n == key:
                         index.setdefault(hit, []).append((psum - w, code - (hit << 8), ways * c))
-            for entries in index.values():
-                entries.sort(key=lambda entry: entry[0])
         self._cache[key] = index
         return index
 

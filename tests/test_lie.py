@@ -3,6 +3,7 @@ import hashlib
 import json
 import weakref
 from math import comb, factorial, inf
+from types import SimpleNamespace
 
 import pytest
 
@@ -419,13 +420,86 @@ def _spy_suite(monkeypatch):
     return run_bracket_suite([2, 3, 5, 10], 5, 9), log, len(contracts)
 
 
+class _Counted(list):
+    """A table's entry list that tallies the entries loops read from it,
+    the loops over it, and the loops that reached its end (the others
+    stopped early, at the last entry they read)."""
+
+    def __init__(self, entries, tally):
+        super().__init__(entries)
+        self.tally = tally
+
+    def __iter__(self):
+        self.tally["loops"] += 1
+        for entry in list.__iter__(self):
+            self.tally["read"] += 1
+            yield entry
+        self.tally["ends"] += 1
+
+
+def _used(tally):
+    """Entries read and not stopped at."""
+    return tally["read"] - (tally["loops"] - tally["ends"])
+
+
+def _count_kernel_work(monkeypatch):
+    """Tally the entries the product kernel reads: the hit tables' right
+    entries and the Leibniz tables' left entries in ``_contract``, and the
+    packed rows in ``_add_into``; returns (rights, lefts, rows, the
+    operators given a hit table)."""
+    rights, lefts, rows = ({"loops": 0, "read": 0, "ends": 0} for _ in range(3))
+    hit_ops = {}
+    lazy, add_into = Operator._lazy, Operator._add_into
+
+    def count(tables, tally):
+        for table in tables:
+            for hit, entries in table.items():
+                if not isinstance(entries, _Counted):
+                    table[hit] = _Counted(entries, tally)
+
+    def spy_lazy(op, key):
+        index = lazy(op, key)
+        if key == "hits":
+            hit_ops[id(op)] = op
+            count(index.values(), rights)
+        elif isinstance(key, int):
+            count([index], lefts)
+        return index
+
+    def spy_add_into(op, out, scale, limit, shift=0):
+        packed = op._lazy("packed")
+        view = SimpleNamespace(_lazy=lambda _key: (_Counted(packed[0], rows), packed[1]))
+        return add_into(view, out, scale, limit, shift)
+
+    monkeypatch.setattr(Operator, "_lazy", spy_lazy)
+    monkeypatch.setattr(Operator, "_add_into", spy_add_into)
+    return rights, lefts, rows, hit_ops
+
+
 def test_suite_work_is_pinned(monkeypatch):
     # the verify_suite sweep makes 1,636 contractions, and every residual
     # of the 741 identities cancels, so none is decoded
+    rights, lefts, rows, hit_ops = _count_kernel_work(monkeypatch)
     summary, log, contracts = _spy_suite(monkeypatch)
     assert summary["checked"] == 2964 and not summary["failures"]
     assert contracts == 1636
     assert len(log) == 741 and all(res is None and not n for _args, res, n in log)
+    # the contractions use 8,749 right entries and read 553 more, each
+    # stopping its loop (before the hit lists were sorted by partial
+    # index-sum: 11,853 read and used, 3,104 of them making no product);
+    # they make 26,259 products from 28,467 left entries read (31,571)
+    assert (_used(rights), rights["read"]) == (8749, 9302)
+    assert (_used(lefts), lefts["read"]) == (26259, 28467)
+    # the 450 right-hand-side sums add 6,861 rows and read 7,211: the rows
+    # they add and one stopping row in 350 calls (11,940 read before the
+    # rows were sorted)
+    assert rows["loops"] == 450 and (_used(rows), rows["read"]) == (6861, 7211)
+    # the 41 right operands' hit tables hold 1,084 entries, none for the
+    # empty hit (2,171 while the size-0 table was built)
+    assert len(hit_ops) == 41
+    assert sum(len(entries) for op in hit_ops.values()
+               for table in op._cache["hits"].values() for entries in table.values()) == 1084
+    assert not any(0 in op._cache["hits"] for op in hit_ops.values())
 
 
 # sha256 of the JSON (sorted keys) of the planted suite's failure entries,
@@ -557,21 +631,34 @@ def test_suite_builds_each_table_entry_once(monkeypatch):
 
 def test_pack_matches_per_variable_oracle_on_the_suite(monkeypatch):
     # every term of the suite's operators against packing one variable at
-    # a time; the packed table's largest shift against the terms, and each
-    # of the 41 hit tables against one built a variable at a time
+    # a time; the packed rows are the terms in partial index-sum order, and
+    # the table's largest shift is theirs; every Leibniz entry list is in
+    # that order, and so is every entry list of the 41 hit tables, each
+    # against one built a variable at a time for hits of one factor or
+    # more, with no table for the empty hit
     ops = _suite_operators(monkeypatch)
     assert len(ops) == 89
     hit_indexed = 0
     for op in ops:
         for term in op.terms:
             assert _pack(term) == pack_oracle(term), term
-        shifts = [term_weight_shift(term) for term in op.terms]
-        assert op._lazy("packed")[1] == max(shifts)
+        rows, shift = op._lazy("packed")
+        assert sorted(row[3:] for row in rows) == sorted(op.terms)
+        assert [row[1] for row in rows] == sorted(pack_oracle(term)[0] for term in op.terms)
+        assert shift == max(term_weight_shift(term) for term in op.terms)
+        for size in (key for key in op._cache if isinstance(key, int)):
+            for entries in op._cache[size].values():
+                assert [e[0] for e in entries] == sorted(e[0] for e in entries), op
         if "hits" in op._cache:
             hit_indexed += 1
-            got = [{hit: sorted(entries) for hit, entries in table.items()}
-                   for table in op._cache["hits"]]
-            assert got == hits_oracle(op), op
+            tables = op._cache["hits"]
+            for table in tables.values():
+                for entries in table.values():
+                    assert [e[0] for e in entries] == sorted(e[0] for e in entries), op
+            got = {n: {hit: sorted(entries) for hit, entries in table.items()}
+                   for n, table in tables.items()}
+            assert 0 not in got
+            assert got == {n: table for n, table in enumerate(hits_oracle(op)) if n}, op
     assert hit_indexed == 41
 
 

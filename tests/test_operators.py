@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import inf
 
 import pytest
 
@@ -10,11 +11,13 @@ from helpers import (
     mono_from_str,
     random_operator,
     random_poly,
+    residual_oracle,
     seeded,
 )
 from tautjac.errors import InvalidParameter, WindowExceeded
 from tautjac.lie import (
     LieContext,
+    _residual,
     density_op,
     density_params,
     descent_op,
@@ -144,7 +147,7 @@ def test_products_match_oracle_on_windowed_and_unbounded_pairs():
     unbounded = mul_op(p(2) * q(1) + 3 * p(1) ** 2)
     limit = a.commutator(b).window - 1
     cut = False
-    for size, table in enumerate(b._lazy("hits")[1:], 1):
+    for size, table in b._lazy("hits").items():
         for hit, entries in table.items():
             lsums = [lsum for lsum, _code, _ac in a._lazy(size).get(hit, ())]
             for bsum, _code, _bc in entries:
@@ -163,6 +166,106 @@ def test_products_match_oracle_on_windowed_and_unbounded_pairs():
             assert bracket.apply(f) == oracle.commutator(x, y, f), (x, y, f)
             if f.max_weight() < top:
                 assert _decoded(out, top - 1).apply(f) == oracle.commutator(x, y, f), (x, y, f)
+
+
+def _cut_cases():
+    """Windowed members at window 6 and at window 2 (where some products
+    have a negative window), unbounded operators, and one with repeated
+    variables, so hits of two and three factors."""
+    ctx, small = LieContext(3, 6), LieContext(2, 2)
+    mono = mono_from_str
+    return [
+        field_op(3, 1, ctx), field_op(1, 3, ctx), density_op(2, 2, ctx), descent_op(ctx),
+        field_op(0, 6, small), descent_op(small),
+        mul_op(p(2) * q(1) + 3 * p(1) ** 2), Operator.derivative("p1", "q1"),
+        Operator({(mono("p1^3"), mono("p1^2")): 7, (mono("q1^2*p2"), mono("q1^3")): -1}),
+    ]
+
+
+def _contraction_floor(x, y):
+    """The smallest partial index-sum of a contraction term of x o y (inf
+    when there is none): over the hit codes both tables hold, the smallest
+    right and left index-sums, found without relying on their order."""
+    return min((min(e[0] for e in rights[hit]) + min(e[0] for e in x._lazy(size)[hit])
+                for size, rights in y._lazy("hits").items()
+                for hit in rights.keys() & x._lazy(size).keys()), default=inf)
+
+
+def _terms_within(op, w):
+    return op.terms if w is None else op.truncated(w).terms
+
+
+def test_contract_stops_match_oracles():
+    # commutators summed below their smallest contraction term (every
+    # right entry list stops at its first entry), at a negative limit, at
+    # that smallest term and with no limit, against the public commutator
+    # truncated, the residual oracle and products through apply alone
+    ops = _cut_cases()
+    oracle = ApplyOracle()
+    joined = 0
+    for x in ops:
+        for y in ops:
+            bracket, diff = x.commutator(y), (x @ y) - (y @ x)
+            assert bracket == (diff if diff.window is None else diff.truncated(diff.window))
+            floor = min(_contraction_floor(x, y), _contraction_floor(y, x))
+            if floor == inf:
+                assert bracket.is_zero()
+                continue
+            joined += 1
+            top = 5 if bracket.window is None else min(bracket.window, 5)
+            for limit in (floor - 1, -1, floor, None):
+                out = {}
+                x._commute_into(y, out, limit)
+                got, w = _decoded(out, limit), _min_window(limit, bracket.window)
+                assert _terms_within(got, w) == _terms_within(bracket, w), (x, y, limit)
+                assert bool(out) == (limit is None or limit >= floor), (x, y, limit)
+                for f in all_monomials_up_to(top if limit is None else min(top, limit)):
+                    assert got.apply(f) == oracle.commutator(x, y, f), (x, y, limit, f)
+            res, w = _residual((x,), (y,), [], 6)
+            expected, ew = residual_oracle((x,), (y,), [], 6)
+            assert w == ew
+            assert [r.terms for r in res or [Operator.zero()]] == [r.terms for r in expected]
+    assert joined >= 40
+
+
+def test_add_into_stops_at_every_limit():
+    # a right-hand-side sum reads the packed rows in partial index-sum
+    # order and stops at the first one above its limit: at every limit
+    # from -1 to the window (or the largest index-sum), the terms it adds
+    # are the scaled operator truncated there
+    stopped = 0
+    for op in _cut_cases():
+        sums = [_pack(term)[0] for term in op.terms]
+        top = max(sums) if op.window is None else op.window
+        for limit in range(-1, top + 1):
+            for scale in (1, -3, Fraction(1, 2)):
+                out = {}
+                op._add_into(out, scale, limit)
+                assert _decoded(out, limit).terms == (scale * op).truncated(limit).terms
+            stopped += min(sums) <= limit < max(sums)
+    assert stopped >= 10
+
+
+def test_compose_reads_uncontracted_products_from_packed_rows():
+    # x o y, its uncontracted products read from the packed rows and cut
+    # at its window: windowed pairs (some cut inside the rows, one with a
+    # negative window) and unbounded ones, against products through apply
+    # alone; no term lies above the window
+    ops = _cut_cases()
+    oracle = ApplyOracle()
+    cut = negative = 0
+    for x in ops:
+        for y in ops:
+            xy = x @ y
+            win = xy.window
+            if win is not None:
+                assert all(_pack(term)[0] <= win for term in xy.terms), (x, y)
+                sums = [_pack(a)[0] + _pack(b)[0] for a in x.terms for b in y.terms]
+                cut += min(sums) <= win < max(sums)
+                negative += win < 0
+            for f in all_monomials_up_to(5 if win is None else min(win, 5)):
+                assert xy.apply(f) == oracle.apply(x, oracle.apply(y, f)), (x, y, f)
+    assert cut >= 10 and negative >= 1
 
 
 def test_packing_bound_is_exact_or_refuses():
