@@ -289,9 +289,13 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # exact input, exact output: lift CPython 3.11+'s 4,300-digit int <-> str limit
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ParseError as err:
         print("expression error: %s" % err, file=sys.stderr)
@@ -304,6 +308,9 @@ def main(argv=None):
     except TautjacError as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,9 @@ and op(n,m), combined with those of S and S^{-1}.  Column combinations
 run fraction free; a public method's result is divided once, at the
 end.  The Pontryagin product is a * b = S^{-1}(S(a) S(b)); S(a) and
 S(b) are normal forms, so only their term pairs of total weight at most
-g are multiplied.
+g are multiplied; before either is formed, the product is 0 if the
+least row weight in the S columns of a's monomials plus that of b's
+exceeds g (read from the columns, never from the degree law).
 """
 
 from functools import cached_property
@@ -42,6 +44,11 @@ __all__ = [
 ]
 
 _P1 = ((1, P_KIND, 1),)
+
+
+def _check_poly(f):
+    if not isinstance(f, Poly):
+        raise InvalidParameter("expected a Poly, got %s" % type(f).__name__)
 
 
 def _combine(columns, vec):
@@ -148,12 +155,9 @@ class FourierMap:
 
     def __init__(self, ideal):
         self.ideal = ideal
+        self.genus = ideal.genus
         self.ctx = LieContext(ideal.genus, ideal.genus)
         self._members = {}  # (family, m, n) -> the member's scaled column map
-
-    @property
-    def genus(self):
-        return self.ideal.genus
 
     def _columns(self, image):
         """A linear map on the quotient as (scale, integer column map):
@@ -182,12 +186,23 @@ class FourierMap:
         g = self.genus
         return {m: (w, s, -1 if (g + s) % 2 else 1) for w, s, m in self.quotient_basis()}
 
+    @cached_property
+    def _column_lows(self):
+        """Basis monomial -> the least row weight of its column of S (g + 1 if empty)."""
+        empty = self.genus + 1
+        return {m: min(map(mono_weight, col), default=empty) for m, col in self._s_map[1].items()}
+
+    def _lowest_image_weight(self, f):
+        """A lower bound on the weights of S(f): -1 if f has a monomial off
+        the basis (its reduction is not read), g + 1 for f = 0."""
+        _check_poly(f)
+        return min((self._column_lows.get(m, -1) for m in f.terms), default=self.genus + 1)
+
     def _image(self, f):
         """S(f) as (integer vector, divisor): the columns of S combined
         over f cleared of denominators, reduced unless it is already a
         combination of basis monomials."""
-        if not isinstance(f, Poly):
-            raise InvalidParameter("expected a Poly, got %s" % type(f).__name__)
+        _check_poly(f)
         scale, cols = self._s_map
         den = lcm(*[c.denominator for c in f.terms.values()])
         vec = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
@@ -212,14 +227,18 @@ class FourierMap:
         return self._divided(*self._image(f), inverse=True)
 
     def pontryagin(self, a, b):
-        """Convolution product: S^{-1}(S(a) S(b)).  S(a) and S(b) stay
-        integer vectors, and only their term pairs of total weight <= g
-        are multiplied (the ideal sends every heavier product to 0);
-        S^{-1} of the product's reduction is divided once."""
+        """Convolution product: S^{-1}(S(a) S(b)).  It is 0, no image
+        formed, when the least weights S(a) and S(b) can have (read from
+        S's columns) sum above g.  Else only the term pairs of total weight
+        <= g of the integer images are multiplied (the ideal kills every
+        heavier one), and S^{-1} of the product's reduction is divided once."""
+        g = self.genus
+        if self._lowest_image_weight(a) + self._lowest_image_weight(b) > g:
+            return Poly()
         (left, l_div), (right, r_div) = self._image(a), self._image(b)
         grading, out = self._bidegrees, {}
         for ma, ca in left.items():
-            room = self.genus - grading[ma][0]
+            room = g - grading[ma][0]
             for mb, cb in right.items():
                 if grading[mb][0] <= room:
                     m = mono_mul(ma, mb)

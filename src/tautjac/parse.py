@@ -9,9 +9,10 @@ Grammar (standard precedence ^ > * > binary +/-, left associative):
 
 NUMBER is an integer or a rational literal "a/b" ('/' has no other
 meaning); VARIABLE is p<k> or q<k> with k >= 1 (q0 is rejected with an
-explanation of the genus convention).  The canonical text form produced
-by Poly.__str__ parses back to the same polynomial, and the Unicode
-minus sign is accepted as an alias for '-'.
+explanation of the genus convention).  Digits are ASCII 0-9; a digit
+of another script is an unexpected character.  The canonical text
+form produced by Poly.__str__ parses back to the same polynomial, and
+the Unicode minus sign is accepted as an alias for '-'.
 """
 
 from fractions import Fraction
@@ -23,6 +24,9 @@ _MINUS = "−"  # accepted alias for '-'
 
 
 def _tokenize(src):
+    for i, ch in enumerate(src):  # str.isdecimal() below accepts every script's digits
+        if ch.isdecimal() and not ch.isascii():
+            raise ParseError("unexpected character %r" % ch, i)
     tokens = []
     i = 0
     n = len(src)
@@ -67,14 +71,9 @@ def _tokenize(src):
             i = j
             continue
         if ch in "pq":
-            j = i + 1
-            while j < n and src[j].isdecimal():
-                j += 1
-            if j == i + 1:
-                raise ParseError(
-                    "variable %r needs an index" % ch, i, expected=("index",)
-                )
-            index = int(src[i + 1 : j])
+            if i + 1 == n or not src[i + 1].isdecimal():
+                raise ParseError("variable %r needs an index" % ch, i, expected=("index",))
+            index, j = read_int(i + 1)
             if index == 0:
                 if ch == "q":
                     raise IndexZeroError(

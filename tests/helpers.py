@@ -311,6 +311,13 @@ def pontryagin_oracle(ideal, a, b):
     return sign * minus_one_pullback(series_transform(ideal, product))
 
 
+def pontryagin_uncut(fmap, a, b):
+    """Oracle for the cut in FourierMap.pontryagin: S^-1(S(a) S(b)) from
+    the map's own transform and inverse, every term pair of the two
+    images multiplied and the product reduced by the inverse."""
+    return fmap.inverse(fmap.transform(a) * fmap.transform(b))
+
+
 def images(fmap):
     """S on the quotient basis, rationally: basis monomial -> its
     transform, in quotient_basis order."""

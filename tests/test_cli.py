@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -52,6 +53,16 @@ def test_expression_errors_exit_2(capsys):
         code, out, err = run(capsys, "member", "--genus", "2", "--expr", expr)
         assert (code, out) == (2, ""), expr
         assert err.startswith("expression error:") and err.count("\n") == 1, (expr, err)
+    # digits are ASCII 0-9: other scripts' digits pass str.isdecimal()
+    # but are unexpected characters, not silently read as 0-9
+    for expr, char, position in [
+        ("p1^\u0663 + p\uff11", "\u0663", 3), ("p\uff11", "\uff11", 1),
+        ("\u0663/4", "\u0663", 0), ("3/\u0664", "\u0664", 2), ("q\u0967", "\u0967", 1),
+    ]:
+        code, out, err = run(capsys, "member", "--genus", "2", "--expr", expr)
+        assert (code, out) == (2, ""), expr
+        assert err.startswith("expression error: unexpected character %r" % char), (expr, err)
+        assert err.endswith("(at position %d)\n" % position) and err.count("\n") == 1, (expr, err)
     # a '/' outside a rational literal names its position
     for expr, position in [("p1/2", 2), ("/3", 0)]:
         code, out, err = run(capsys, "member", "--genus", "2", "--expr", expr)
@@ -60,6 +71,22 @@ def test_expression_errors_exit_2(capsys):
             "expression error: '/' is only valid inside a rational literal"
             " like 3/4 (at position %d)\n" % position
         )
+
+
+def test_integers_past_the_str_digit_limit_are_exact(capsys):
+    # CPython 3.11+ refuses int <-> str past 4,300 digits unless lifted;
+    # the CLI lifts it while a command runs and restores it afterwards
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    literal = "7" * 5000
+    assert run(capsys, "normal-form", "--genus", "3", "--expr=" + literal) == (0, literal + "\n", "")
+    assert run(capsys, "normal-form", "--genus", "3", "--expr=p" + literal) == (0, "0\n", "")
+    code, out, err = run(
+        capsys, "dump-operator", "--genus", "3", "--op", "field", "--m", "3", "--n", "2000",
+        "--window", "2",
+    )
+    assert (code, err) == (0, "")
+    assert max(len(digits) for digits in re.findall(r"\d+", out)) == 5743
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from helpers import (
     named,
     plant_column,
     pontryagin_oracle,
+    pontryagin_uncut,
     random_poly,
     seeded,
     series_transform,
@@ -22,7 +24,7 @@ from tautjac.fourier import FourierMap, exp_apply, minus_one_pullback
 from tautjac.ideal import RelationIdeal
 from tautjac.lie import LieContext, density_op, descent_op
 from tautjac.operators import Operator, mul_op
-from tautjac.poly import Poly, enumerate_monomials, mono_str, p, q
+from tautjac.poly import Poly, enumerate_monomials, mono_str, mono_weight, p, q
 
 
 @pytest.fixture(scope="module")
@@ -394,3 +396,96 @@ def test_non_poly_arguments_are_typed_errors(fmap_g3):
     for call in calls:
         with pytest.raises(InvalidParameter, match="expected a Poly"):
             call()
+
+
+def _basis(fmap):
+    return [Poly.monomial(m) for _w, _s, m in fmap.quotient_basis()]
+
+
+def _image_low(fmap, f):
+    """The least weight of a term of S(f), from the transform itself."""
+    return min(map(mono_weight, fmap.transform(f).terms))
+
+
+@pytest.mark.parametrize("genus", [6, 7])
+def test_pontryagin_cut_matches_uncut_on_basis_pairs(genus, ideals):
+    fmap = FourierMap(ideals[genus])
+    basis = _basis(fmap)
+    nonzero = 0
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            got = fmap.pontryagin(a, b)
+            assert got == pontryagin_uncut(fmap, a, b), (a, b)
+            nonzero += bool(got)
+    assert nonzero >= len(basis)
+
+
+def test_pontryagin_cut_matches_uncut_on_mixed_inputs(ideals):
+    # a term of low S-weight beside one of high S-weight: the low one
+    # decides the cut, so products the high parts alone would cut are
+    # formed, and their rational coefficients survive exactly
+    fmap = FourierMap(ideals[6])
+    ranked = sorted(_basis(fmap), key=lambda f: _image_low(fmap, f))
+    lows, highs = ranked[:6], ranked[-6:]
+    assert [_image_low(fmap, f) for f in lows + highs[:1]] == [0, 1, 1, 2, 2, 2, 6]
+    rng = seeded(61)
+
+    def coeff():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 7))
+
+    mixed = [coeff() * low + coeff() * high for low, high in zip(lows, highs)]
+    revived = 0
+    for a, high_a in zip(mixed, highs):
+        for b, high_b in zip(mixed + highs + lows, highs * 3):
+            got = fmap.pontryagin(a, b)
+            assert got == pontryagin_uncut(fmap, a, b), (a, b)
+            assert fmap.pontryagin(b, a) == got
+            revived += bool(got) and not fmap.pontryagin(high_a, high_b)
+    assert revived == 78  # of 108 pairs; the high parts alone are all cut
+
+
+def test_planted_low_row_is_never_cut(ideals):
+    # a weight-0 row planted in the S column of 1 at g = 5: the degree
+    # law still says that column has weight 5, so a cut read from the
+    # law would zero products the planted map makes nonzero
+    fmap = FourierMap(ideals[5])
+    basis = _basis(fmap)
+    assert sum(bool(fmap.pontryagin(Poly.one(), b)) for b in basis) == 1
+    fmap = FourierMap(ideals[5])
+    one = ()
+    column = fmap._s_map[1][one]
+    assert {mono_weight(d) for d in column} == {5}
+    plant_column(fmap, one, {**column, one: 1})
+    nonzero = 0
+    for b in basis:
+        got = fmap.pontryagin(Poly.one(), b)
+        assert got == pontryagin_uncut(fmap, Poly.one(), b), b
+        assert fmap.pontryagin(b, Poly.one()) == got
+        nonzero += bool(got)
+    assert nonzero == len(basis) == 36
+
+
+@pytest.mark.parametrize("genus, cut, pairs", [(6, 1770, 2145), (7, 5263, 6105)])
+def test_zero_products_form_no_image(genus, cut, pairs, ideals, monkeypatch):
+    # the work pin: a basis pair whose column lows sum above g is 0
+    # before either image is formed; every other pair forms both
+    fmap = FourierMap(ideals[genus])
+    basis = _basis(fmap)
+    image, formed = FourierMap._image, []
+
+    def spy(self, f):
+        formed.append(f)
+        return image(self, f)
+
+    monkeypatch.setattr(FourierMap, "_image", spy)
+    counts = Counter()
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            formed.clear()
+            got = fmap.pontryagin(a, b)
+            assert formed in ([], [a, b])
+            counts[len(formed), bool(got)] += 1
+    assert sum(counts.values()) == pairs
+    assert counts[0, True] == 0 and counts[0, False] == cut
+    formed.clear()
+    assert fmap.pontryagin(Poly.zero(), basis[0]) == Poly.zero() and formed == []
