@@ -27,6 +27,16 @@ from .ideal import check_genus
 from .parse import parse_poly
 
 
+def _ascii(kind):
+    """``kind`` (int or Fraction, which read any script's digits) on ASCII text only."""
+    def parse(text):
+        if not text.isascii():
+            raise ValueError("%r is not ASCII" % text)
+        return kind(text)
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="tautjac",
@@ -36,9 +46,9 @@ def _build_parser():
 
     pv = sub.add_parser("verify", help="verify exact operator identities")
     pv.add_argument("suite", choices=["lie", "sl2", "tilde", "grading", "all"])
-    pv.add_argument("--genus", type=int, required=True)
-    pv.add_argument("--max-order", type=int, default=4)
-    pv.add_argument("--window", type=int, default=None)
+    pv.add_argument("--genus", type=_ascii(int), required=True)
+    pv.add_argument("--max-order", type=_ascii(int), default=4)
+    pv.add_argument("--window", type=_ascii(int), default=None)
     pv.add_argument("--format", choices=["table", "json"], default="table")
     pv.add_argument(
         "--verbose", action="store_true",
@@ -46,31 +56,31 @@ def _build_parser():
     )
 
     pr = sub.add_parser("relations", help="build and export the relation ideal")
-    pr.add_argument("--genus", type=int, required=True)
-    pr.add_argument("--weight", type=int, default=None, help="one weight in 0..genus")
+    pr.add_argument("--genus", type=_ascii(int), required=True)
+    pr.add_argument("--weight", type=_ascii(int), default=None, help="one weight in 0..genus")
     pr.add_argument("--format", choices=["json", "md"], default="json")
     pr.add_argument("--cache-dir", default=None)
 
     pn = sub.add_parser("normal-form", help="reduce an expression modulo the ideal")
-    pn.add_argument("--genus", type=int, required=True)
+    pn.add_argument("--genus", type=_ascii(int), required=True)
     pn.add_argument("--expr", required=True)
     pn.add_argument("--cache-dir", default=None)
 
     pm = sub.add_parser("member", help="ideal membership test for an expression")
-    pm.add_argument("--genus", type=int, required=True)
+    pm.add_argument("--genus", type=_ascii(int), required=True)
     pm.add_argument("--expr", required=True)
     pm.add_argument("--cache-dir", default=None)
 
     pf = sub.add_parser("fourier", help="transform checks on the quotient")
-    pf.add_argument("--genus", type=int, required=True)
+    pf.add_argument("--genus", type=_ascii(int), required=True)
     pf.add_argument("--check", choices=["s2", "conj"], required=True)
-    pf.add_argument("--m", type=int, default=None)
-    pf.add_argument("--n", type=int, default=None)
+    pf.add_argument("--m", type=_ascii(int), default=None)
+    pf.add_argument("--n", type=_ascii(int), default=None)
     pf.add_argument("--family", choices=["field", "density"], default="field")
     pf.add_argument("--cache-dir", default=None)
 
     pw = sub.add_parser("newton", help="convert divisor classes to p-q differences")
-    pw.add_argument("--genus", type=int, required=True)
+    pw.add_argument("--genus", type=_ascii(int), required=True)
     group = pw.add_mutually_exclusive_group(required=True)
     group.add_argument("--to-d", default=None, metavar="W1,W2,...")
     group.add_argument("--to-w", default=None, metavar="D1,D2,...")
@@ -80,15 +90,15 @@ def _build_parser():
     pc.add_argument("--clear", action="store_true")
 
     pd = sub.add_parser("dump-operator", help="print an operator in debug form")
-    pd.add_argument("--genus", type=int, required=True)
-    pd.add_argument("--window", type=int, default=8)
+    pd.add_argument("--genus", type=_ascii(int), required=True)
+    pd.add_argument("--window", type=_ascii(int), default=8)
     pd.add_argument(
         "--op",
         choices=["descent", "field", "density", "raw", "e", "f", "h"],
         required=True,
     )
-    pd.add_argument("--m", type=int, default=None)
-    pd.add_argument("--n", type=int, default=None)
+    pd.add_argument("--m", type=_ascii(int), default=None)
+    pd.add_argument("--n", type=_ascii(int), default=None)
     return parser
 
 
@@ -211,17 +221,13 @@ def _cmd_fourier(args):
     return 0
 
 
-def _parse_rational_list(text):
-    return [Fraction(chunk.strip()) for chunk in text.split(",") if chunk.strip()]
-
-
 def _cmd_newton(args):
     from .newton import d_to_w, w_to_d
 
     check_genus(args.genus)
     raw = args.to_d if args.to_d is not None else args.to_w
     try:
-        values = _parse_rational_list(raw)
+        values = [_ascii(Fraction)(chunk.strip()) for chunk in raw.split(",") if chunk.strip()]
     except (ValueError, ZeroDivisionError) as err:
         raise InvalidParameter("bad rational list: %s" % err) from err
     if len(values) != args.genus:

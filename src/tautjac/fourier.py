@@ -9,8 +9,8 @@ exponentials below are finite sums and
 
 is exact.  Everything here is linear on the finite quotient, so it is
 computed on the quotient basis, as integer column maps over a scale,
-each column the image of a basis monomial as ``RelationIdeal.reduce``
-returns it.  The columns of e and D (normal forms have weight at most
+each column a basis monomial's image, read as codes and reduced with
+no ``Poly`` formed.  The columns of e and D (normal forms have weight at most
 g, so D is built at window g) give the columns of exp(e) and exp(D) by
 their series, and S is held once, as one integer column map over a
 scale.  S sends a (weight w, s-degree s) class to one of bidegree
@@ -33,17 +33,16 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InvalidParameter, NotNilpotent, VerificationFailure, report_entry
+from .ideal import _monomials
 from .lie import LieContext, density_op, descent_op, field_op
-from .operators import term_weight_shift
-from .poly import P_KIND, Poly, merged_terms, mono_mul, mono_sdeg, mono_str, mono_weight, qdiv
+from .operators import _code, mul_op, term_weight_shift
+from .poly import P_KIND, Poly, merged_terms, mono_mul, mono_sdeg, mono_str, mono_weight, p, qdiv
 
 __all__ = [
     "FourierMap",
     "exp_apply",
     "minus_one_pullback",
 ]
-
-_P1 = ((1, P_KIND, 1),)
 
 
 def _check_poly(f):
@@ -67,12 +66,13 @@ def _over_lcm(columns):
     """(scale, integer column map) in lowest terms from columns given as
     (integer vector, divisor): each column cut by the gcd of its divisor
     and entries, zeros dropped, then all put over the divisors' lcm."""
-    cut = {}
-    for b, (vec, div) in columns.items():
-        content = gcd(div, *vec.values())
-        cut[b] = ({d: c // content for d, c in vec.items() if c}, div // content)
-    scale = lcm(1, *(div for _vec, div in cut.values()))
-    return scale, {b: {d: c * (scale // div) for d, c in v.items()} for b, (v, div) in cut.items()}
+    cut = {b: (vec, gcd(div, *vec.values()), div) for b, (vec, div) in columns.items()}
+    scale = lcm(1, *(div // content for _vec, content, div in cut.values()))
+    out = {}
+    for b, (vec, content, div) in cut.items():
+        k = scale * content // div  # cut and rescaled in one pass
+        out[b] = {d: c * k // content for d, c in vec.items() if c}
+    return scale, out
 
 
 def _exp_columns(scale, ints):
@@ -159,32 +159,45 @@ class FourierMap:
         self.ctx = LieContext(ideal.genus, ideal.genus)
         self._members = {}  # (family, m, n) -> the member's scaled column map
 
-    def _columns(self, image):
-        """A linear map on the quotient as (scale, integer column map):
-        basis monomial -> the normal form of ``image(monomial)``."""
-        reduce = self.ideal.reduce
-        return _over_lcm({m: reduce(image(m).terms) for _w, _s, m in self.quotient_basis()})
+    def _columns(self, op):
+        """An operator on the quotient as (scale, integer column map): basis monomial ->
+        its image's codes in per-weight index vectors, reduced.  Each basis monomial is
+        imaged by e, D and every member, so its code and hits are kept per process."""
+        place, reduce, cols = self._places.get, self.ideal.reduce_indexed, {}
+        for b in self._bidegrees:
+            vecs = {}
+            for code, c in op.image_codes(b, keep=True).items():
+                if c and (at := place(code)):
+                    vecs.setdefault(at[0], {})[at[1]] = c
+            cols[b] = reduce(vecs)
+        return _over_lcm(cols)
 
     @cached_property
     def _s_map(self):
         """S on the quotient basis as (scale, integer column map), in
         :meth:`quotient_basis` order, built on first use from the columns
-        of e and D (one descent apply per basis monomial): S(b) is exp(e)
+        of e and D (one image of each per basis monomial): S(b) is exp(e)
         of exp(D) of the exp(e) column of b, in integers over the product
         of the three scales, then in lowest terms."""
-        descent = descent_op(self.ctx)
-        r_scale, r_ints = _exp_columns(*self._columns(lambda m: Poly.monomial(mono_mul(m, _P1))))
-        l_scale, l_ints = _exp_columns(*self._columns(lambda m: descent.apply(Poly.monomial(m))))
+        r_scale, r_ints = _exp_columns(*self._columns(mul_op(p(1))))
+        l_scale, l_ints = _exp_columns(*self._columns(descent_op(self.ctx)))
         scale = r_scale * l_scale * r_scale
         cols = {m: _combine(r_ints, _combine(l_ints, col)) for m, col in r_ints.items()}
         return _over_lcm({m: (col, scale) for m, col in cols.items()})
 
     @cached_property
+    def _places(self):
+        """Multiplier code -> (weight, index) of every monomial of weight <= g."""
+        return {_code(m): (w, i) for w in range(self.genus + 1)
+                for i, m in enumerate(_monomials(w)[0])}
+
+    @cached_property
     def _bidegrees(self):
-        """Basis monomial -> (weight, sdeg, the sign (-1)^g (-1)^sdeg of
-        its row in S^{-1})."""
+        """The quotient basis, built once, in order: basis monomial -> (weight,
+        sdeg, the sign (-1)^g (-1)^sdeg of its row in S^{-1})."""
         g = self.genus
-        return {m: (w, s, -1 if (g + s) % 2 else 1) for w, s, m in self.quotient_basis()}
+        return {m: (w, s, -1 if (g + s) % 2 else 1)
+                for w in range(g + 1) for m in self.ideal.quotient_basis(w) for s in [mono_sdeg(m)]}
 
     @cached_property
     def _column_lows(self):
@@ -255,12 +268,8 @@ class FourierMap:
 
     def quotient_basis(self):
         """(weight, sdeg, monomial) for the full quotient basis, weights
-        ascending, monomials descending within a weight."""
-        out = []
-        for w in range(self.genus + 1):
-            for m in self.ideal.quotient_basis(w):
-                out.append((w, mono_sdeg(m), m))
-        return out
+        ascending, monomials descending within a weight, as a new list."""
+        return [(w, s, m) for m, (w, s, _sign) in self._bidegrees.items()]
 
     def _basis_failures(self, identity, residual):
         """Failing entries of an identity on the columns of S:
@@ -307,7 +316,7 @@ class FourierMap:
         key = (family, m, n)
         if key not in self._members:
             op = {"field": field_op, "density": density_op}[family](m, n, self.ctx)
-            self._members[key] = self._columns(lambda b: op.apply(Poly.monomial(b)))
+            self._members[key] = self._columns(op)
         return self._members[key]
 
     def verify_conjugation(self, m, n, family="field"):

@@ -22,8 +22,8 @@ its vector once, by the lcm of the pivot coefficients it meets, and an
 insertion back-substitutes by cross-multiplying and dividing out the
 content (Bareiss, Math. Comp. 22, 1968).  The closure reads tables
 built once per genus: descent as one sparse integer column per monomial
-of weight 1..g+1 (one ``Operator.apply`` each), and each variable
-product as one index list per weight.  Queries reduce through
+of weight 1..g+1 (one ``Operator.image_codes`` each, read as codes), and
+each variable product as one index list per weight.  Queries reduce through
 ``RelationIdeal.reduce``, to an integer vector over one divisor.  Rows
 become rational only where a caller reads them: relation bases, the
 JSON form, quotient bases, normal forms and stability counterexamples.
@@ -73,13 +73,14 @@ def _closure_tables(genus):
     lists (target weight, variable, index of each monomial of weight w
     times the variable) for every variable that keeps the target <= g."""
     from .lie import LieContext, descent_op
+    from .operators import _code
 
     descent = descent_op(LieContext(genus, genus + 1))
     columns = [None]
     for w in range(1, genus + 2):
-        index = _monomials(w - 1)[1]
+        index = {_code(m): i for i, m in enumerate(_monomials(w - 1)[0])}
         columns.append([
-            [(index[m], c) for m, c in descent.apply(Poly.monomial(mono)).terms.items()]
+            [(index[k], c) for k, c in descent.image_codes(mono).items() if c]
             for mono in _monomials(w)[0]
         ])
     products = []
@@ -245,6 +246,10 @@ class RelationIdeal:
             w = mono_weight(m)
             if c and w <= self.genus:
                 vecs.setdefault(w, {})[_monomials(w)[1][m]] = c
+        return self.reduce_indexed(vecs)
+
+    def reduce_indexed(self, vecs):
+        """:meth:`reduce` of per-weight vectors {weight <= g: {monomial index: int}}."""
         parts = [(_monomials(w)[0], *self.spaces[w].reduce(vec)) for w, vec in vecs.items()]
         div = lcm(1, *(scale for _mons, _red, scale in parts))
         vec = {mons[i]: c * (div // scale) for mons, red, scale in parts for i, c in red.items()}

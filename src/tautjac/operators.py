@@ -15,15 +15,16 @@ overstated, and discards product terms that fall outside the resulting
 window.
 
 Every product is the Leibniz rule, read from indexes each operator
-builds on first use.  ``apply`` looks up each sub-multiset of a monomial
-(up to the largest number of partials) among the terms whose partials
-equal it.  Products read one packed term table per operator, in rows by
+builds on first use.  An image looks each sub-multiset of a monomial up
+by code among the terms, keyed by the code of their partials: ``apply``
+divides it out (no exponent of f is packed), ``image_codes`` adds codes.
+Products read one packed term table per operator, in rows by
 partial index-sum: a term is one int, the exponent of (i, k) in byte 2v
 of the multiplier and 2v + 1 of the partials, v = 2(i - 1) + (k == 'q'),
 so multiplying terms adds codes; exponents >= ``EXPONENT_BOUND`` = 128
 raise :class:`InvalidParameter`, so no sum carries.  A monomial's code
 and weight, and its sub-multisets up to a size, are per-process tables
-that every operator shares (they hold monomials, never an operator).
+that products and kept images share (they hold monomials, never an operator).
 The contraction terms of a o b are a join on hit codes: b's hit table
 sends the code of each nonempty sub-multiset (*hit*) of each multiplier
 to the terms that hold it, in row order, a's Leibniz table for hits of
@@ -72,16 +73,21 @@ def _bit(i, k):
     return 1 << (32 * i - (16 if k == Q_KIND else 32))
 
 
-@lru_cache(maxsize=None)
-def _mono_code(mono):
-    """(multiplier code, weight) of a monomial; a bad exponent raises on every call."""
-    code = 0
+def _code(mono):
+    """The multiplier code of a monomial, unchecked: 16 bits a variable."""
+    return sum(e * _bit(i, k) for i, k, e in mono)
+
+
+def _checked_code(mono):
+    """(multiplier code, weight) of a monomial; an exponent at the packing bound raises."""
     for i, k, e in mono:
         if e >= EXPONENT_BOUND:
             raise InvalidParameter("exponent %s%d^%d is at or above the packing bound %d"
                                    % (k, i, e, EXPONENT_BOUND))
-        code += e * _bit(i, k)
-    return code, mono_weight(mono)
+    return _code(mono), mono_weight(mono)
+
+
+_mono_code = lru_cache(maxsize=None)(_checked_code)  # a bad exponent raises on every call
 
 
 def _pack(term):
@@ -90,8 +96,7 @@ def _pack(term):
     return psum, mcode + (pcode << 8)
 
 
-@lru_cache(maxsize=None)
-def _packed_hits(mono, cap):
+def _hits(mono, cap):
     """Every sub-multiset of ``mono`` with at most ``cap`` factors, the empty one first, as
     (size, code, index-sum, falling factorials of ``mono`` by it, ways to pick it)."""
     found = [(0, 0, 0, 1, 1)]
@@ -109,6 +114,9 @@ def _packed_hits(mono, cap):
     return tuple(found)
 
 
+_packed_hits = lru_cache(maxsize=None)(_hits)  # the per-process table
+
+
 def _decoded(out, window):
     """The operator of the nonzero entries of ``out`` (code -> coeff), decoded only if any."""
     if not any(out.values()):
@@ -121,23 +129,6 @@ def _unpacked(fields):
     """The monomial whose exponent of the variable v is ``fields[v]``."""
     return tuple(((v >> 1) + 1, Q_KIND if v & 1 else P_KIND, fields[v])
                  for v in range(len(fields) - 1, -1, -1) if fields[v])
-
-
-def _sub_multisets(mono, cap):
-    """Every sub-multiset of ``mono`` with at most ``cap`` factors, as (it, the
-    rest of ``mono``, the falling factorials from differentiating by it, its size)."""
-    found = [(MONO_ONE, MONO_ONE, 1, 0)]
-    for var in mono:
-        i, k, e = var
-        grown = []
-        for sub, rest, factor, size in found:
-            grown.append((sub, rest + (var,), factor, size))
-            for j in range(1, min(e, cap - size) + 1):
-                factor *= e - j + 1
-                left = rest + ((i, k, e - j),) if j < e else rest
-                grown.append((sub + ((i, k, j),), left, factor, size + j))
-        found = grown
-    return found
 
 
 def term_weight_shift(key):
@@ -196,9 +187,6 @@ class Operator:
         """Largest weight shift over stored terms (None when empty)."""
         return self._lazy("packed")[1]
 
-    def weight_shifts(self):
-        return sorted({term_weight_shift(k) for k in self.terms})
-
     def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
@@ -227,15 +215,35 @@ class Operator:
             w = f.max_weight()
             if w > self.window:
                 raise WindowExceeded(w, self.window)
-        exact, order = self._lazy("apply")
+        index, order, _top = self._lazy("parts")
         out = {}
         get = out.get
         for m, c in f.terms.items():
-            for sub, rest, factor, _n in _sub_multisets(m, order):
-                for mult, oc in exact.get(sub, ()):
-                    res = mono_mul(mult, rest)
-                    out[res] = get(res, 0) + c * oc * factor
+            for _n, hit, _w, fall, _ways in _hits(m, order):
+                if hit in index:
+                    cut, terms = index[hit]
+                    rest = tuple([(i, k, e - d) for i, k, e in m if (d := cut.get((i, k), 0)) != e])
+                    for mult, _mcode, oc in terms:
+                        res = mono_mul(mult, rest)
+                        out[res] = get(res, 0) + c * oc * fall
         return Poly(out)
+
+    def image_codes(self, mono, keep=False):
+        """self(mono) as {multiplier code: coeff}, zeros kept; ``keep`` reads and fills the
+        per-process code and hit tables, for a caller that images each monomial many times."""
+        code, w = (_mono_code if keep else _checked_code)(mono)
+        if self.window is not None and w > self.window:
+            raise WindowExceeded(w, self.window)
+        index, order, top = self._lazy("parts")
+        if top >= EXPONENT_BOUND:
+            raise InvalidParameter("a multiplier exponent %d is at or above the packing bound %d"
+                                   % (top, EXPONENT_BOUND))
+        out = {}
+        for _n, hit, _w, fall, _ways in (_packed_hits if keep else _hits)(mono, order):
+            for _mult, mcode, oc in index.get(hit, ((), ()))[1]:
+                key = mcode + code - hit
+                out[key] = out.get(key, 0) + oc * fall
+        return out
 
     def compose(self, other):
         """Normal-ordered product self o other (apply ``other`` first).
@@ -303,8 +311,9 @@ class Operator:
 
     def _lazy(self, key):
         """Self's index ``key``, built on first use and kept with self.
-        ``"apply"``: partials -> [(multiplier, coeff)], and the largest number
-        of partials.  ``"packed"``, the one index that packs: the terms as
+        ``"parts"``: unchecked partial code -> (its exponents, [(multiplier,
+        its code, coeff)]), the most partials and the largest multiplier
+        exponent.  ``"packed"``, the one index that packs: the terms as
         (coeff, partial index-sum, code, multiplier, partials) stably sorted
         by index-sum, and the largest weight shift.  ``"hits"``, for right
         operands of contractions: hit size n >= 1 -> the code of each n-factor
@@ -318,10 +327,14 @@ class Operator:
         index = self._cache.get(key)
         if index is not None:
             return index
-        if key == "apply":
-            index = ({}, max((sum(e for *_v, e in p) for _m, p in self.terms), default=0))
+        if key == "parts":
+            index = ({}, max((sum(e for *_v, e in p) for _m, p in self.terms), default=0),
+                     max((e for m, _p in self.terms for *_v, e in m), default=0))
+            if index[1] >> 16:
+                raise InvalidParameter("a term has %d partials, at or above 2^16" % index[1])
             for (mult, parts), c in self.terms.items():
-                index[0].setdefault(parts, []).append((mult, c))
+                cut = {(i, k): e for i, k, e in parts}
+                index[0].setdefault(_code(parts), (cut, []))[1].append((mult, _code(mult), c))
         elif key == "packed":
             rows = sorted(((c, *_pack(term), *term) for term, c in self.terms.items()),
                           key=lambda row: row[1])

@@ -16,7 +16,7 @@ from tautjac import ideal as ideal_module
 from tautjac.errors import WindowExceeded, report_entry
 from tautjac.fourier import exp_apply, minus_one_pullback
 from tautjac.lie import LieContext, density_op, descent_op, field_op
-from tautjac.operators import Operator, mul_op
+from tautjac.operators import Operator, mul_op, term_weight_shift
 from tautjac.poly import (
     P_KIND,
     Q_KIND,
@@ -217,6 +217,11 @@ def hits_oracle(op):
             table.setdefault(hit_code, []).append((*pack_oracle((rest, parts)), c * fall))
     return [{hit: sorted(entries) for hit, entries in tables.get(n, {}).items()}
             for n in range(max(tables, default=0) + 1)]
+
+
+def weight_shifts(op):
+    """The distinct weight shifts of an operator's terms, ascending."""
+    return sorted({term_weight_shift(k) for k in op.terms})
 
 
 def all_monomials_up_to(w):

@@ -97,6 +97,19 @@ def test_usage_errors_exit_2(capsys):
         main(["nonsense"])
     assert info.value.code == 2
     capsys.readouterr()
+    # integer options read ASCII digits only, as the expression parser does:
+    # int() alone would read an Arabic-Indic or a fullwidth 3 as 3
+    for argv in [
+        ["member", "--expr", "q2 - 1/4*q1^2", "--genus", "\u0663"],
+        ["relations", "--genus", "3", "--weight", "\uff12"],
+        ["verify", "lie", "--genus", "2", "--max-order", "\u0663"],
+        ["fourier", "--genus", "2", "--check", "conj", "--m", "1", "--n", "\u0967"],
+        ["dump-operator", "--genus", "2", "--op", "descent", "--window", "\u0664"],
+    ]:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert "invalid int value: '%s'" % argv[-1] in capsys.readouterr().err, argv
     bad = [
         ["verify", "lie", "--genus", "2", "--window", "0"],
         ["dump-operator", "--genus", "2", "--op", "descent", "--window", "0"],
@@ -111,6 +124,8 @@ def test_usage_errors_exit_2(capsys):
         ["fourier", "--genus", "2", "--check", "conj", "--m", "1"],
         ["dump-operator", "--genus", "2", "--op", "raw", "--n", "1"],
         ["newton", "--genus", "2", "--to-d", "1,x"],
+        ["newton", "--genus", "3", "--to-d", "\u0661,\u0662,\uff13"],
+        ["newton", "--genus", "3", "--to-w", "1,2,\uff13"],
         ["newton", "--genus", "4", "--to-d", "1,2,3"],
         ["newton", "--genus", "0", "--to-d="],
         ["newton", "--genus=-1", "--to-d", "1"],

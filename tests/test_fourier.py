@@ -11,6 +11,7 @@ from helpers import (
     basis_law_oracle,
     conjugation_oracle,
     images,
+    leibniz_apply,
     named,
     plant_column,
     pontryagin_oracle,
@@ -20,10 +21,10 @@ from helpers import (
     series_transform,
 )
 from tautjac.errors import InvalidParameter, NotNilpotent, VerificationFailure
-from tautjac.fourier import FourierMap, exp_apply, minus_one_pullback
-from tautjac.ideal import RelationIdeal
-from tautjac.lie import LieContext, density_op, descent_op
-from tautjac.operators import Operator, mul_op
+from tautjac.fourier import FourierMap, _over_lcm, exp_apply, minus_one_pullback
+from tautjac.ideal import RelationIdeal, _closure_tables
+from tautjac.lie import LieContext, density_op, descent_op, field_op
+from tautjac.operators import Operator, _mono_code, _packed_hits, mul_op
 from tautjac.poly import Poly, enumerate_monomials, mono_str, mono_weight, p, q
 
 
@@ -111,11 +112,13 @@ def test_transform_matches_series_oracle(genus, ideals):
 
 
 def test_descent_applied_once_per_basis_monomial(monkeypatch, ideal_g3):
-    # S is built from the columns of e and D: one descent apply per basis
-    # monomial and no series; nothing after that runs a series or applies
-    # descent again, and op(m,n) and op(n,m) share their columns
-    series, apply, make = tautjac.fourier.exp_apply, Operator.apply, tautjac.fourier.descent_op
-    series_calls, descents, applied = [], [], []
+    # S is built from the columns of e and D: one image of e, then one of
+    # descent, per basis monomial, read as codes, and no series and no
+    # apply; nothing after that runs a series or images descent again, and
+    # op(m,n) and op(n,m) share their columns
+    series, make = tautjac.fourier.exp_apply, tautjac.fourier.descent_op
+    image_codes, apply = Operator.image_codes, Operator.apply
+    series_calls, descents, imaged, applied = [], [], [], []
 
     def counted_series(*args):
         series_calls.append(args)
@@ -125,32 +128,37 @@ def test_descent_applied_once_per_basis_monomial(monkeypatch, ideal_g3):
         descents.append(make(ctx))
         return descents[-1]
 
+    def counted_images(op, mono, **keep):
+        imaged.append(("descent" if any(op is d for d in descents) else "other", mono))
+        return image_codes(op, mono, **keep)
+
     def counted_apply(op, f):
-        applied.append(("descent" if any(op is d for d in descents) else "other", f))
+        applied.append(f)
         return apply(op, f)
 
     monkeypatch.setattr(tautjac.fourier, "exp_apply", counted_series)
     monkeypatch.setattr(tautjac.fourier, "descent_op", spy_descent)
+    monkeypatch.setattr(Operator, "image_codes", counted_images)
     monkeypatch.setattr(Operator, "apply", counted_apply)
     fmap = FourierMap(ideal_g3)
     monos = [m for _w, _s, m in fmap.quotient_basis()]
     basis = [Poly.monomial(m) for m in monos]
-    assert applied == [] and len(basis) == 10
+    assert imaged == [] and len(basis) == 10
     assert len(images(fmap)) == 10
     assert len(descents) == 1
-    assert applied == [("descent", b) for b in basis]
-    applied.clear()
+    assert imaged == [("other", m) for m in monos] + [("descent", m) for m in monos]
+    imaged.clear()
     fmap.transform(p(1) + q(2))
     fmap.inverse(q(1))
     fmap.pontryagin(q(1), p(1))
     assert fmap.check_s2() == [] and fmap.check_degree_law() == []
-    assert applied == []
+    assert imaged == []
     fmap.verify_conjugation(0, 2, "field")
-    assert applied == [("other", b) for b in basis + basis]
+    assert imaged == [("other", m) for m in monos + monos]
     fmap.verify_conjugation(2, 0, "field")
     fmap.verify_conjugation(0, 2, "field")
-    assert len(applied) == 2 * len(basis)
-    assert series_calls == [] and len(descents) == 1
+    assert len(imaged) == 2 * len(basis)
+    assert series_calls == [] and len(descents) == 1 and applied == []
     columns = images(fmap)
     for m, b in zip(monos, basis):
         assert columns[m] == series_transform(ideal_g3, b)
@@ -250,6 +258,45 @@ def test_conjugation_matches_direct_formula_oracle(genus, ideals):
         entries = fmap.verify_conjugation(m, n, family)
         assert entries == [conjugation_oracle(fmap, m, n, family)]
         assert entries[0]["status"] == "ok"
+
+
+@pytest.mark.parametrize("genus", range(2, 9))
+def test_columns_match_leibniz_oracle(genus, ideals):
+    # the column maps of e, D and every conjugation member, read as codes,
+    # against each basis monomial's leibniz_apply image reduced as monomials
+    ideal = ideals[genus]
+    fmap = FourierMap(ideal)
+    basis = [m for _w, _s, m in fmap.quotient_basis()]
+    builders = {"field": field_op, "density": density_op}
+    ops = [(mul_op(p(1)), None), (descent_op(fmap.ctx), None)]
+    ops += [(builders[family](m, n, fmap.ctx), (family, m, n)) for m, n, family in _conjugation_pairs()]
+    for op, member in ops:
+        expected = _over_lcm({b: ideal.reduce(leibniz_apply(op, Poly.monomial(b)).terms) for b in basis})
+        assert fmap._columns(op) == expected, op
+        if member:
+            assert fmap._member_columns(*member) == expected, member
+    assert len(ops) == 19
+
+
+def test_columns_make_no_apply_calls(monkeypatch, ideals):
+    # S, the 17 conjugation members at g = 6 and the g = 9 closure tables
+    # take their columns as codes; the spy counts a direct apply.  The
+    # closure images each monomial once, so it keeps no hits in the table
+    # and no code in the monomial code table
+    calls = []
+    apply = Operator.apply
+    monkeypatch.setattr(Operator, "apply", lambda op, f: calls.append(f) or apply(op, f))
+    fmap = FourierMap(ideals[6])
+    assert fmap._s_map[0] > 1
+    for m, n, family in _conjugation_pairs():
+        fmap._member_columns(family, m, n)
+    assert len(fmap._members) == 17
+    kept, codes = _packed_hits.cache_info().currsize, _mono_code.cache_info().currsize
+    assert len(_closure_tables(9)[0]) == 11 and _packed_hits.cache_info().currsize == kept > 0
+    assert _mono_code.cache_info().currsize == codes
+    assert calls == []
+    descent_op(fmap.ctx).apply(p(1))
+    assert calls == [p(1)]
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])

@@ -9,6 +9,7 @@ from helpers import (
     equal_within,
     leibniz_apply,
     mono_from_str,
+    pack_oracle,
     random_operator,
     random_poly,
     residual_oracle,
@@ -25,7 +26,15 @@ from tautjac.lie import (
     field_params,
     sl2_triple,
 )
-from tautjac.operators import EXPONENT_BOUND, Operator, _decoded, _min_window, _pack, mul_op
+from tautjac.operators import (
+    EXPONENT_BOUND,
+    Operator,
+    _decoded,
+    _min_window,
+    _pack,
+    _packed_hits,
+    mul_op,
+)
 from tautjac.poly import Poly, enumerate_monomials, p, q
 
 
@@ -288,6 +297,52 @@ def test_packing_bound_is_exact_or_refuses():
             x @ y
         with pytest.raises(InvalidParameter, match="packing bound %d" % EXPONENT_BOUND):
             x.commutator(y)
+
+
+def test_apply_is_exact_past_the_packing_bound():
+    # apply divides each hit out of the monomial and multiplies by
+    # monomials, so no exponent of the input is packed; hit codes hold 16
+    # bits a variable, so a term with 2^16 partials refuses (d(p1)^65536
+    # would share its code with d(q1))
+    d = descent_op(LieContext(3, 202))
+    f = p(1) ** 200 * p(2)
+    assert d.apply(f) == leibniz_apply(d, f) == 39800 * p(1) ** 199 * p(2) - p(1) ** 200 * q(1)
+    # apply enumerates a monomial's hits afresh each time and keeps no table
+    kept = _packed_hits.cache_info().currsize
+    for op in (d, sl2_triple(LieContext(4, 9)).f, field_op(3, 1, LieContext(4, 9))):
+        for m in enumerate_monomials(6):
+            op.apply(7 * Poly.monomial(m) + q(2))
+    assert _packed_hits.cache_info().currsize == kept
+    wide = Operator.single(1, partials=mono_from_str("p1^%d" % (1 << 16)))
+    with pytest.raises(InvalidParameter, match="at or above 2\\^16"):
+        wide.apply(q(1))
+
+
+def test_image_codes_match_leibniz_oracle():
+    # image_codes adds codes: its nonzero entries are the packed monomials
+    # of the leibniz_apply image, sums past the bound included (p1^127 times
+    # p1^126); a monomial or a multiplier at the bound refuses
+    rng = seeded(41)
+    top = EXPONENT_BOUND - 1
+    big = Operator.single(3, mono_from_str("p1^%d*q2" % top), mono_from_str("p1*q2"))
+    cases = [(big, mono_from_str("p1^%d*q2^3" % top))]
+    ctx = LieContext(3, 8)
+    ops = [descent_op(ctx), sl2_triple(ctx).h, mul_op(p(1))]
+    ops += [field_op(m, n, ctx) for m, n in field_params(3)]
+    cases += [(op, f) for op in ops for f in enumerate_monomials(5) + enumerate_monomials(8)]
+    cases += [(random_operator(rng, max_terms=4), m) for _ in range(200)
+              for m in random_poly(rng).terms]
+    for op, mono in cases:
+        expected = leibniz_apply(op, Poly.monomial(mono)).terms
+        got = {code: c for code, c in op.image_codes(mono).items() if c}
+        assert got == {pack_oracle((m, ()))[1]: c for m, c in expected.items()}, (op, mono)
+    at_bound = mono_from_str("p1^%d" % EXPONENT_BOUND)
+    with pytest.raises(InvalidParameter, match="packing bound %d" % EXPONENT_BOUND):
+        Operator.derivative("p1").image_codes(at_bound)
+    with pytest.raises(InvalidParameter, match="packing bound %d" % EXPONENT_BOUND):
+        Operator.single(1, at_bound, mono_from_str("q1")).image_codes(mono_from_str("q1"))
+    with pytest.raises(WindowExceeded):
+        descent_op(LieContext(3, 4)).image_codes(mono_from_str("p5"))
 
 
 def test_packing_bound_refuses_on_every_call():
