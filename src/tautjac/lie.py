@@ -32,8 +32,15 @@ the only way the genus enters: each member is built once per window as
 A + g*B with A and B free of g, and B is nonzero only for the descent
 operator (B = -d(p1)), field(1,1) (B = id), field(2,0) (B = -2 d(p1))
 and density(0,0) (B = id).  The public constructors return A + g*B at
-the context's genus.  The index multisets the members are summed over
-are one table per process, shared by every member and window.
+the context's genus.  D is built as half of field(2, 0).
+
+The constructors read tables built once per process and shared by every
+member and window: the index multisets the members are summed over, each
+one-variable monomial with its weight, and each partial base * q_j with
+its weight.  A member is built in one pass over its terms, each set
+once.  The shift law is checked there, on every field and density member
+built (and so on D): each term's multiplier weight minus its partials'
+weight, both read from the tables, must be the member's weight shift.
 
 Every bracket identity [X, Y] = sum c*Z takes one path: the residual
 parts R0 + g*R1 + g^2*R2 of [X, Y] - sum c*Z are summed in place, one
@@ -118,12 +125,34 @@ def _index_multisets(count, cap, largest=None):
     return tuple(found)
 
 
+@lru_cache(maxsize=None)
+def _variable(kind, i):
+    """The monomial of the one variable (i, kind) and its weight; one table
+    per process."""
+    mono = ((i, kind, 1),)
+    return mono, mono_weight(mono)
+
+
 def _pvar(i):
-    return ((i, P_KIND, 1),)
+    return _variable(P_KIND, i)[0]
 
 
 def _qvar(i):
-    return ((i, Q_KIND, 1),)
+    return _variable(Q_KIND, i)[0]
+
+
+@lru_cache(maxsize=None)
+def _q_partials(count, cap):
+    """The partials base * q_j of weight <= cap, base running over
+    ``_index_multisets(count, cap)`` and then j, as (monomial, its weight,
+    base's factorial product times (j - 1)!, base's orderings); one table
+    per process."""
+    found = []
+    for base, s, denom, orderings in _index_multisets(count, cap):
+        for j in range(1, cap - s + 1):
+            mono = mono_mul(base, _qvar(j))
+            found.append((mono, mono_weight(mono), denom * factorial(j - 1), orderings))
+    return tuple(found)
 
 
 class _GenusParts:
@@ -168,20 +197,8 @@ def _at_genus(parts, genus):
 
 
 def _descent_parts(_m, _n, parts):
-    W = parts.window
-    terms = {}
-    half = Fraction(1, 2)
-    for m in range(1, W + 1):
-        for n in range(1, W - m + 1):
-            key = (_pvar(m + n - 1), mono_mul(_pvar(m), _pvar(n)))
-            terms[key] = terms.get(key, 0) + half * comb(m + n, n)
-            key = (_qvar(m + n - 1), mono_mul(_qvar(m), _pvar(n)))
-            terms[key] = terms.get(key, 0) + comb(m + n - 1, n)
-    for n in range(2, W + 1):
-        key = (_qvar(n - 1), _pvar(n))
-        terms[key] = terms.get(key, 0) - 1
-    # -q0 d(p1), with q0 -> g
-    return Operator(terms, W), Operator({(MONO_ONE, _pvar(1)): -1}, W)
+    # D is half of field(2, 0), built from the same tables
+    return tuple(Fraction(1, 2) * x for x in _field_parts(2, 0, parts))
 
 
 def _field_parts(m, n, parts):
@@ -191,37 +208,34 @@ def _field_parts(m, n, parts):
         return mul_op(factorial(n) * p(n - 1)), Operator.zero()
     W = parts.window
     sign = -1 if m % 2 else 1
-    terms = {}
-    gterms = {}
-    for parts_mono, s, denom, orderings in _index_multisets(m, W):
-        c = sign * orderings * (factorial(n + s) // denom)
-        key = (_pvar(n + s - 1), parts_mono)
-        terms[key] = terms.get(key, 0) + c
-    for base, si, denom, orderings in _index_multisets(m - 1, W - 1):
-        for j in range(1, W - si + 1):
-            c = sign * m * orderings * (
-                factorial(n + si + j - 1) // (denom * factorial(j - 1))
-            )
-            key = (_qvar(n + si + j - 1), mono_mul(base, _qvar(j)))
-            terms[key] = terms.get(key, 0) + c
+    terms, gterms, shifts = {}, {}, set()
+    # every term's partials are distinct, so each is set once
+    for partials, s, denom, orderings in _index_multisets(m, W):
+        mult, w = _variable(P_KIND, n + s - 1)
+        terms[mult, partials] = sign * orderings * (factorial(n + s) // denom)
+        shifts.add(w - s)
+    for partials, s, denom, orderings in _q_partials(m - 1, W):
+        mult, w = _variable(Q_KIND, n + s - 1)
+        terms[mult, partials] = sign * m * orderings * (factorial(n + s - 1) // denom)
+        shifts.add(w - s)
     if m == 1:
         # Constant part of the family: n! q_{n-1}, with q0 -> g.
         if n == 1:
-            gterms[(MONO_ONE, MONO_ONE)] = 1
+            gterms[MONO_ONE, MONO_ONE] = 1
+            shifts.add(0)
         else:
-            key = (_qvar(n - 1), MONO_ONE)
-            terms[key] = terms.get(key, 0) + factorial(n)
+            mult, w = _variable(Q_KIND, n - 1)
+            terms[mult, MONO_ONE] = factorial(n)
+            shifts.add(w)
     else:
-        for parts_mono, s, denom, orderings in _index_multisets(m - 1, W):
-            c = -sign * m * orderings * (factorial(n + s) // denom)
-            idx = n + s - 1
-            # q_idx, with q0 -> g
-            target = gterms if idx == 0 else terms
-            key = (_qvar(idx) if idx else MONO_ONE, parts_mono)
-            target[key] = target.get(key, 0) + c
-    a, b = Operator(terms, W), Operator(gterms, W)
-    assert _shifts_are(n - 1, a, b)
-    return a, b
+        for partials, s, denom, orderings in _index_multisets(m - 1, W):
+            # q_{n+s-1}, with q0 -> g
+            mult, w = _variable(Q_KIND, n + s - 1) if n + s > 1 else (MONO_ONE, 0)
+            target = terms if mult else gterms
+            target[mult, partials] = -sign * m * orderings * (factorial(n + s) // denom)
+            shifts.add(w - s)
+    assert shifts <= {n - 1}, shifts
+    return Operator(terms, W), Operator(gterms, W)
 
 
 def _density_parts(m, n, parts):
@@ -232,20 +246,13 @@ def _density_parts(m, n, parts):
             return Operator.zero(), Operator.identity()
         return mul_op(factorial(n) * q(n)), Operator.zero()
     sign = -1 if m % 2 else 1
-    terms = {}
-    for parts_mono, s, denom, orderings in _index_multisets(m, parts.window):
-        c = sign * orderings * (factorial(n + s) // denom)
-        key = (_qvar(n + s), parts_mono)
-        terms[key] = terms.get(key, 0) + c
-    a = Operator(terms, parts.window)
-    assert _shifts_are(n, a)
-    return a, Operator.zero()
-
-
-def _shifts_are(shift, *ops):
-    """Whether every term of ``ops`` shifts weight by ``shift``."""
-    return all(mono_weight(mult) - mono_weight(parts) == shift
-               for op in ops for mult, parts in op.terms)
+    terms, shifts = {}, set()
+    for partials, s, denom, orderings in _index_multisets(m, parts.window):
+        mult, w = _variable(Q_KIND, n + s)
+        terms[mult, partials] = sign * orderings * (factorial(n + s) // denom)
+        shifts.add(w - s)
+    assert shifts <= {n}, shifts
+    return Operator(terms, parts.window), Operator.zero()
 
 
 def _raw_field_parts(k, n, parts):

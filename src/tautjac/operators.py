@@ -25,6 +25,8 @@ so multiplying terms adds codes; exponents >= ``EXPONENT_BOUND`` = 128
 raise :class:`InvalidParameter`, so no sum carries.  A monomial's code
 and weight, and its sub-multisets up to a size, are per-process tables
 that products and kept images share (they hold monomials, never an operator).
+The packed rows and the largest weight shift are built in one pass over
+the terms, one code lookup per monomial.
 The contraction terms of a o b are a join on hit codes: b's hit table
 sends the code of each nonempty sub-multiset (*hit*) of each multiplier
 to the terms that hold it, in row order, a's Leibniz table for hits of
@@ -44,6 +46,7 @@ The term map is cleaned, merged and printed by helpers shared with
 from fractions import Fraction
 from functools import lru_cache
 from math import inf
+from operator import itemgetter
 
 from .errors import InvalidParameter, WindowExceeded
 from .poly import (MONO_ONE, P_KIND, Q_KIND, Poly, merged_terms, mono_mul, mono_str, mono_weight,
@@ -79,21 +82,19 @@ def _code(mono):
 
 
 def _checked_code(mono):
-    """(multiplier code, weight) of a monomial; an exponent at the packing bound raises."""
+    """(multiplier code, weight) of a monomial, in one pass; an exponent at the packing
+    bound raises."""
+    code = weight = 0
     for i, k, e in mono:
         if e >= EXPONENT_BOUND:
             raise InvalidParameter("exponent %s%d^%d is at or above the packing bound %d"
                                    % (k, i, e, EXPONENT_BOUND))
-    return _code(mono), mono_weight(mono)
+        code += e * _bit(i, k)
+        weight += i * e
+    return code, weight
 
 
 _mono_code = lru_cache(maxsize=None)(_checked_code)  # a bad exponent raises on every call
-
-
-def _pack(term):
-    """(partial index-sum, code) of a (multiplier, partials) term."""
-    (mcode, _mweight), (pcode, psum) = map(_mono_code, term)
-    return psum, mcode + (pcode << 8)
 
 
 def _hits(mono, cap):
@@ -336,9 +337,13 @@ class Operator:
                 cut = {(i, k): e for i, k, e in parts}
                 index[0].setdefault(_code(parts), (cut, []))[1].append((mult, _code(mult), c))
         elif key == "packed":
-            rows = sorted(((c, *_pack(term), *term) for term, c in self.terms.items()),
-                          key=lambda row: row[1])
-            index = (rows, max((_mono_code(row[3])[1] - row[1] for row in rows), default=None))
+            rows, shifts = [], []
+            for (mult, parts), c in self.terms.items():
+                (mcode, mweight), (pcode, psum) = _mono_code(mult), _mono_code(parts)
+                rows.append((c, psum, mcode + (pcode << 8), mult, parts))
+                shifts.append(mweight - psum)
+            rows.sort(key=itemgetter(1))
+            index = (rows, max(shifts, default=None))
         elif key == "hits":
             index = {}
             for c, psum, code, mult, _parts in self._lazy("packed")[0]:

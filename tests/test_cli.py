@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 import tautjac
-from helpers import plant_column
+from helpers import member_oracle, plant_column
 from tautjac import lie
 from tautjac.cache import _decode, _payload, cache_path, get_or_build, load_ideal, store_ideal
 from tautjac.errors import InvalidGenus
@@ -355,7 +355,14 @@ def test_fourier_commands(capsys):
     code, out, _ = run(
         capsys, "fourier", "--genus", "2", "--check", "conj", "--m", "0", "--n", "2"
     )
-    assert code == 0
+    assert (code, out) == (0, "S field(0,2) S^-1 = field(2,0): ok\n")
+    # density(1,1) is zero on the genus-2 quotient: a pass that compared
+    # zero with zero is reported as vacuous, and still exits 0
+    code, out, _ = run(
+        capsys, "fourier", "--genus", "2", "--check", "conj", "--m", "1", "--n", "1",
+        "--family", "density"
+    )
+    assert (code, out) == (0, "S density(1,1) S^-1 = -density(1,1): vacuous\n")
     code, _, err = run(capsys, "fourier", "--genus", "2", "--check", "conj")
     assert code == 2
 
@@ -426,6 +433,17 @@ def test_dump_operator(capsys):
     assert "d(p1)" in out
     code, _, err = run(capsys, "dump-operator", "--genus", "2", "--op", "field")
     assert code == 2
+
+
+def test_dump_of_a_member_past_the_packing_bound(capsys):
+    # density(130, 0) holds p1^130 among its partials, past the packing
+    # bound 128; printing it packs nothing, so it is built and printed as
+    # the member oracle builds it
+    code, out, err = run(capsys, "dump-operator", "--genus", "3", "--op", "density",
+                         "--m", "130", "--n", "0", "--window", "130")
+    a, b = member_oracle("density", 130, 0, 130)
+    assert (code, out, err) == (0, "%s\n" % (a + 3 * b), "")
+    assert "p1" in out and not b.terms
 
 
 # sha256 of the stdout of every dump-operator at window 5 (field, density

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import weakref
+from functools import lru_cache
 from math import comb, factorial, inf
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from helpers import (
     equal_within,
     hits_oracle,
     index_multisets_oracle,
+    member_oracle,
     pack_oracle,
     residual_oracle,
     weight_shifts,
@@ -40,7 +42,7 @@ from tautjac.lie import (
     sl2_triple,
     verify_bracket,
 )
-from tautjac.operators import Operator, _pack, _packed_hits, mul_op, term_weight_shift
+from tautjac.operators import Operator, _packed_hits, mul_op, term_weight_shift
 from tautjac.poly import MONO_ONE, P_KIND, Poly, enumerate_monomials, mono_sdeg, p, q
 
 ENTRY_KEYS = ["identity", "params", "genus", "window", "status"]
@@ -558,18 +560,19 @@ def test_members_live_no_longer_than_their_users(monkeypatch):
 
 def test_right_hand_sides_are_packed_once_and_get_no_hit_index(monkeypatch):
     # one residual: every operator's terms are packed once, in its packed
-    # table; the hit index is built for the commutator's operands only,
-    # not for the right-hand side field(2,2), which is only added
+    # table, one code lookup for each monomial of each term; the hit index
+    # is built for the commutator's operands only, not for the right-hand
+    # side field(2,2), which is only added
     parts = _GenusParts(7)
     x, y, rhs = _bracket_identity("field_field", (1, 2), (2, 1), parts)
     (_c, z), = rhs
     ops = [op for op in (*x, *y, *z) if op.terms]
     assert not any(op._cache for op in ops)
     packed = []
-    pack = operators._pack
-    monkeypatch.setattr(operators, "_pack", lambda term: packed.append(term) or pack(term))
+    code = operators._mono_code
+    monkeypatch.setattr(operators, "_mono_code", lambda mono: packed.append(mono) or code(mono))
     _residual(x, y, rhs, parts.window)
-    assert sorted(packed) == sorted(term for op in ops for term in op.terms)
+    assert sorted(packed) == sorted(mono for op in ops for term in op.terms for mono in term)
     for op in ops:
         assert "packed" in op._cache
         assert ("hits" in op._cache) == any(op is u for u in (*x, *y))
@@ -617,8 +620,21 @@ def test_suite_builds_each_table_entry_once(monkeypatch):
     # operators once (295), and the hits table each (monomial, cap) once
     # (271): the multipliers of the 41 contracted operators with no cap,
     # and their partials for the one-factor Leibniz tables, the only size
-    # the suite's one-variable multipliers reach
+    # the suite's one-variable multipliers reach.  The constructors' tables
+    # build each entry once: one per variable of those one-variable
+    # multipliers (31), and the q-partials once per field member's m (8):
+    # each key is logged as the table builds it
+    built = {}
+    for name in ("_variable", "_q_partials"):
+        log, build = built.setdefault(name, []), getattr(lie, name).__wrapped__
+        table = lru_cache(maxsize=None)(lambda *key, log=log, build=build: log.append(key) or build(*key))
+        monkeypatch.setattr(lie, name, table)
     ops = _suite_operators(monkeypatch)
+    variables = {(k, i) for op in ops for mult, _parts in op.terms for i, k, e in mult
+                 if len(mult) == 1 and e == 1}
+    assert sorted(built["_variable"]) == sorted(variables) and len(variables) == 31
+    # the field members reach m = 8 (the right-hand side of [field(4,*), field(5,*)])
+    assert sorted(built["_q_partials"]) == [(m - 1, 9) for m in range(1, 9)]
     monos = {mono for op in ops for term in op.terms for mono in term}
     hit_keys = set()
     for op in ops:
@@ -641,10 +657,8 @@ def test_pack_matches_per_variable_oracle_on_the_suite(monkeypatch):
     assert len(ops) == 89
     hit_indexed = 0
     for op in ops:
-        for term in op.terms:
-            assert _pack(term) == pack_oracle(term), term
         rows, shift = op._lazy("packed")
-        assert sorted(row[3:] for row in rows) == sorted(op.terms)
+        assert sorted(rows) == sorted((c, *pack_oracle(term), *term) for term, c in op.terms.items())
         assert [row[1] for row in rows] == sorted(pack_oracle(term)[0] for term in op.terms)
         assert shift == max(term_weight_shift(term) for term in op.terms)
         for size in (key for key in op._cache if isinstance(key, int)):
@@ -669,6 +683,47 @@ def test_index_multisets_match_combinations_oracle():
     for count in range(6):
         for cap in range(10):
             assert list(_index_multisets(count, cap)) == index_multisets_oracle(count, cap)
+
+
+def test_members_match_the_member_oracle():
+    # every member with m + n <= 8, and descent, at windows 1..12: the same
+    # genus parts, term for term, with the same windows, as the
+    # constructors that summed tuple terms through mono_mul
+    checked = 0
+    for window in range(1, 13):
+        parts = _GenusParts(window)
+        members = [("descent", 0, 0)] + [
+            (family, m, s - m) for family in ("field", "density", "raw_field")
+            for s in range(9) for m in range(s + 1)]
+        for family, m, n in members:
+            got, expected = parts(family, m, n), member_oracle(family, m, n, window)
+            assert [(x.terms, x.window) for x in got] == [(x.terms, x.window) for x in expected], (
+                family, m, n, window)
+            checked += 1
+    assert checked == 12 * (1 + 3 * 45)
+
+
+def test_a_planted_wrong_shift_fails_construction(monkeypatch):
+    # the shift law is read from the tables' weights on every member
+    # built: a q-variable table whose monomials are one index too high
+    # gives terms of the wrong shift, and the field and density members
+    # that read it refuse to build
+    table = lie._variable
+
+    def planted(kind, i):
+        return table(kind, i + 1) if kind == "q" else table(kind, i)
+
+    monkeypatch.setattr(lie, "_variable", planted)
+    # a fresh partials table, so that no partial built from the planted
+    # variables outlives the test
+    monkeypatch.setattr(lie, "_q_partials", lru_cache(maxsize=None)(lie._q_partials.__wrapped__))
+    for family, m, n in (("density", 1, 0), ("density", 2, 3), ("field", 1, 2), ("field", 3, 1)):
+        with pytest.raises(AssertionError):
+            _GenusParts(6)(family, m, n)
+    # members that read no q-variable still build
+    assert _GenusParts(6)("density", 0, 2)[0].terms
+    monkeypatch.undo()
+    assert _GenusParts(6)("field", 1, 2)[0] == member_oracle("field", 1, 2, 6)[0]
 
 
 def test_planted_genus_part_error_names_exactly_the_affected_genera(monkeypatch):

@@ -31,7 +31,7 @@ from tautjac.operators import (
     Operator,
     _decoded,
     _min_window,
-    _pack,
+    _mono_code,
     _packed_hits,
     mul_op,
 )
@@ -244,7 +244,7 @@ def test_add_into_stops_at_every_limit():
     # are the scaled operator truncated there
     stopped = 0
     for op in _cut_cases():
-        sums = [_pack(term)[0] for term in op.terms]
+        sums = [pack_oracle(term)[0] for term in op.terms]
         top = max(sums) if op.window is None else op.window
         for limit in range(-1, top + 1):
             for scale in (1, -3, Fraction(1, 2)):
@@ -268,8 +268,8 @@ def test_compose_reads_uncontracted_products_from_packed_rows():
             xy = x @ y
             win = xy.window
             if win is not None:
-                assert all(_pack(term)[0] <= win for term in xy.terms), (x, y)
-                sums = [_pack(a)[0] + _pack(b)[0] for a in x.terms for b in y.terms]
+                assert all(pack_oracle(term)[0] <= win for term in xy.terms), (x, y)
+                sums = [pack_oracle(a)[0] + pack_oracle(b)[0] for a in x.terms for b in y.terms]
                 cut += min(sums) <= win < max(sums)
                 negative += win < 0
             for f in all_monomials_up_to(5 if win is None else min(win, 5)):
@@ -351,7 +351,7 @@ def test_packing_bound_refuses_on_every_call():
     bad = mono_from_str("q3^%d" % EXPONENT_BOUND)
     for _ in range(2):
         with pytest.raises(InvalidParameter, match="packing bound %d" % EXPONENT_BOUND):
-            _pack((bad, mono_from_str("p1")))
+            _mono_code(bad)
         with pytest.raises(InvalidParameter, match="packing bound %d" % EXPONENT_BOUND):
             Operator.derivative("q3") @ Operator.single(1, bad)
 
