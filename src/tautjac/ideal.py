@@ -246,10 +246,6 @@ class RelationIdeal:
             w = mono_weight(m)
             if c and w <= self.genus:
                 vecs.setdefault(w, {})[_monomials(w)[1][m]] = c
-        return self.reduce_indexed(vecs)
-
-    def reduce_indexed(self, vecs):
-        """:meth:`reduce` of per-weight vectors {weight <= g: {monomial index: int}}."""
         parts = [(_monomials(w)[0], *self.spaces[w].reduce(vec)) for w, vec in vecs.items()]
         div = lcm(1, *(scale for _mons, _red, scale in parts))
         vec = {mons[i]: c * (div // scale) for mons, red, scale in parts for i, c in red.items()}

@@ -38,9 +38,11 @@ The constructors read tables built once per process and shared by every
 member and window: the index multisets the members are summed over, each
 one-variable monomial with its weight, and each partial base * q_j with
 its weight.  A member is built in one pass over its terms, each set
-once.  The shift law is checked there, on every field and density member
-built (and so on D): each term's multiplier weight minus its partials'
-weight, both read from the tables, must be the member's weight shift.
+once to a nonzero int, so the operator adopts that term map as it is,
+with no cleaning copy.  The shift law is checked there, on every field
+and density member built (and so on D): each term's multiplier weight
+minus its partials' weight, both read from the tables, must be the
+member's weight shift.
 
 Every bracket identity [X, Y] = sum c*Z takes one path: the residual
 parts R0 + g*R1 + g^2*R2 of [X, Y] - sum c*Z are summed in place, one
@@ -235,7 +237,7 @@ def _field_parts(m, n, parts):
             target[mult, partials] = -sign * m * orderings * (factorial(n + s) // denom)
             shifts.add(w - s)
     assert shifts <= {n - 1}, shifts
-    return Operator(terms, W), Operator(gterms, W)
+    return Operator._adopted(terms, W), Operator._adopted(gterms, W)
 
 
 def _density_parts(m, n, parts):
@@ -252,7 +254,7 @@ def _density_parts(m, n, parts):
         terms[mult, partials] = sign * orderings * (factorial(n + s) // denom)
         shifts.add(w - s)
     assert shifts <= {n}, shifts
-    return Operator(terms, parts.window), Operator.zero()
+    return Operator._adopted(terms, parts.window), Operator.zero()
 
 
 def _raw_field_parts(k, n, parts):

@@ -153,6 +153,16 @@ class Operator:
         raise AttributeError("Operator is immutable")
 
     @classmethod
+    def _adopted(cls, terms, window):
+        """An operator holding ``terms`` itself, with no cleaning copy: for a
+        fresh map whose every coefficient is a nonzero int, as the family
+        constructors build."""
+        op = cls.__new__(cls)
+        for name, value in (("terms", terms), ("window", window), ("_cache", {})):
+            object.__setattr__(op, name, value)
+        return op
+
+    @classmethod
     def zero(cls, window=None):
         return cls({}, window)
 

@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from tautjac import ideal as ideal_module
 from tautjac.errors import WindowExceeded, report_entry
@@ -405,12 +405,54 @@ def images(fmap):
     return {m: fmap.transform(Poly.monomial(m)) for _w, _s, m in fmap.quotient_basis()}
 
 
+def by_monomial(fmap, scaled):
+    """A FourierMap's (scale, column map over quotient-basis positions) with
+    every position named by its basis monomial."""
+    names = [m for _w, _s, m in fmap.quotient_basis()]
+    scale, columns = scaled
+    return scale, {names[b]: {names[d]: c for d, c in col.items()} for b, col in columns.items()}
+
+
+def s_column(fmap, mono):
+    """The column of S at a basis monomial, over basis monomials."""
+    return by_monomial(fmap, fmap._s_map)[1][mono]
+
+
+def _planted(fmap, scaled, mono, column):
+    """A copy of a (scale, column map) with the column at a basis monomial
+    replaced by ``column``, given over basis monomials."""
+    position = {m: b for b, (_w, _s, m) in enumerate(fmap.quotient_basis())}
+    scale, columns = scaled
+    return scale, {**columns, position[mono]: {position[d]: c for d, c in column.items()}}
+
+
 def plant_column(fmap, mono, column):
     """A planted fault: the column of S at a basis monomial replaced, in
-    the integer map of a FourierMap whose S has not been read yet."""
-    scale, columns = fmap._s_map
-    fmap._s_map = (scale, dict(columns))
-    fmap._s_map[1][mono] = column
+    the integer map of a FourierMap."""
+    fmap._s_map = _planted(fmap, fmap._s_map, mono, column)
+
+
+def plant_member_column(fmap, family, m, n, mono, column):
+    """A planted fault: the column of op(m, n) of a family at a basis
+    monomial replaced, in the member's integer map of a FourierMap."""
+    key = (family, m, n)
+    fmap._members[key] = _planted(fmap, fmap._member_columns(*key), mono, column)
+
+
+def columns_oracle(fmap, op):
+    """Oracle for FourierMap._columns with no skip and no pivot test:
+    every basis monomial's ``image_codes``, named by ``pack_oracle``
+    codes, through ``ideal.reduce``, then in lowest terms over Fractions
+    (the common denominator is the lcm of the entries' own), over basis
+    monomials."""
+    names = {pack_oracle((m, ()))[1]: m for w in range(fmap.genus + 1) for m in enumerate_monomials(w)}
+    rational = {}
+    for _w, _s, b in fmap.quotient_basis():
+        image = op.image_codes(b)
+        vec, div = fmap.ideal.reduce({names[k]: c for k, c in image.items() if k in names})
+        rational[b] = {d: Fraction(c, div) for d, c in vec.items()}
+    scale = lcm(1, *(x.denominator for col in rational.values() for x in col.values()))
+    return scale, {b: {d: int(x * scale) for d, x in col.items()} for b, col in rational.items()}
 
 
 def basis_law_oracle(fmap):
@@ -442,23 +484,34 @@ def basis_law_oracle(fmap):
     return s2, degree
 
 
-def conjugation_oracle(fmap, m, n, family):
-    """Oracle for FourierMap.verify_conjugation by the direct formula:
-    S op(m,n) S^-1 b as transform(op.apply(inverse(b))) against
-    (-1)^n times the normal form of op(n,m) b, basis element by basis
-    element.  Returns the report entry: the first failure, or the pass,
-    ``vacuous`` when both members send every basis element into the ideal."""
+def conjugation_oracle(fmap, m, n, family, planted=None):
+    """Oracle for FourierMap.verify_conjugation by the direct formula of
+    the identity it checks, S op(m,n) = (-1)^n op(n,m) S: transform of
+    op(m,n) b against (-1)^n times the normal form of op(n,m) of
+    transform(b), basis element by basis element, with no column maps.
+    ``planted`` = ((m', n'), monomial, image) acts as a planted fault:
+    that member sends that basis monomial to ``image``.  Returns the
+    report entry: the first failure, or the pass, ``vacuous`` when both
+    members send every basis element into the ideal."""
     ctor = {"field": field_op, "density": density_op}[family]
     op, flipped = ctor(m, n, fmap.ctx), ctor(n, m, fmap.ctx)
     sign = -1 if n % 2 else 1
     name = "S %s(%d,%d) S^-1 = %s%s(%d,%d)" % (
         family, m, n, "-" if sign < 0 else "", family, n, m
     )
+
+    def act(indices, member, f):
+        out = member.apply(f)
+        if planted and planted[0] == indices:
+            _indices, mono, image = planted
+            out = out + f.terms.get(mono, 0) * (image - member.apply(Poly.monomial(mono)))
+        return fmap.ideal.normal_form(out)
+
     basis = fmap.quotient_basis()
     for _w, _s, mono in basis:
         b = Poly.monomial(mono)
-        left = fmap.transform(op.apply(fmap.inverse(b)))
-        right = sign * fmap.ideal.normal_form(flipped.apply(b))
+        left = fmap.transform(act((m, n), op, b))
+        right = sign * act((n, m), flipped, fmap.transform(b))
         if left != right:
             params = {"monomial": str(b), "weight": mono_weight(mono)}
             return report_entry(name, params, fmap.genus, fmap.ctx.window, "fail", str(left - right))

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 import tautjac
-from helpers import member_oracle, plant_column
+from helpers import conjugation_oracle, member_oracle, plant_column, s_column
 from tautjac import lie
 from tautjac.cache import _decode, _payload, cache_path, get_or_build, load_ideal, store_ideal
 from tautjac.errors import InvalidGenus
@@ -377,26 +377,26 @@ def test_fourier_s2_failure_exits_1(capsys, monkeypatch, genus):
     assert json.loads(err) == entry
 
 
-def test_fourier_conj_failure_exits_1(capsys, monkeypatch):
+def test_fourier_conj_failure_exits_1(capsys, monkeypatch, ideal_g3):
     # a doubled column of S breaks S field(1,2) S^-1 = field(2,1): the
-    # entry is one JSON line on stderr and nothing reaches stdout
+    # entry is the direct formula's, one JSON line on stderr, and nothing
+    # reaches stdout
     verify = FourierMap.verify_conjugation
 
+    def plant(fmap):
+        mono = fmap.quotient_basis()[6][2]
+        plant_column(fmap, mono, {d: 2 * c for d, c in s_column(fmap, mono).items()})
+
     def planted(self, m, n, family="field"):
-        mono = self.quotient_basis()[6][2]
-        plant_column(self, mono, {d: 2 * c for d, c in self._s_map[1][mono].items()})
+        plant(self)
         return verify(self, m, n, family)
 
     monkeypatch.setattr(FourierMap, "verify_conjugation", planted)
     code, out, err = run(capsys, "fourier", "--genus", "3", "--check", "conj", "--m", "1", "--n", "2")
-    entry = {
-        "identity": "S field(1,2) S^-1 = field(2,1)",
-        "params": {"monomial": "p1^2", "weight": 2},
-        "genus": 3,
-        "window": 3,
-        "status": "fail",
-        "counterexample": "12*p2 - 8*p1*q1",
-    }
+    fmap = FourierMap(ideal_g3)
+    plant(fmap)
+    entry = conjugation_oracle(fmap, 1, 2, "field")
+    assert entry["status"] == "fail"
     assert (code, out, err) == (1, "", json.dumps(entry) + "\n")
 
 

@@ -9,14 +9,19 @@ from fractions import Fraction
 import tautjac.fourier
 from helpers import (
     basis_law_oracle,
+    by_monomial,
+    columns_oracle,
     conjugation_oracle,
     images,
     leibniz_apply,
     named,
+    pack_oracle,
     plant_column,
+    plant_member_column,
     pontryagin_oracle,
     pontryagin_uncut,
     random_poly,
+    s_column,
     seeded,
     series_transform,
 )
@@ -112,10 +117,12 @@ def test_transform_matches_series_oracle(genus, ideals):
 
 
 def test_descent_applied_once_per_basis_monomial(monkeypatch, ideal_g3):
-    # S is built from the columns of e and D: one image of e, then one of
-    # descent, per basis monomial, read as codes, and no series and no
+    # S is built from the columns of e and D: one image of e per basis
+    # monomial below weight g (e sends weight g above g), then one of
+    # descent per basis monomial, read as codes, and no series and no
     # apply; nothing after that runs a series or images descent again, and
-    # op(m,n) and op(n,m) share their columns
+    # op(m,n) and op(n,m) share their columns: field(0,2) raises weight by
+    # one, so it too images only the basis below weight g
     series, make = tautjac.fourier.exp_apply, tautjac.fourier.descent_op
     image_codes, apply = Operator.image_codes, Operator.apply
     series_calls, descents, imaged, applied = [], [], [], []
@@ -146,7 +153,9 @@ def test_descent_applied_once_per_basis_monomial(monkeypatch, ideal_g3):
     assert imaged == [] and len(basis) == 10
     assert len(images(fmap)) == 10
     assert len(descents) == 1
-    assert imaged == [("other", m) for m in monos] + [("descent", m) for m in monos]
+    below_g = [m for w, _s, m in fmap.quotient_basis() if w < 3]
+    assert len(below_g) == 7
+    assert imaged == [("other", m) for m in below_g] + [("descent", m) for m in monos]
     imaged.clear()
     fmap.transform(p(1) + q(2))
     fmap.inverse(q(1))
@@ -154,10 +163,10 @@ def test_descent_applied_once_per_basis_monomial(monkeypatch, ideal_g3):
     assert fmap.check_s2() == [] and fmap.check_degree_law() == []
     assert imaged == []
     fmap.verify_conjugation(0, 2, "field")
-    assert imaged == [("other", m) for m in monos + monos]
+    assert imaged == [("other", m) for m in below_g + monos]
     fmap.verify_conjugation(2, 0, "field")
     fmap.verify_conjugation(0, 2, "field")
-    assert len(imaged) == 2 * len(basis)
+    assert len(imaged) == 17
     assert series_calls == [] and len(descents) == 1 and applied == []
     columns = images(fmap)
     for m, b in zip(monos, basis):
@@ -180,7 +189,8 @@ def test_s_map_pinned_beyond_series_oracle(genus, digest):
     # S in lowest terms (no factor common to the scale and every entry)
     # is unique, so its canonical form (the scale, then the columns
     # sorted by monomial) is pinned where the series oracle is too slow
-    scale, cols = FourierMap(RelationIdeal.build(genus))._s_map
+    fmap = FourierMap(RelationIdeal.build(genus))
+    scale, cols = by_monomial(fmap, fmap._s_map)
     canon = [scale] + [
         [mono_str(m)] + [[mono_str(d), c] for d, c in sorted(cols[m].items())] for m in sorted(cols)
     ]
@@ -288,10 +298,71 @@ def test_columns_match_leibniz_oracle(genus, ideals):
     ops += [(builders[family](m, n, fmap.ctx), (family, m, n)) for m, n, family in _conjugation_pairs()]
     for op, member in ops:
         expected = _over_lcm({b: ideal.reduce(leibniz_apply(op, Poly.monomial(b)).terms) for b in basis})
-        assert fmap._columns(op) == expected, op
+        assert by_monomial(fmap, fmap._columns(op)) == expected, op
         if member:
-            assert fmap._member_columns(*member) == expected, member
+            assert by_monomial(fmap, fmap._member_columns(*member)) == expected, member
     assert len(ops) == 19
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5, 6])
+def test_columns_match_unskipped_oracle(genus, ideals):
+    # _columns passes over the basis monomials that the operator's least
+    # term shift sends above g, and reduces only images that meet a pivot;
+    # the oracle images and reduces every basis monomial.  On the mixed
+    # operator e + D a pass by the largest shift (+1) would empty the
+    # weight-g columns, which D does not send to zero
+    fmap = FourierMap(ideals[genus])
+    builders = {"field": field_op, "density": density_op}
+    mixed = mul_op(p(1)) + descent_op(fmap.ctx)
+    ops = [mul_op(p(1)), descent_op(fmap.ctx), mixed]
+    ops += [builders[family](m, n, fmap.ctx) for m, n, family in _conjugation_pairs()]
+    for op in ops:
+        assert by_monomial(fmap, fmap._columns(op)) == columns_oracle(fmap, op), op
+    top = [cols for b, cols in by_monomial(fmap, fmap._columns(mixed))[1].items() if mono_weight(b) == genus]
+    assert top and all(top)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 6])
+def test_normal_form_table_matches_ideal_reduce(genus, ideals):
+    # _reduced reads one table of normal forms, keyed by monomial and by
+    # code: the same (vector, divisor) as RelationIdeal.reduce, terms above
+    # weight g dropped, on every single monomial of weight <= g + 1 and on
+    # seeded integer combinations of them.  Pivots are substituted over
+    # divisor 1 and, from g = 3 on (g = 2 has only leads 1), over leads > 1
+    ideal = ideals[genus]
+    fmap = FourierMap(ideal)
+    names = [m for _w, _s, m in fmap.quotient_basis()]
+    monos = [m for w in range(genus + 2) for m in enumerate_monomials(w)]
+    rng = seeded(genus)
+    cases = [{m: 1} for m in monos] + [{}, {monos[0]: 0}]
+    cases += [{rng.choice(monos): rng.randint(-9, 9) for _ in range(rng.randint(1, 6))} for _ in range(300)]
+    substituted = Counter()
+    for terms in cases:
+        vec, div = fmap._reduced(terms)
+        named_vec = {names[d]: c for d, c in vec.items()}
+        assert (named_vec, div) == ideal.reduce(terms), terms
+        coded = {pack_oracle((m, ()))[1]: c for m, c in terms.items()}
+        assert fmap._reduced(coded) == (vec, div)
+        kept = {m: c for m, c in terms.items() if c and mono_weight(m) <= genus}
+        substituted[div > 1] += (named_vec, div) != (kept, 1)
+    assert substituted[False] and (substituted[True] or genus == 2)
+
+
+def test_conjugation_sweep_work_is_pinned(monkeypatch, ideals):
+    # at g = 6 (65 basis elements) the 17-pair sweep combines two columns
+    # at each basis element it does not pass over as zero on both sides:
+    # 1,358 combinations, 426 of the 1,105 elements passed over.  Forming S o op(m,n)
+    # for every element and then the S^-1 sandwich took 2 * 65 per pair,
+    # 2,210 in all
+    fmap = FourierMap(ideals[6])
+    assert len(fmap.quotient_basis()) == 65 and fmap._s_map[0] > 1
+    for m, n, family in _conjugation_pairs():
+        fmap._member_columns(family, m, n)
+    combine, calls = tautjac.fourier._combine, []
+    monkeypatch.setattr(tautjac.fourier, "_combine", lambda cols, vec: calls.append(vec) or combine(cols, vec))
+    for m, n, family in _conjugation_pairs():
+        assert fmap.verify_conjugation(m, n, family)[0]["status"] == "ok"
+    assert len(calls) == 1358 and 17 * 65 - len(calls) // 2 == 426
 
 
 def test_columns_make_no_apply_calls(monkeypatch, ideals):
@@ -315,27 +386,54 @@ def test_columns_make_no_apply_calls(monkeypatch, ideals):
     assert calls == [p(1)]
 
 
+def _plant(fmap, fault, mono, m, n, family):
+    """Plant a fault at a basis monomial: its column of S, of op(m,n) or of
+    op(n,m) doubled, or (``from 0``) its empty column of a member made the
+    monomial itself.  Returns the oracle's ``planted`` argument."""
+    if fault == "S":
+        plant_column(fmap, mono, {d: 2 * c for d, c in s_column(fmap, mono).items()})
+        return None
+    indices = (m, n) if fault.startswith("op(m,n)") else (n, m)
+    scale, columns = by_monomial(fmap, fmap._member_columns(family, *indices))
+    column = {mono: scale} if fault.endswith("from 0") else {d: 2 * c for d, c in columns[mono].items()}
+    plant_member_column(fmap, family, *indices, mono, column)
+    return indices, mono, Poly({d: Fraction(c, scale) for d, c in column.items()})
+
+
 @pytest.mark.parametrize("genus", [2, 3, 4])
 def test_planted_conjugation_fault_matches_oracle(genus, ideals):
-    # S with the image of one basis monomial doubled: S^-1 is no longer
-    # its inverse, and the first failing monomial and its counterexample
-    # are the ones the direct formula finds
+    # one column doubled, of S (S^-1 is no longer its inverse), of op(m,n)
+    # or of op(n,m), or an empty column of either member made nonzero: the
+    # first failing monomial and its counterexample are the ones the direct
+    # formula finds, and the clean maps pass.  On clean maps op(m,n) at b
+    # is empty exactly when op(n,m) is on every row of S(b), so only the
+    # faults from 0 show that the pass-over reads both members
     basis = [m for _w, _s, m in FourierMap(ideals[genus]).quotient_basis()]
-    failed = 0
-    for k in (0, len(basis) // 2, len(basis) - 1):
-        for m, n, family in ((0, 2, "field"), (1, 2, "field"), (1, 0, "density"), (2, 1, "density")):
+    pairs = ((0, 2, "field"), (1, 2, "field"), (1, 1, "field"), (1, 0, "density"), (2, 1, "density"))
+    clean = FourierMap(ideals[genus])
+    failed = Counter()
+    for m, n, family in pairs:
+        assert clean.verify_conjugation(m, n, family) == [conjugation_oracle(clean, m, n, family)]
+        plants = [(fault, basis[k]) for k in (0, len(basis) // 2, len(basis) - 1)
+                  for fault in ("S", "op(m,n)", "op(n,m)")]
+        for fault, indices in (("op(m,n) from 0", (m, n)), ("op(n,m) from 0", (n, m))):
+            columns = by_monomial(clean, clean._member_columns(family, *indices))[1]
+            plants += [(fault, mono) for mono in basis if not columns[mono]][:3]
+        for fault, mono in plants:
             fmap = FourierMap(ideals[genus])
-            column = fmap._s_map[1][basis[k]]
-            plant_column(fmap, basis[k], {d: 2 * c for d, c in column.items()})
-            expected = conjugation_oracle(fmap, m, n, family)
-            if expected["status"] != "fail":  # ok, or vacuous: density(2,1) at g = 2, 3
+            planted = _plant(fmap, fault, mono, m, n, family)
+            expected = conjugation_oracle(fmap, m, n, family, planted)
+            if expected["status"] != "fail":  # a doubled zero column, or density(2,1) at g = 2, 3
                 assert fmap.verify_conjugation(m, n, family) == [expected]
                 continue
-            failed += 1
+            failed[fault] += 1
             with pytest.raises(VerificationFailure) as failure:
                 fmap.verify_conjugation(m, n, family)
             assert failure.value.entry == expected
-    assert failed >= 6
+    doubled = {2: (7, 8), 3: (7, 8), 4: (7, 9)}[genus]
+    from_zero = {2: 12, 3: 14, 4: 15}[genus]
+    assert failed == {"S": doubled[0], "op(m,n)": doubled[1], "op(n,m)": doubled[1],
+                      "op(m,n) from 0": from_zero, "op(n,m) from 0": from_zero}
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4, 5])
@@ -350,7 +448,7 @@ def test_planted_basis_law_faults_match_oracle(genus, ideals):
         other = next(m for w2, s2, m in basis if (w2, s2) != (w, s))
         for moved in (False, True):
             fmap = FourierMap(ideals[genus])
-            column = fmap._s_map[1][other if moved else mono]
+            column = s_column(fmap, other if moved else mono)
             plant_column(fmap, mono, dict(column) if moved else {d: 2 * c for d, c in column.items()})
             s2, degree = basis_law_oracle(fmap)
             assert fmap.check_s2() == s2 and s2
@@ -516,7 +614,7 @@ def test_planted_low_row_is_never_cut(ideals):
     assert sum(bool(fmap.pontryagin(Poly.one(), b)) for b in basis) == 1
     fmap = FourierMap(ideals[5])
     one = ()
-    column = fmap._s_map[1][one]
+    column = s_column(fmap, one)
     assert {mono_weight(d) for d in column} == {5}
     plant_column(fmap, one, {**column, one: 1})
     nonzero = 0

@@ -43,7 +43,7 @@ from tautjac.lie import (
     verify_bracket,
 )
 from tautjac.operators import Operator, _packed_hits, mul_op, term_weight_shift
-from tautjac.poly import MONO_ONE, P_KIND, Poly, enumerate_monomials, mono_sdeg, p, q
+from tautjac.poly import MONO_ONE, P_KIND, Poly, enumerate_monomials, mono_sdeg, nonzero_terms, p, q
 
 ENTRY_KEYS = ["identity", "params", "genus", "window", "status"]
 
@@ -701,6 +701,24 @@ def test_members_match_the_member_oracle():
                 family, m, n, window)
             checked += 1
     assert checked == 12 * (1 + 3 * 45)
+
+
+def test_adopted_member_terms_are_already_clean():
+    # the field and density constructors hand their fresh term maps to
+    # Operator._adopted, which skips the cleaning copy: every coefficient
+    # must already be a nonzero int, so each member's terms are their own
+    # nonzero_terms, coefficient types included
+    checked = 0
+    for window in (1, 2, 5, 8, 12):
+        parts = _GenusParts(window)
+        for family in ("field", "density"):
+            for s in range(9):
+                for m in range(s + 1):
+                    for x in parts(family, m, s - m):
+                        assert x.terms == nonzero_terms(x.terms), (family, m, s - m, window)
+                        assert all(type(c) is int for c in x.terms.values())
+                        checked += 1
+    assert checked == 5 * 2 * 2 * 45
 
 
 def test_a_planted_wrong_shift_fails_construction(monkeypatch):
