@@ -1,4 +1,16 @@
-"""Recursive-descent parser for polynomial expressions.
+r"""Recursive-descent parser for polynomial expressions.
+
+Lexical grammar: the source is a run of matches of ``_TOKEN``,
+
+    \s* ( DIGITS [\s* '/' \s* DIGITS] | ('p' | 'q') DIGITS | \S )
+
+with DIGITS ASCII 0-9 and \s any str.isspace() character: a NUMBER
+(an integer or a rational literal "a/b"; '/' has no other meaning), a
+VARIABLE p<k> or q<k> with k >= 1 (q0 is rejected with an explanation
+of the genus convention), or one other character, which must be one
+of + - * ^ ( ) or the Unicode minus sign, an alias for '-'.  A digit
+of another script is an unexpected character, reported before any
+other error.
 
 Grammar (standard precedence ^ > * > binary +/-, left associative):
 
@@ -7,97 +19,56 @@ Grammar (standard precedence ^ > * > binary +/-, left associative):
     factor := atom { '^' INT }
     atom   := NUMBER | VARIABLE | '(' expr ')'
 
-NUMBER is an integer or a rational literal "a/b" ('/' has no other
-meaning); VARIABLE is p<k> or q<k> with k >= 1 (q0 is rejected with an
-explanation of the genus convention).  Digits are ASCII 0-9; a digit
-of another script is an unexpected character.  The canonical text
-form produced by Poly.__str__ parses back to the same polynomial, and
-the Unicode minus sign is accepted as an alias for '-'.
+The canonical text form produced by Poly.__str__ parses back to the
+same polynomial.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import IndexZeroError, ParseError
 from .poly import Poly, norm_coeff, variable
 
-_MINUS = "−"  # accepted alias for '-'
+_TOKEN = re.compile(r"\s*(([0-9]+)(?:\s*/\s*([0-9]*))?|([pq])([0-9]*)|(\S))")
 
 
 def _tokenize(src):
-    for i, ch in enumerate(src):  # str.isdecimal() below accepts every script's digits
+    for i, ch in enumerate(src):  # str.isdecimal() accepts every script's digits
         if ch.isdecimal() and not ch.isascii():
             raise ParseError("unexpected character %r" % ch, i)
     tokens = []
-    i = 0
-    n = len(src)
-
-    def read_int(start):
-        j = start
-        while j < n and src[j].isdecimal():
-            j += 1
-        return int(src[start:j]), j
-
-    while i < n:
-        ch = src[i]
-        if ch == _MINUS:
-            ch = "-"
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdecimal():
-            num, j = read_int(i)
-            k = j
-            while k < n and src[k].isspace():
-                k += 1
-            if k < n and src[k] == "/":
-                k += 1
-                while k < n and src[k].isspace():
-                    k += 1
-                if k >= n or not src[k].isdecimal():
-                    raise ParseError(
-                        "expected an integer denominator after '/'",
-                        k,
-                        expected=("integer",),
-                    )
-                den, j = read_int(k)
-                if den == 0:
-                    raise ParseError("zero denominator in rational literal", k)
-                num = norm_coeff(Fraction(num, den))
+    for m in _TOKEN.finditer(src):  # \S takes any other character: only trailing space is skipped
+        i = m.start(1)
+        digits, den, kind, index, ch = m.groups()[1:]
+        if digits:
+            num = int(digits)
+            if den is not None:  # a '/' was read
+                if not den:
+                    raise ParseError("expected an integer denominator after '/'", m.start(3),
+                                     expected=("integer",))
+                if not int(den):
+                    raise ParseError("zero denominator in rational literal", m.start(3))
+                num = norm_coeff(Fraction(num, int(den)))
             tokens.append(("number", num, i))
-            i = j
-            continue
-        if ch in "pq":
-            if i + 1 == n or not src[i + 1].isdecimal():
-                raise ParseError("variable %r needs an index" % ch, i, expected=("index",))
-            index, j = read_int(i + 1)
-            if index == 0:
-                if ch == "q":
-                    raise IndexZeroError(
-                        "q0 is not a variable: the engine substitutes the "
-                        "genus scalar g for it; rewrite the expression "
-                        "without q0",
-                        i,
-                    )
+        elif kind:
+            if not index:
+                raise ParseError("variable %r needs an index" % kind, i, expected=("index",))
+            if not int(index):
+                if kind == "q":
+                    raise IndexZeroError("q0 is not a variable: the engine substitutes the genus "
+                                         "scalar g for it; rewrite the expression without q0", i)
                 raise IndexZeroError("p indices start at 1", i)
-            tokens.append(("variable", variable(ch, index), i))
-            i = j
-            continue
-        if ch == "/":
-            raise ParseError(
-                "'/' is only valid inside a rational literal like 3/4",
-                i,
-                expected=("number",),
-            )
-        raise ParseError(
-            "unexpected character %r" % src[i],
-            i,
-            expected=("number", "variable", "(", ")", "+", "-", "*", "^"),
-        )
-    tokens.append(("end", None, n))
+            tokens.append(("variable", variable(kind, int(index)), i))
+        elif ch in "+-*^()−":
+            ch = "-" if ch == "−" else ch
+            tokens.append((ch, ch, i))
+        elif ch == "/":
+            raise ParseError("'/' is only valid inside a rational literal like 3/4", i,
+                             expected=("number",))
+        else:
+            raise ParseError("unexpected character %r" % ch, i,
+                             expected=("number", "variable", "(", ")", "+", "-", "*", "^"))
+    tokens.append(("end", None, len(src)))
     return tokens
 
 

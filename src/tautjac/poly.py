@@ -83,8 +83,8 @@ def variable(kind, index):
 
 
 def var_from_name(name):
-    """The variable named e.g. "p1" or "q12"."""
-    if not name[1:].isdecimal():
+    """The variable named e.g. "p1" or "q12": p or q, then ASCII digits."""
+    if not (name[1:].isascii() and name[1:].isdecimal()):
         raise InvalidParameter("variable name must be p or q and an index, got %r" % (name,))
     return variable(name[:1], int(name[1:]))
 

@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, product
 from math import comb, factorial, lcm, prod
 
 from tautjac import ideal as ideal_module
-from tautjac.errors import WindowExceeded, report_entry
+from tautjac.errors import IndexZeroError, ParseError, WindowExceeded, report_entry
 from tautjac.fourier import exp_apply, minus_one_pullback
 from tautjac.lie import LieContext, _index_multisets, density_op, descent_op, field_op
 from tautjac.operators import Operator, mul_op, term_weight_shift
@@ -30,6 +30,7 @@ from tautjac.poly import (
     q,
     qdiv,
     var_from_name,
+    variable,
 )
 
 
@@ -617,3 +618,86 @@ def weight_components(f):
     for m, c in f.terms.items():
         buckets.setdefault(mono_weight(m), {})[m] = c
     return dict(sorted(buckets.items()))
+
+
+_MINUS = "−"  # accepted alias for '-'
+
+
+def tokenize_oracle(src):
+    """The expression scanner as a character loop with explicit cursors;
+    ``tautjac.parse._tokenize`` must give the same tokens and errors."""
+    for i, ch in enumerate(src):  # str.isdecimal() below accepts every script's digits
+        if ch.isdecimal() and not ch.isascii():
+            raise ParseError("unexpected character %r" % ch, i)
+    tokens = []
+    i = 0
+    n = len(src)
+
+    def read_int(start):
+        j = start
+        while j < n and src[j].isdecimal():
+            j += 1
+        return int(src[start:j]), j
+
+    while i < n:
+        ch = src[i]
+        if ch == _MINUS:
+            ch = "-"
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdecimal():
+            num, j = read_int(i)
+            k = j
+            while k < n and src[k].isspace():
+                k += 1
+            if k < n and src[k] == "/":
+                k += 1
+                while k < n and src[k].isspace():
+                    k += 1
+                if k >= n or not src[k].isdecimal():
+                    raise ParseError(
+                        "expected an integer denominator after '/'",
+                        k,
+                        expected=("integer",),
+                    )
+                den, j = read_int(k)
+                if den == 0:
+                    raise ParseError("zero denominator in rational literal", k)
+                num = norm_coeff(Fraction(num, den))
+            tokens.append(("number", num, i))
+            i = j
+            continue
+        if ch in "pq":
+            if i + 1 == n or not src[i + 1].isdecimal():
+                raise ParseError("variable %r needs an index" % ch, i, expected=("index",))
+            index, j = read_int(i + 1)
+            if index == 0:
+                if ch == "q":
+                    raise IndexZeroError(
+                        "q0 is not a variable: the engine substitutes the "
+                        "genus scalar g for it; rewrite the expression "
+                        "without q0",
+                        i,
+                    )
+                raise IndexZeroError("p indices start at 1", i)
+            tokens.append(("variable", variable(ch, index), i))
+            i = j
+            continue
+        if ch == "/":
+            raise ParseError(
+                "'/' is only valid inside a rational literal like 3/4",
+                i,
+                expected=("number",),
+            )
+        raise ParseError(
+            "unexpected character %r" % src[i],
+            i,
+            expected=("number", "variable", "(", ")", "+", "-", "*", "^"),
+        )
+    tokens.append(("end", None, n))
+    return tokens

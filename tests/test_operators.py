@@ -42,6 +42,9 @@ def test_apply_examples():
     assert (mul_op(q(1)) @ Operator.derivative("p1")).apply(p(1) ** 2) == 2 * p(1) * q(1)
     assert (mul_op(p(2)) @ Operator.derivative("p1")).apply(p(1) * q(1)) == p(2) * q(1)
     assert Operator.derivative("p1", "p2").apply(p(1) * p(2) * q(1)) == q(1)
+    for name in ("p٣", "q１２"):  # names read ASCII digits only, as expressions do
+        with pytest.raises(InvalidParameter, match="variable name"):
+            Operator.derivative(name)
 
 
 def test_apply_matches_leibniz_oracle():

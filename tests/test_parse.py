@@ -1,12 +1,13 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mono_from_exponents, random_poly, seeded
+from helpers import mono_from_exponents, random_poly, seeded, tokenize_oracle
 from tautjac.errors import IndexZeroError, ParseError
-from tautjac.parse import parse_poly
+from tautjac.parse import _tokenize, parse_poly
 from tautjac.poly import Poly, p, q
 
 
@@ -64,6 +65,57 @@ def test_syntax_errors_carry_positions():
         parse_poly("1/0")
     with pytest.raises(ParseError):
         parse_poly("")
+
+
+EXPECTED_ANY = ("number", "variable", "(", ")", "+", "-", "*", "^")
+EXPECTED_ATOM = ("number", "variable", "(")
+Q0 = ("q0 is not a variable: the engine substitutes the genus scalar g for it; "
+      "rewrite the expression without q0")
+
+
+@pytest.mark.parametrize("src, cls, message, position, expected", [
+    ("p٣", ParseError, "unexpected character '٣'", 1, ()),
+    ("3/ x", ParseError, "expected an integer denominator after '/'", 3, ("integer",)),
+    ("1/ 00", ParseError, "zero denominator in rational literal", 3, ()),
+    ("p+1", ParseError, "variable 'p' needs an index", 0, ("index",)),
+    ("q0", IndexZeroError, Q0, 0, ()),
+    ("p0", IndexZeroError, "p indices start at 1", 0, ()),
+    ("p1/2", ParseError, "'/' is only valid inside a rational literal like 3/4", 2, ("number",)),
+    ("x1", ParseError, "unexpected character 'x'", 0, EXPECTED_ANY),
+    ("p1 q1", ParseError, "unexpected 'variable' after expression", 3, ("end",)),
+    ("p1^q1", ParseError, "exponent must be a nonnegative integer", 3, ("integer",)),
+    ("(p1 + q1", ParseError, "expected ')', found 'end'", 8, (")",)),
+    ("p1 + * q1", ParseError, "expected a number, variable or '('; found '*'", 5, EXPECTED_ATOM),
+    ("", ParseError, "expected a number, variable or '('; found 'end'", 0, EXPECTED_ATOM),
+])
+def test_error_branches_are_pinned(src, cls, message, position, expected):
+    # one case per raise site: the class, message, position and expected tuple
+    with pytest.raises(ParseError) as info:
+        parse_poly(src)
+    assert type(info.value) is cls
+    assert str(info.value) == "%s (at position %d)" % (message, position)
+    assert info.value.position == position
+    assert info.value.expected == expected
+
+
+def _scan(tokenize, src):
+    """The tokens (repr, so an int and an equal Fraction differ), or the
+    error's (class, message, position, expected)."""
+    try:
+        return repr(tokenize(src))
+    except ParseError as err:
+        return type(err), str(err), err.position, err.expected
+
+
+def test_tokenizer_matches_oracle():
+    rng = seeded(29)
+    alphabet = "0123456789pq+-*^()/ −\u00a0\u2003\u0085\u001c٣１७²"
+    corpus = ["".join(rng.choices(alphabet, k=rng.randint(0, 12))) for _ in range(20000)]
+    odd = [c for c in map(chr, range(sys.maxunicode + 1))
+           if c.isspace() or c.isdecimal() or c.isdigit()]
+    corpus += [t % c for c in odd for t in ("1%s2", "p%s1", "1 %s/ 2", "%s")]
+    for src in corpus:
+        assert _scan(_tokenize, src) == _scan(tokenize_oracle, src), src
 
 
 def test_round_trip_on_fixed_corpus():
