@@ -67,10 +67,7 @@ def _combine(columns, vec):
 def _over_lcm(columns):
     """(scale, integer column map) in lowest terms from columns given as
     (integer vector, divisor): each column cut by the gcd of its divisor
-    and entries, zeros dropped, then all put over the divisors' lcm.  Columns
-    all over divisor 1 carry no zeros and are returned as they are."""
-    if all(div == 1 for _vec, div in columns.values()):
-        return 1, {b: vec for b, (vec, _div) in columns.items()}
+    and entries, zeros dropped, then all put over the divisors' lcm."""
     cut = {b: (vec, gcd(div, *vec.values()), div) for b, (vec, div) in columns.items()}
     scale = lcm(1, *(div // content for _vec, content, div in cut.values()))
     out = {}

@@ -220,23 +220,14 @@ def _field_parts(m, n, parts):
         mult, w = _variable(Q_KIND, n + s - 1)
         terms[mult, partials] = sign * m * orderings * (factorial(n + s - 1) // denom)
         shifts.add(w - s)
-    if m == 1:
-        # Constant part of the family: n! q_{n-1}, with q0 -> g.
-        if n == 1:
-            gterms[MONO_ONE, MONO_ONE] = 1
-            shifts.add(0)
-        else:
-            mult, w = _variable(Q_KIND, n - 1)
-            terms[mult, MONO_ONE] = factorial(n)
-            shifts.add(w)
-    else:
-        for partials, s, denom, orderings in _index_multisets(m - 1, W):
-            # q_{n+s-1}, with q0 -> g
-            mult, w = _variable(Q_KIND, n + s - 1) if n + s > 1 else (MONO_ONE, 0)
-            target = terms if mult else gterms
-            target[mult, partials] = -sign * m * orderings * (factorial(n + s) // denom)
-            shifts.add(w - s)
-    assert shifts <= {n - 1}, shifts
+    for partials, s, denom, orderings in _index_multisets(m - 1, W):
+        # q_{n+s-1}, with q0 -> g; at m = 1 this is the constant part n! q_{n-1}
+        mult, w = _variable(Q_KIND, n + s - 1) if n + s > 1 else (MONO_ONE, 0)
+        target = terms if mult else gterms
+        target[mult, partials] = -sign * m * orderings * (factorial(n + s) // denom)
+        shifts.add(w - s)
+    if not shifts <= {n - 1}:
+        raise AssertionError(shifts)
     return Operator._adopted(terms, W), Operator._adopted(gterms, W)
 
 
@@ -253,14 +244,13 @@ def _density_parts(m, n, parts):
         mult, w = _variable(Q_KIND, n + s)
         terms[mult, partials] = sign * orderings * (factorial(n + s) // denom)
         shifts.add(w - s)
-    assert shifts <= {n}, shifts
+    if not shifts <= {n}:
+        raise AssertionError(shifts)
     return Operator._adopted(terms, parts.window), Operator.zero()
 
 
 def _raw_field_parts(k, n, parts):
     base = parts("field", k, n)
-    if k * n == 0:
-        return base
     dens = parts("density", k - 1, n - 1)
     return tuple(f + (k * n) * d for f, d in zip(base, dens))
 

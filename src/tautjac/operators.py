@@ -119,9 +119,7 @@ _packed_hits = lru_cache(maxsize=None)(_hits)  # the per-process table
 
 
 def _decoded(out, window):
-    """The operator of the nonzero entries of ``out`` (code -> coeff), decoded only if any."""
-    if not any(out.values()):
-        return Operator.zero(window)
+    """The operator of the nonzero entries of ``out`` (code -> coeff)."""
     raws = ((k.to_bytes((k.bit_length() + 7) >> 3, "little"), c) for k, c in out.items() if c)
     return Operator({(_unpacked(raw[::2]), _unpacked(raw[1::2])): c for raw, c in raws}, window)
 

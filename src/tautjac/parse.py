@@ -19,6 +19,8 @@ Grammar (standard precedence ^ > * > binary +/-, left associative):
     factor := atom { '^' INT }
     atom   := NUMBER | VARIABLE | '(' expr ')'
 
+with INT a NUMBER written without '/': ``p1^6/2`` is an error, not p1^3.
+
 The canonical text form produced by Poly.__str__ parses back to the
 same polynomial.
 """
@@ -74,6 +76,7 @@ def _tokenize(src):
 
 class _Parser:
     def __init__(self, src):
+        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
 
@@ -122,7 +125,8 @@ class _Parser:
         while self.peek()[0] == "^":
             self.advance()
             tok = self.peek()
-            if tok[0] != "number" or not isinstance(tok[1], int) or tok[1] < 0:
+            # an integer literal: a NUMBER token read with no '/' (6/2 is not one)
+            if tok[0] != "number" or _TOKEN.match(self.src, tok[2])[3] is not None:
                 raise ParseError(
                     "exponent must be a nonnegative integer",
                     tok[2],

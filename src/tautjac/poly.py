@@ -233,8 +233,6 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly.zero()
             return Poly({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented

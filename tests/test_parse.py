@@ -84,6 +84,8 @@ Q0 = ("q0 is not a variable: the engine substitutes the genus scalar g for it; "
     ("x1", ParseError, "unexpected character 'x'", 0, EXPECTED_ANY),
     ("p1 q1", ParseError, "unexpected 'variable' after expression", 3, ("end",)),
     ("p1^q1", ParseError, "exponent must be a nonnegative integer", 3, ("integer",)),
+    ("p1^6/2", ParseError, "exponent must be a nonnegative integer", 3, ("integer",)),
+    ("(p1)^4/2", ParseError, "exponent must be a nonnegative integer", 5, ("integer",)),
     ("(p1 + q1", ParseError, "expected ')', found 'end'", 8, (")",)),
     ("p1 + * q1", ParseError, "expected a number, variable or '('; found '*'", 5, EXPECTED_ATOM),
     ("", ParseError, "expected a number, variable or '('; found 'end'", 0, EXPECTED_ATOM),
