@@ -18,10 +18,10 @@ __version__ = "0.1.0"
 # not pay for the others
 _EXPORTS = {
     "errors": (
-        "IndexZeroError", "InvalidGenus", "InvalidParameter", "NotNilpotent",
-        "ParseError", "TautjacError", "VerificationFailure", "WindowExceeded",
+        "IndexZeroError", "InvalidGenus", "InvalidParameter", "ParseError",
+        "TautjacError", "VerificationFailure", "WindowExceeded",
     ),
-    "fourier": ("FourierMap", "exp_apply", "minus_one_pullback"),
+    "fourier": ("FourierMap",),
     "ideal": ("RelationIdeal",),
     "lie": (
         "LieContext", "cartan_eigenvalue", "density_op", "descent_op", "field_op",

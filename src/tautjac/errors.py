@@ -25,10 +25,6 @@ class InvalidGenus(InvalidParameter):
     """Genus parameter below 2."""
 
 
-class NotNilpotent(TautjacError):
-    """Operator exponential cannot be guaranteed to terminate."""
-
-
 class VerificationFailure(TautjacError):
     """An exact identity check failed; carries the first counterexample."""
 

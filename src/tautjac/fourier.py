@@ -34,22 +34,13 @@ columns of a's and of b's monomials sum above g.
 from functools import cached_property
 from math import gcd, lcm
 
-from .errors import InvalidParameter, NotNilpotent, VerificationFailure, report_entry
+from .errors import InvalidParameter, VerificationFailure, report_entry
 from .ideal import _monomials
 from .lie import LieContext, density_op, descent_op, field_op
 from .operators import _code, mul_op, term_weight_shift
-from .poly import P_KIND, Poly, merged_terms, mono_mul, mono_sdeg, mono_str, p, qdiv
+from .poly import Poly, check_poly, merged_terms, mono_mul, mono_sdeg, mono_str, p, qdiv
 
-__all__ = [
-    "FourierMap",
-    "exp_apply",
-    "minus_one_pullback",
-]
-
-
-def _check_poly(f):
-    if not isinstance(f, Poly):
-        raise InvalidParameter("expected a Poly, got %s" % type(f).__name__)
+__all__ = ["FourierMap"]
 
 
 def _combine(columns, vec):
@@ -95,51 +86,6 @@ def _exp_columns(scale, ints):
             k += 1
         out[b] = total, den
     return _over_lcm(out)
-
-
-def minus_one_pullback(f):
-    """Pullback along the inversion of the group: each (w, s)-component
-    is scaled by (-1)**s."""
-    return Poly({m: -c if mono_sdeg(m) % 2 else c for m, c in f.terms.items()})
-
-
-def exp_apply(op, f, ideal=None):
-    """Apply exp(op) = sum op^k / k! to a polynomial, reducing to normal
-    form after each step when an ideal is supplied.
-
-    Termination is guaranteed statically: every term of ``op`` must
-    either lower weight, raise weight (allowed only over a quotient,
-    where weights above the genus die), or preserve weight while
-    strictly lowering the p-degree.  Mixing weight-raising and
-    weight-lowering terms is rejected.
-    """
-    raises = lowers = False
-    for mult, parts in op.terms:
-        shift = term_weight_shift((mult, parts))
-        if shift > 0:
-            raises = True
-        elif shift < 0:
-            lowers = True
-        else:
-            pdrop = sum(e for _i, k, e in mult if k == P_KIND) - sum(
-                e for _i, k, e in parts if k == P_KIND)
-            if pdrop >= 0:
-                raise NotNilpotent("operator has a weight-preserving term that does not "
-                                   "lower the p-degree; exp would not terminate")
-    if raises and lowers:
-        raise NotNilpotent("operator mixes weight-raising and weight-lowering terms")
-    if raises and ideal is None:
-        raise NotNilpotent("weight-raising exponential terminates only on a quotient; "
-                           "supply a relation ideal")
-    reduce = ideal.normal_form if ideal is not None else (lambda x: x)
-    current = reduce(f)
-    total = current
-    k = 1
-    while current.terms:
-        current = reduce(op.apply(current)) / k
-        total = total + current
-        k += 1
-    return total
 
 
 class FourierMap:
@@ -219,13 +165,13 @@ class FourierMap:
     def _lowest_image_weight(self, f):
         """A lower bound on the weights of S(f): -1 if f has a monomial off
         the basis (its reduction is not read), g + 1 for f = 0."""
-        _check_poly(f)
+        check_poly(f)
         return min((self._column_lows.get(m, -1) for m in f.terms), default=self.genus + 1)
 
     def _image(self, f):
         """S(f) as (integer vector, divisor): the columns of S combined over
         the normal form of f cleared of denominators."""
-        _check_poly(f)
+        check_poly(f)
         den = lcm(*[c.denominator for c in f.terms.values()])
         ints = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
         vec, div = self._reduced(ints)

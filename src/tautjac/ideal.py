@@ -43,6 +43,7 @@ from .poly import (
     P_KIND,
     Q_KIND,
     Poly,
+    check_poly,
     enumerate_monomials,
     mono_mul,
     mono_str,
@@ -255,6 +256,7 @@ class RelationIdeal:
         """Unique reduction of f modulo the stored bases, with every
         weight above the genus sent to 0; idempotent and linear, and
         f - normal_form(f) always lies in the ideal."""
+        check_poly(f)
         den = lcm(1, *(c.denominator for c in f.terms.values()))
         vec, div = self.reduce({m: c.numerator * den // c.denominator for m, c in f.terms.items()})
         return Poly({m: qdiv(c, div * den) for m, c in vec.items()})

@@ -292,6 +292,11 @@ class Poly:
         return "Poly(%s)" % self
 
 
+def check_poly(f):
+    if not isinstance(f, Poly):
+        raise InvalidParameter("expected a Poly, got %s" % type(f).__name__)
+
+
 def p(n):
     """The generator p_n as a polynomial."""
     return Poly.monomial((variable(P_KIND, n) + (1,),))

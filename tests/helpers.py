@@ -14,7 +14,6 @@ from math import comb, factorial, lcm, prod
 
 from tautjac import ideal as ideal_module
 from tautjac.errors import IndexZeroError, ParseError, WindowExceeded, report_entry
-from tautjac.fourier import exp_apply, minus_one_pullback
 from tautjac.lie import LieContext, _index_multisets, density_op, descent_op, field_op
 from tautjac.operators import Operator, mul_op, term_weight_shift
 from tautjac.poly import (
@@ -372,6 +371,55 @@ class ApplyOracle:
 
     def commutator(self, a, b, f):
         return self.apply(a, self.apply(b, f)) - self.apply(b, self.apply(a, f))
+
+
+class NotNilpotent(Exception):
+    """exp_apply cannot guarantee that its series terminates."""
+
+
+def minus_one_pullback(f):
+    """Pullback along the inversion of the group: each (w, s)-component
+    is scaled by (-1)**s."""
+    return Poly({m: -c if mono_sdeg(m) % 2 else c for m, c in f.terms.items()})
+
+
+def exp_apply(op, f, ideal=None):
+    """Apply exp(op) = sum op^k / k! to a polynomial, reducing to normal
+    form after each step when an ideal is supplied.
+
+    Termination is guaranteed statically: every term of ``op`` must
+    either lower weight, raise weight (allowed only over a quotient,
+    where weights above the genus die), or preserve weight while
+    strictly lowering the p-degree.  Mixing weight-raising and
+    weight-lowering terms is rejected.
+    """
+    raises = lowers = False
+    for mult, parts in op.terms:
+        shift = term_weight_shift((mult, parts))
+        if shift > 0:
+            raises = True
+        elif shift < 0:
+            lowers = True
+        else:
+            pdrop = sum(e for _i, k, e in mult if k == P_KIND) - sum(
+                e for _i, k, e in parts if k == P_KIND)
+            if pdrop >= 0:
+                raise NotNilpotent("operator has a weight-preserving term that does not "
+                                   "lower the p-degree; exp would not terminate")
+    if raises and lowers:
+        raise NotNilpotent("operator mixes weight-raising and weight-lowering terms")
+    if raises and ideal is None:
+        raise NotNilpotent("weight-raising exponential terminates only on a quotient; "
+                           "supply a relation ideal")
+    reduce = ideal.normal_form if ideal is not None else (lambda x: x)
+    current = reduce(f)
+    total = current
+    k = 1
+    while current.terms:
+        current = reduce(op.apply(current)) / k
+        total = total + current
+        k += 1
+    return total
 
 
 def series_transform(ideal, f):

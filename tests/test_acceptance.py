@@ -7,8 +7,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 from fractions import Fraction
 from math import comb, factorial
 
-from helpers import equal_within, mono_pdeg, mono_qdeg, random_operator, random_poly, seeded
-from tautjac.fourier import FourierMap, exp_apply
+from helpers import equal_within, exp_apply, mono_pdeg, mono_qdeg, random_operator, random_poly, seeded
+from tautjac.fourier import FourierMap
 from tautjac.ideal import RelationIdeal
 from tautjac.lie import (
     LieContext,

@@ -330,6 +330,24 @@ def test_relations_json_deterministic(capsys):
     assert [b["w"] for b in data["weights"]] == [0, 1, 2]
 
 
+def test_output_does_not_depend_on_the_hash_seed():
+    # each command in a fresh interpreter, uncached, under two string hash
+    # seeds: any output that follows set or dict-of-str iteration order differs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tautjac.__file__)))
+    commands = (["relations", "--genus", "6", "--format", "json"],
+                ["fourier", "--genus", "5", "--check", "s2"])
+    for argv in commands:
+        outputs = set()
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            env.pop("TAUTJAC_CACHE_DIR", None)
+            result = subprocess.run([sys.executable, "-m", "tautjac.cli", *argv],
+                                    capture_output=True, env=env)
+            assert result.returncode == 0, (argv, seed, result.stderr)
+            outputs.add(result.stdout)
+        assert len(outputs) == 1 and outputs != {b""}, argv
+
+
 def test_relations_weight_filter_and_md(capsys):
     code, out, _ = run(
         capsys, "relations", "--genus", "2", "--weight", "2"

@@ -165,6 +165,14 @@ def test_weights_above_genus_vanish(ideal_g2):
             query(-1)
 
 
+def test_queries_reject_a_non_poly(ideal_g2):
+    # contains goes through normal_form, which checks its argument as FourierMap does
+    for bad in (3, "p1"):
+        for query in (ideal_g2.normal_form, ideal_g2.contains):
+            with pytest.raises(InvalidParameter, match="expected a Poly"):
+                query(bad)
+
+
 def test_quotient_dimension_trivials(ideal_g2, ideal_g3):
     for ideal in (ideal_g2, ideal_g3):
         assert ideal.quotient_dimension(0) == 1
