@@ -40,8 +40,9 @@ def cache_path(root, genus):
     return Path(root) / ("relideal-g%d-v%d.json" % (genus, CACHE_VERSION))
 
 
-def _canonical_body(payload):
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _digest(payload):
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def _payload(ideal):
@@ -98,11 +99,10 @@ def store_ideal(ideal, root):
     path.  Raises :class:`InvalidParameter` when the entry cannot be written."""
     root = Path(root)
     payload = _payload(ideal)
-    body = _canonical_body(payload)
     envelope = {
         "format-version": CACHE_VERSION,
         "genus": ideal.genus,
-        "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+        "sha256": _digest(payload),
         "ideal": payload,
     }
     path = cache_path(root, ideal.genus)
@@ -142,8 +142,7 @@ def load_ideal(root, genus):
         ):
             return None
         payload = data["ideal"]
-        body = _canonical_body(payload)
-        if hashlib.sha256(body.encode("utf-8")).hexdigest() != data.get("sha256"):
+        if _digest(payload) != data.get("sha256"):
             return None
         return _decode(payload, genus)
     except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):

@@ -44,9 +44,15 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="verify exact operator identities")
+    def command(name, help, genus=True):
+        """A subcommand, with its required --genus unless genus is false."""
+        cmd = sub.add_parser(name, help=help)
+        if genus:
+            cmd.add_argument("--genus", type=_ascii(int), required=True)
+        return cmd
+
+    pv = command("verify", "verify exact operator identities")
     pv.add_argument("suite", choices=["lie", "sl2", "tilde", "grading", "all"])
-    pv.add_argument("--genus", type=_ascii(int), required=True)
     pv.add_argument("--max-order", type=_ascii(int), default=4)
     pv.add_argument("--window", type=_ascii(int), default=None)
     pv.add_argument("--format", choices=["table", "json"], default="table")
@@ -55,42 +61,34 @@ def _build_parser():
         help="list each identity of the sl2, tilde and grading suites",
     )
 
-    pr = sub.add_parser("relations", help="build and export the relation ideal")
-    pr.add_argument("--genus", type=_ascii(int), required=True)
+    pr = command("relations", "build and export the relation ideal")
     pr.add_argument("--weight", type=_ascii(int), default=None, help="one weight in 0..genus")
     pr.add_argument("--format", choices=["json", "md"], default="json")
-    pr.add_argument("--cache-dir", default=None)
 
-    pn = sub.add_parser("normal-form", help="reduce an expression modulo the ideal")
-    pn.add_argument("--genus", type=_ascii(int), required=True)
+    pn = command("normal-form", "reduce an expression modulo the ideal")
     pn.add_argument("--expr", required=True)
-    pn.add_argument("--cache-dir", default=None)
 
-    pm = sub.add_parser("member", help="ideal membership test for an expression")
-    pm.add_argument("--genus", type=_ascii(int), required=True)
+    pm = command("member", "ideal membership test for an expression")
     pm.add_argument("--expr", required=True)
-    pm.add_argument("--cache-dir", default=None)
 
-    pf = sub.add_parser("fourier", help="transform checks on the quotient")
-    pf.add_argument("--genus", type=_ascii(int), required=True)
+    pf = command("fourier", "transform checks on the quotient")
     pf.add_argument("--check", choices=["s2", "conj"], required=True)
     pf.add_argument("--m", type=_ascii(int), default=None)
     pf.add_argument("--n", type=_ascii(int), default=None)
     pf.add_argument("--family", choices=["field", "density"], default="field")
-    pf.add_argument("--cache-dir", default=None)
+    for cached in (pr, pn, pm, pf):  # the commands that read the cache
+        cached.add_argument("--cache-dir", default=None)
 
-    pw = sub.add_parser("newton", help="convert divisor classes to p-q differences")
-    pw.add_argument("--genus", type=_ascii(int), required=True)
+    pw = command("newton", "convert divisor classes to p-q differences")
     group = pw.add_mutually_exclusive_group(required=True)
     group.add_argument("--to-d", default=None, metavar="W1,W2,...")
     group.add_argument("--to-w", default=None, metavar="D1,D2,...")
 
-    pc = sub.add_parser("cache", help="manage the relation-ideal cache")
+    pc = command("cache", "manage the relation-ideal cache", genus=False)
     pc.add_argument("--dir", default=None)
     pc.add_argument("--clear", action="store_true")
 
-    pd = sub.add_parser("dump-operator", help="print an operator in debug form")
-    pd.add_argument("--genus", type=_ascii(int), required=True)
+    pd = command("dump-operator", "print an operator in debug form")
     pd.add_argument("--window", type=_ascii(int), default=8)
     pd.add_argument(
         "--op",
@@ -227,7 +225,7 @@ def _cmd_newton(args):
     check_genus(args.genus)
     raw = args.to_d if args.to_d is not None else args.to_w
     try:
-        values = [_ascii(Fraction)(chunk.strip()) for chunk in raw.split(",") if chunk.strip()]
+        values = [_ascii(Fraction)(chunk.strip()) for chunk in raw.split(",")]
     except (ValueError, ZeroDivisionError) as err:
         raise InvalidParameter("bad rational list: %s" % err) from err
     if len(values) != args.genus:
@@ -263,19 +261,15 @@ def _cmd_dump_operator(args):
     from .lie import LieContext, density_op, descent_op, field_op, raw_field_op, sl2_triple
 
     ctx = LieContext(args.genus, args.window)
-    needs_mn = args.op in ("field", "density", "raw")
-    if needs_mn and (args.m is None or args.n is None):
+    member = {"field": field_op, "density": density_op, "raw": raw_field_op}.get(args.op)
+    if member and (args.m is None or args.n is None):
         raise InvalidParameter("--op %s requires --m and --n" % args.op)
-    if needs_mn and (args.m < 0 or args.n < 0):
+    if member and (args.m < 0 or args.n < 0):
         raise InvalidParameter("--m and --n must be >= 0, got %d, %d" % (args.m, args.n))
-    if args.op == "descent":
+    if member:
+        op = member(args.m, args.n, ctx)
+    elif args.op == "descent":
         op = descent_op(ctx)
-    elif args.op == "field":
-        op = field_op(args.m, args.n, ctx)
-    elif args.op == "density":
-        op = density_op(args.m, args.n, ctx)
-    elif args.op == "raw":
-        op = raw_field_op(args.m, args.n, ctx)
     else:
         op = getattr(sl2_triple(ctx), args.op)
     print(op)

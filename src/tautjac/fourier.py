@@ -39,20 +39,9 @@ from .ideal import _monomials
 from .lie import LieContext, density_op, descent_op, field_op
 from .operators import _code, mul_op, term_weight_shift
 from .poly import Poly, check_poly, merged_terms, mono_mul, mono_sdeg, mono_str, p, qdiv
+from .poly import combined as _combine
 
 __all__ = ["FourierMap"]
-
-
-def _combine(columns, vec):
-    """The combination sum of vec[c] * columns[c] of the columns of an
-    integer column map (basis element -> its image's coefficients by basis
-    element), zeros dropped."""
-    out = {}
-    get = out.get
-    for c, x in vec.items():
-        for d, y in columns[c].items():
-            out[d] = get(d, 0) + x * y
-    return {d: v for d, v in out.items() if v}
 
 
 def _over_lcm(columns):

@@ -44,6 +44,7 @@ from .poly import (
     Q_KIND,
     Poly,
     check_poly,
+    combined,
     enumerate_monomials,
     mono_mul,
     mono_str,
@@ -69,7 +70,7 @@ def _monomials(w):
 
 
 def _closure_tables(genus):
-    """(descent, products): descent[w][i] lists (index, coefficient) of
+    """(descent, products): descent[w][i] maps index -> coefficient of
     the descent of monomial i of weight w, for w in 1..g+1; products[w]
     lists (target weight, variable, index of each monomial of weight w
     times the variable) for every variable that keeps the target <= g."""
@@ -81,7 +82,7 @@ def _closure_tables(genus):
     for w in range(1, genus + 2):
         index = {_code(m): i for i, m in enumerate(_monomials(w - 1)[0])}
         columns.append([
-            [(index[k], c) for k, c in descent.image_codes(mono).items() if c]
+            {index[k]: c for k, c in descent.image_codes(mono).items() if c}
             for mono in _monomials(w)[0]
         ])
     products = []
@@ -227,12 +228,7 @@ class RelationIdeal:
         g."""
         descent, products = tables
         if w >= 1:
-            image = {}
-            get = image.get
-            for i, c in row.items():
-                for j, d in descent[w][i]:
-                    image[j] = get(j, 0) + c * d
-            yield w - 1, {j: c for j, c in image.items() if c}, None
+            yield w - 1, combined(descent[w], row), None
         for target, var, table in products[w]:
             yield target, {table[i]: c for i, c in row.items()}, var
 

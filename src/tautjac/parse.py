@@ -80,51 +80,34 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
+    def take(self, *kinds):
+        """The next token, consumed, if its kind is one of kinds; else None."""
         tok = self.tokens[self.pos]
+        if tok[0] not in kinds:
+            return None
         self.pos += 1
         return tok
 
-    def parse(self):
-        value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(
-                "unexpected %r after expression" % tok[0],
-                tok[2],
-                expected=("end",),
-            )
-        return value
-
     def expr(self):
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            if self.advance()[0] == "-":
-                sign = -1
+        sign = self.take("+", "-")
         value = self.term()
-        if sign < 0:
+        if sign and sign[0] == "-":
             value = -value
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+        while op := self.take("+", "-"):
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = value + rhs if op[0] == "+" else value - rhs
         return value
 
     def term(self):
         value = self.factor()
-        while self.peek()[0] == "*":
-            self.advance()
+        while self.take("*"):
             value = value * self.factor()
         return value
 
     def factor(self):
         value = self.atom()
-        while self.peek()[0] == "^":
-            self.advance()
-            tok = self.peek()
+        while self.take("^"):
+            tok = self.take("number") or self.tokens[self.pos]
             # an integer literal: a NUMBER token read with no '/' (6/2 is not one)
             if tok[0] != "number" or _TOKEN.match(self.src, tok[2])[3] is not None:
                 raise ParseError(
@@ -132,30 +115,25 @@ class _Parser:
                     tok[2],
                     expected=("integer",),
                 )
-            self.advance()
             value = value ** tok[1]
         return value
 
     def atom(self):
-        tok = self.peek()
+        tok = self.take("number", "variable", "(") or self.tokens[self.pos]
         if tok[0] == "number":
-            self.advance()
             return Poly.constant(tok[1])
         if tok[0] == "variable":
-            self.advance()
             index, kind = tok[1]
             return Poly.monomial(((index, kind, 1),))
         if tok[0] == "(":
-            self.advance()
             value = self.expr()
-            closing = self.peek()
-            if closing[0] != ")":
+            if not self.take(")"):
+                closing = self.tokens[self.pos]
                 raise ParseError(
                     "expected ')', found %r" % (closing[0],),
                     closing[2],
                     expected=(")",),
                 )
-            self.advance()
             return value
         raise ParseError(
             "expected a number, variable or '('; found %r" % (tok[0],),
@@ -166,4 +144,13 @@ class _Parser:
 
 def parse_poly(src):
     """Parse an expression into an exact :class:`~tautjac.poly.Poly`."""
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    value = parser.expr()
+    if not parser.take("end"):
+        tok = parser.tokens[parser.pos]
+        raise ParseError(
+            "unexpected %r after expression" % tok[0],
+            tok[2],
+            expected=("end",),
+        )
+    return value

@@ -14,7 +14,8 @@ lexicographically, highest variable first).  The empty tuple is the
 monomial 1.
 
 ``nonzero_terms``, ``merged_terms`` and ``signed_sum`` clean, merge and
-print the sparse term maps of both ``Poly`` and ``Operator``.
+print the sparse term maps of both ``Poly`` and ``Operator``; ``combined``
+is the one column kernel of the closure's descent and the Fourier maps.
 """
 
 from fractions import Fraction
@@ -63,6 +64,17 @@ def merged_terms(a, b, sign):
     for key, c in b.items():
         out[key] = out.get(key, 0) + sign * c
     return out
+
+
+def combined(columns, vec):
+    """The sum of vec[c] * columns[c] over an integer column map (key -> its
+    image's coefficients by key), zeros dropped."""
+    out = {}
+    get = out.get
+    for c, x in vec.items():
+        for d, y in columns[c].items():
+            out[d] = get(d, 0) + x * y
+    return {d: v for d, v in out.items() if v}
 
 
 def signed_sum(pieces):

@@ -16,6 +16,7 @@ from tautjac import ideal as ideal_module
 from tautjac.errors import IndexZeroError, ParseError, WindowExceeded, report_entry
 from tautjac.lie import LieContext, _index_multisets, density_op, descent_op, field_op
 from tautjac.operators import Operator, mul_op, term_weight_shift
+from tautjac.parse import _TOKEN, _tokenize
 from tautjac.poly import (
     P_KIND,
     Q_KIND,
@@ -749,3 +750,100 @@ def tokenize_oracle(src):
         )
     tokens.append(("end", None, n))
     return tokens
+
+
+class _ParserOracle:
+    def __init__(self, src):
+        self.src = src
+        self.tokens = _tokenize(src)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        value = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(
+                "unexpected %r after expression" % tok[0],
+                tok[2],
+                expected=("end",),
+            )
+        return value
+
+    def expr(self):
+        sign = 1
+        if self.peek()[0] in ("+", "-"):
+            if self.advance()[0] == "-":
+                sign = -1
+        value = self.term()
+        if sign < 0:
+            value = -value
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek()[0] == "*":
+            self.advance()
+            value = value * self.factor()
+        return value
+
+    def factor(self):
+        value = self.atom()
+        while self.peek()[0] == "^":
+            self.advance()
+            tok = self.peek()
+            # an integer literal: a NUMBER token read with no '/' (6/2 is not one)
+            if tok[0] != "number" or _TOKEN.match(self.src, tok[2])[3] is not None:
+                raise ParseError(
+                    "exponent must be a nonnegative integer",
+                    tok[2],
+                    expected=("integer",),
+                )
+            self.advance()
+            value = value ** tok[1]
+        return value
+
+    def atom(self):
+        tok = self.peek()
+        if tok[0] == "number":
+            self.advance()
+            return Poly.constant(tok[1])
+        if tok[0] == "variable":
+            self.advance()
+            index, kind = tok[1]
+            return Poly.monomial(((index, kind, 1),))
+        if tok[0] == "(":
+            self.advance()
+            value = self.expr()
+            closing = self.peek()
+            if closing[0] != ")":
+                raise ParseError(
+                    "expected ')', found %r" % (closing[0],),
+                    closing[2],
+                    expected=(")",),
+                )
+            self.advance()
+            return value
+        raise ParseError(
+            "expected a number, variable or '('; found %r" % (tok[0],),
+            tok[2],
+            expected=("number", "variable", "("),
+        )
+
+
+def parse_oracle(src):
+    """The expression parser with its own peek and advance, as it stood
+    before one ``take`` primitive replaced them: ``tautjac.parse.parse_poly``
+    must give the same value or the same error."""
+    return _ParserOracle(src).parse()

@@ -127,6 +127,8 @@ def test_usage_errors_exit_2(capsys):
         ["newton", "--genus", "3", "--to-d", "\u0661,\u0662,\uff13"],
         ["newton", "--genus", "3", "--to-w", "1,2,\uff13"],
         ["newton", "--genus", "4", "--to-d", "1,2,3"],
+        ["newton", "--genus", "2", "--to-d", "1,,2"],  # every field must hold a value
+        ["newton", "--genus", "3", "--to-d", "1,2,3,"],
         ["newton", "--genus", "0", "--to-d="],
         ["newton", "--genus=-1", "--to-d", "1"],
     ]

@@ -423,7 +423,7 @@ def test_descent_stability_failure_names_the_top_monomial(ideal_g3):
     # 0 of weight 4) gains a weight-3 quotient-basis monomial
     tables = _closure_tables(3)
     basis_index = _monomials(3)[1][ideal_g3.quotient_basis(3)[0]]
-    tables[0][4][0].append((basis_index, 1))
+    tables[0][4][0][basis_index] = 1
     with pytest.raises(VerificationFailure) as info:
         ideal_g3.check_stability(tables)
     assert info.value.entry == {

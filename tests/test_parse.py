@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mono_from_exponents, random_poly, seeded, tokenize_oracle
+from helpers import mono_from_exponents, parse_oracle, random_poly, seeded, tokenize_oracle
 from tautjac.errors import IndexZeroError, ParseError
 from tautjac.parse import _tokenize, parse_poly
 from tautjac.poly import Poly, p, q
@@ -118,6 +118,46 @@ def test_tokenizer_matches_oracle():
     corpus += [t % c for c in odd for t in ("1%s2", "p%s1", "1 %s/ 2", "%s")]
     for src in corpus:
         assert _scan(_tokenize, src) == _scan(tokenize_oracle, src), src
+
+
+def _parsed(parse, src):
+    """The value's text, or the error's (class, message, position, expected)."""
+    try:
+        return str(parse(src))
+    except ParseError as err:
+        return type(err), str(err), err.position, err.expected
+
+
+def test_parser_matches_oracle():
+    # token strings that mostly alternate operand and operator and mostly
+    # end closed, with a stray token now and then: about 40% parse, and
+    # every error branch of the grammar is reached
+    rng = seeded(32)
+    operands = ["p1", "q2", "3/4", "2", "22", "("]
+    operators = ["+", "-", "−", "*", "^", ")"]
+    stray = operands + operators + ["/", "q0", "p0", "1/0", "x", "p"]
+    corpus = []
+    for _ in range(20000):
+        src, want = "", operands
+        for _ in range(rng.randint(0, 12)):
+            tok = rng.choice(want if rng.random() < 0.9 else stray)
+            src += " " * rng.randint(0, 1) + tok
+            want = operands if tok in "(+-−*^" else operators
+        if rng.random() < 0.9:
+            src += rng.choice(operands[:5]) * (want is operands) + ")" * (src.count("(") - src.count(")"))
+        corpus.append(src)
+    # values that print past CPython's 4,300-digit int -> str limit
+    corpus += ["2^22222", "(-3/4*q2)^22222"]
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        for src in corpus:
+            assert _parsed(parse_poly, src) == _parsed(parse_oracle, src), src
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_round_trip_on_fixed_corpus():
