@@ -16,8 +16,8 @@ from contextlib import suppress
 from math import gcd
 from pathlib import Path
 
-from .errors import InvalidParameter
-from .ideal import RelationIdeal, _Space, check_genus
+from .errors import InvalidParameter, check_genus
+from .ideal import RelationIdeal, _Space
 from .poly import MONOMIAL_ORDER_ID
 
 ENV_VAR = "TAUTJAC_CACHE_DIR"
@@ -114,10 +114,8 @@ def store_ideal(ideal, root):
                 json.dump(envelope, handle, sort_keys=True)
             os.replace(tmp, path)
         except BaseException:
-            try:
+            with suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
             raise
     except OSError as err:
         reason = err.strerror or err

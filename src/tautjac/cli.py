@@ -22,8 +22,8 @@ from .errors import (
     ParseError,
     TautjacError,
     VerificationFailure,
+    check_genus,
 )
-from .ideal import check_genus
 from .parse import parse_poly
 
 
@@ -44,14 +44,15 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, genus=True):
-        """A subcommand, with its required --genus unless genus is false."""
+    def command(name, help, run, genus=True):
+        """A subcommand that runs run(args), with its required --genus unless genus is false."""
         cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(run=run)
         if genus:
             cmd.add_argument("--genus", type=_ascii(int), required=True)
         return cmd
 
-    pv = command("verify", "verify exact operator identities")
+    pv = command("verify", "verify exact operator identities", _cmd_verify)
     pv.add_argument("suite", choices=["lie", "sl2", "tilde", "grading", "all"])
     pv.add_argument("--max-order", type=_ascii(int), default=4)
     pv.add_argument("--window", type=_ascii(int), default=None)
@@ -61,17 +62,17 @@ def _build_parser():
         help="list each identity of the sl2, tilde and grading suites",
     )
 
-    pr = command("relations", "build and export the relation ideal")
+    pr = command("relations", "build and export the relation ideal", _cmd_relations)
     pr.add_argument("--weight", type=_ascii(int), default=None, help="one weight in 0..genus")
     pr.add_argument("--format", choices=["json", "md"], default="json")
 
-    pn = command("normal-form", "reduce an expression modulo the ideal")
+    pn = command("normal-form", "reduce an expression modulo the ideal", _cmd_normal_form)
     pn.add_argument("--expr", required=True)
 
-    pm = command("member", "ideal membership test for an expression")
+    pm = command("member", "ideal membership test for an expression", _cmd_member)
     pm.add_argument("--expr", required=True)
 
-    pf = command("fourier", "transform checks on the quotient")
+    pf = command("fourier", "transform checks on the quotient", _cmd_fourier)
     pf.add_argument("--check", choices=["s2", "conj"], required=True)
     pf.add_argument("--m", type=_ascii(int), default=None)
     pf.add_argument("--n", type=_ascii(int), default=None)
@@ -79,16 +80,16 @@ def _build_parser():
     for cached in (pr, pn, pm, pf):  # the commands that read the cache
         cached.add_argument("--cache-dir", default=None)
 
-    pw = command("newton", "convert divisor classes to p-q differences")
+    pw = command("newton", "convert divisor classes to p-q differences", _cmd_newton)
     group = pw.add_mutually_exclusive_group(required=True)
     group.add_argument("--to-d", default=None, metavar="W1,W2,...")
     group.add_argument("--to-w", default=None, metavar="D1,D2,...")
 
-    pc = command("cache", "manage the relation-ideal cache", genus=False)
+    pc = command("cache", "manage the relation-ideal cache", _cmd_cache, genus=False)
     pc.add_argument("--dir", default=None)
     pc.add_argument("--clear", action="store_true")
 
-    pd = command("dump-operator", "print an operator in debug form")
+    pd = command("dump-operator", "print an operator in debug form", _cmd_dump_operator)
     pd.add_argument("--window", type=_ascii(int), default=8)
     pd.add_argument(
         "--op",
@@ -98,10 +99,6 @@ def _build_parser():
     pd.add_argument("--m", type=_ascii(int), default=None)
     pd.add_argument("--n", type=_ascii(int), default=None)
     return parser
-
-
-def _emit_json(data):
-    print(json.dumps(data, indent=2))
 
 
 def _failed(entries):
@@ -152,7 +149,7 @@ def _cmd_verify(args):
                 for entry in entries:
                     print("  %-48s %s" % (entry["identity"], entry["status"]))
     if args.format == "json":
-        _emit_json(reports if len(reports) != 1 else reports[0])
+        print(json.dumps(reports if len(reports) != 1 else reports[0], indent=2))
     return 0
 
 
@@ -166,7 +163,7 @@ def _cmd_relations(args):
     if args.weight is not None:
         data["weights"] = [data["weights"][args.weight]]
     if args.format == "json":
-        _emit_json(data)
+        print(json.dumps(data, indent=2))
         return 0
     print("# Derived relations, genus %d" % ideal.genus)
     print("")
@@ -276,18 +273,6 @@ def _cmd_dump_operator(args):
     return 0
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "relations": _cmd_relations,
-    "normal-form": _cmd_normal_form,
-    "member": _cmd_member,
-    "fourier": _cmd_fourier,
-    "newton": _cmd_newton,
-    "cache": _cmd_cache,
-    "dump-operator": _cmd_dump_operator,
-}
-
-
 def main(argv=None):
     # exact input, exact output: lift CPython 3.11+'s 4,300-digit int <-> str limit
     lift = hasattr(sys, "set_int_max_str_digits")
@@ -296,7 +281,7 @@ def main(argv=None):
         sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ParseError as err:
         print("expression error: %s" % err, file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, the report-entry schema and the genus check."""
 
 
 class TautjacError(Exception):
@@ -23,6 +23,12 @@ class InvalidParameter(TautjacError, ValueError):
 
 class InvalidGenus(InvalidParameter):
     """Genus parameter below 2."""
+
+
+def check_genus(genus):
+    """Raise InvalidGenus unless genus is an integer >= 2."""
+    if not isinstance(genus, int) or genus < 2:
+        raise InvalidGenus("genus must be an integer >= 2, got %r" % (genus,))
 
 
 class VerificationFailure(TautjacError):

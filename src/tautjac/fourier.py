@@ -70,7 +70,7 @@ def _exp_columns(scale, ints):
             term = _combine(ints, term)
             if not term:
                 break
-            total = merged_terms({d: c * scale * k for d, c in total.items()}, term, 1)
+            total = merged_terms({d: c * scale * k for d, c in total.items()}, term)
             den *= scale * k
             k += 1
         out[b] = total, den

@@ -37,7 +37,7 @@ from collections import deque
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import InvalidGenus, InvalidParameter, VerificationFailure, report_entry
+from .errors import InvalidParameter, VerificationFailure, check_genus, report_entry
 from .poly import (
     MONOMIAL_ORDER_ID,
     P_KIND,
@@ -53,12 +53,6 @@ from .poly import (
 )
 
 FORMAT_VERSION = 2
-
-
-def check_genus(genus):
-    """Raise InvalidGenus unless genus is an integer >= 2."""
-    if not isinstance(genus, int) or genus < 2:
-        raise InvalidGenus("genus must be an integer >= 2, got %r" % (genus,))
 
 
 @lru_cache(maxsize=None)

@@ -62,8 +62,7 @@ from functools import lru_cache
 from math import comb, factorial
 from weakref import WeakValueDictionary
 
-from .errors import InvalidParameter, VerificationFailure, report_entry
-from .ideal import check_genus
+from .errors import InvalidParameter, VerificationFailure, check_genus, report_entry
 from .operators import Operator, _commute_window, _decoded, _min_window, mul_op, term_weight_shift
 from .poly import (
     MONO_ONE,
@@ -135,14 +134,6 @@ def _variable(kind, i):
     return mono, mono_weight(mono)
 
 
-def _pvar(i):
-    return _variable(P_KIND, i)[0]
-
-
-def _qvar(i):
-    return _variable(Q_KIND, i)[0]
-
-
 @lru_cache(maxsize=None)
 def _q_partials(count, cap):
     """The partials base * q_j of weight <= cap, base running over
@@ -152,7 +143,7 @@ def _q_partials(count, cap):
     found = []
     for base, s, denom, orderings in _index_multisets(count, cap):
         for j in range(1, cap - s + 1):
-            mono = mono_mul(base, _qvar(j))
+            mono = mono_mul(base, _variable(Q_KIND, j)[0])
             found.append((mono, mono_weight(mono), denom * factorial(j - 1), orderings))
     return tuple(found)
 
@@ -308,8 +299,8 @@ def _sl2_parts(parts):
     W = parts.window
     h = {}
     for n in range(1, W + 1):
-        h[(_pvar(n), _pvar(n))] = n + 1
-        h[(_qvar(n), _qvar(n))] = n
+        h[(_variable(P_KIND, n)[0], _variable(P_KIND, n)[0])] = n + 1
+        h[(_variable(Q_KIND, n)[0], _variable(Q_KIND, n)[0])] = n
     return Sl2(
         (mul_op(p(1)),),
         tuple(-x for x in parts("descent")),
@@ -490,7 +481,7 @@ def _grading_checks(params, max_order, ctx):
     # h is diagonal: it scales each variable v by 2w(v) - s(v), minus g*id
     diagonal = {(MONO_ONE, MONO_ONE): -g}
     for i in range(1, max_weight + 1):
-        for v in (_pvar(i), _qvar(i)):
+        for v in (_variable(P_KIND, i)[0], _variable(Q_KIND, i)[0]):
             diagonal[(v, v)] = cartan_eigenvalue(i, mono_sdeg(v), 0)
     residual = _at_genus(h, g).truncated(max_weight) - Operator(diagonal)
     yield "h acts by 2w - s - g", {"max_weight": max_weight}, residual

@@ -200,13 +200,10 @@ class Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         window = _min_window(self.window, other.window)
-        return Operator(merged_terms(self.terms, other.terms, 1), window)
+        return Operator(merged_terms(self.terms, other.terms), window)
 
     def __sub__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        window = _min_window(self.window, other.window)
-        return Operator(merged_terms(self.terms, other.terms, -1), window)
+        return self + -other if isinstance(other, Operator) else NotImplemented
 
     def __neg__(self):
         return Operator({k: -c for k, c in self.terms.items()}, self.window)

@@ -58,11 +58,11 @@ def nonzero_terms(terms):
     return clean
 
 
-def merged_terms(a, b, sign):
-    """The term map a + sign * b; coefficients that cancel stay as 0."""
+def merged_terms(a, b):
+    """The term map a + b; coefficients that cancel stay as 0."""
     out = dict(a)
     for key, c in b.items():
-        out[key] = out.get(key, 0) + sign * c
+        out[key] = out.get(key, 0) + c
     return out
 
 
@@ -147,7 +147,6 @@ def mono_str(m):
     )
 
 
-@lru_cache(maxsize=None)
 def enumerate_monomials(w):
     """All monomials of weight exactly ``w``, canonically ordered with
     the largest monomial first.  Deterministic and cached."""
@@ -226,7 +225,7 @@ class Poly:
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly(merged_terms(self.terms, other.terms, 1))
+        return Poly(merged_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -234,11 +233,7 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return Poly(merged_terms(self.terms, other.terms, -1))
+        return self + -other if isinstance(other, (int, Fraction, Poly)) else NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other

@@ -272,6 +272,18 @@ def test_cli_import_starts_no_process_machinery():
     assert result.stdout.strip() == "[]"
 
 
+def test_lie_import_does_not_load_the_ideal():
+    # the operator layers sit below the relation ideal: lie takes its genus
+    # check from errors, and only the ideal reaches up into lie, lazily
+    code = "import sys, tautjac.lie; print('tautjac.ideal' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tautjac.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
 def test_every_public_name_resolves():
     for name in tautjac.__all__:
         assert getattr(tautjac, name) is not None, name
@@ -337,7 +349,10 @@ def test_output_does_not_depend_on_the_hash_seed():
     # seeds: any output that follows set or dict-of-str iteration order differs
     src = os.path.dirname(os.path.dirname(os.path.abspath(tautjac.__file__)))
     commands = (["relations", "--genus", "6", "--format", "json"],
-                ["fourier", "--genus", "5", "--check", "s2"])
+                ["fourier", "--genus", "5", "--check", "s2"],
+                ["verify", "all", "--genus", "3", "--max-order", "4", "--format", "json"],
+                ["dump-operator", "--genus", "3", "--op", "field", "--m", "2", "--n", "3",
+                 "--window", "6"])
     for argv in commands:
         outputs = set()
         for seed in ("0", "12345"):
@@ -436,7 +451,7 @@ def test_newton_commands(capsys):
 
 def test_genus_errors_share_one_message(capsys):
     # the operator context, the bracket suite and the newton command all
-    # reject a genus below 2 with the text of ideal.check_genus
+    # reject a genus below 2 with the text of errors.check_genus
     text = "genus must be an integer >= 2, got 1"
     for call in (lambda: lie.LieContext(1, 5), lambda: lie.run_bracket_suite([1], 2, 4)):
         with pytest.raises(InvalidGenus) as info:
@@ -832,6 +847,13 @@ def test_cache_command(capsys, tmp_path):
     assert "removed 1" in out
     code, out, _ = run(capsys, "cache", "--dir", str(tmp_path))
     assert (code, out) == (0, "cache dir: %s\n  (empty)\n" % tmp_path)
+    # a directory that does not exist lists and clears as empty, and stays absent
+    missing = tmp_path / "missing"
+    code, out, _ = run(capsys, "cache", "--dir", str(missing))
+    assert (code, out) == (0, "cache dir: %s\n  (empty)\n" % missing)
+    code, out, _ = run(capsys, "cache", "--dir", str(missing), "--clear")
+    assert (code, out) == (0, "removed 0 entries from %s\n" % missing)
+    assert not missing.exists()
     code, out, _ = run(capsys, "cache")
     assert code == 0
     assert "no cache directory" in out
