@@ -25,10 +25,15 @@ class InvalidGenus(InvalidParameter):
     """Genus parameter below 2."""
 
 
+def check_int(value, least, message, error=InvalidParameter):
+    """Raise ``error(message % value)`` unless value is an int, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise error(message % (value,))
+
+
 def check_genus(genus):
     """Raise InvalidGenus unless genus is an integer >= 2."""
-    if not isinstance(genus, int) or genus < 2:
-        raise InvalidGenus("genus must be an integer >= 2, got %r" % (genus,))
+    check_int(genus, 2, "genus must be an integer >= 2, got %r", InvalidGenus)
 
 
 class VerificationFailure(TautjacError):

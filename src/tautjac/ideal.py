@@ -37,7 +37,7 @@ from collections import deque
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import InvalidParameter, VerificationFailure, check_genus, report_entry
+from .errors import VerificationFailure, check_genus, check_int, report_entry
 from .poly import (
     MONOMIAL_ORDER_ID,
     P_KIND,
@@ -258,8 +258,7 @@ class RelationIdeal:
     def _space(self, w):
         """The stored space of weight w, or None above the genus, where
         every monomial is a relation."""
-        if w < 0:
-            raise InvalidParameter("weight must be >= 0, got %r" % (w,))
+        check_int(w, 0, "weight must be >= 0, got %r")
         return self.spaces[w] if w <= self.genus else None
 
     def quotient_dimension(self, w):

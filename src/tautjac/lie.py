@@ -59,11 +59,11 @@ terms: a normal-ordered term M d(P) shifts (weight, s-degree) by
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, inf
 from weakref import WeakValueDictionary
 
-from .errors import InvalidParameter, VerificationFailure, check_genus, report_entry
-from .operators import Operator, _commute_window, _decoded, _min_window, mul_op, term_weight_shift
+from .errors import InvalidParameter, VerificationFailure, check_genus, check_int, report_entry
+from .operators import Operator, _commute_window, _decoded, mul_op, term_weight_shift
 from .poly import (
     MONO_ONE,
     P_KIND,
@@ -79,8 +79,7 @@ from .poly import (
 
 def _check_context(genus, window):
     check_genus(genus)
-    if not isinstance(window, int) or window < 1:
-        raise InvalidParameter("window must be a positive integer, got %r" % (window,))
+    check_int(window, 1, "window must be a positive integer, got %r")
 
 
 class LieContext:
@@ -384,14 +383,13 @@ def _residual(x, y, rhs, fallback):
              if u.terms and v.terms]
     adds = [(k, -c, z) for c, parts in rhs for k, z in enumerate(parts) if c and z.terms]
     windows = [_commute_window(u, v) for _k, u, v in pairs]
-    wins = [None] * (len(x) + len(y) - 1)
+    w = min(windows, default=inf)
+    w = fallback if w == inf else max(w, 0)
+    cuts = [w] * (len(x) + len(y) - 1)
     for (k, _u, _v), win in zip(pairs, windows):
-        wins[k] = _min_window(wins[k], win)
+        cuts[k] = min(cuts[k], win)
     for k, _c, z in adds:
-        wins[k] = _min_window(wins[k], z.window)
-    finite = [w for w in windows if w is not None]
-    w = max(min(finite), 0) if finite else fallback
-    cuts = [_min_window(w, win) for win in wins]
+        cuts[k] = min(cuts[k], z.window)
     sums = [{} for _ in cuts]
     for k, u, v in pairs:
         u._commute_into(v, sums[k], cuts[k])

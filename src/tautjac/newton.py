@@ -21,14 +21,18 @@ from math import factorial
 __all__ = ["w_to_d", "d_to_w"]
 
 
+def _newton_sum(acc, w, ps, k):
+    """acc + sum_{i<k} (-1)^{i-1} w_i P_{k-i}, where ps[j-1] = P_j."""
+    for i in range(1, k):
+        term = w[i - 1] * ps[k - i - 1]
+        acc = acc + term if i % 2 else acc - term
+    return acc
+
+
 def _power_sums(w):
     ps = []  # ps[k-1] = P_k
     for k in range(1, len(w) + 1):
-        acc = (k * w[k - 1]) if k % 2 else (-k * w[k - 1])
-        for i in range(1, k):
-            term = w[i - 1] * ps[k - i - 1]
-            acc = acc + term if i % 2 else acc - term
-        ps.append(acc)
+        ps.append(_newton_sum(k * w[k - 1] if k % 2 else -k * w[k - 1], w, ps, k))
     return ps
 
 
@@ -45,11 +49,6 @@ def d_to_w(d):
     d = list(d)
     ps = [dk * (-factorial(k)) for k, dk in enumerate(d, start=1)]
     w = []
-    for k in range(1, len(d) + 1):
-        acc = ps[k - 1]
-        for i in range(1, k):
-            term = w[i - 1] * ps[k - i - 1]
-            acc = acc - term if i % 2 else acc + term
-        sign = 1 if k % 2 else -1
-        w.append(acc * Fraction(sign, k))
+    for k in range(1, len(d) + 1):  # (-1)^{k-1} k w_k = P_k - the Newton sum
+        w.append(_newton_sum(-ps[k - 1], w, ps, k) * Fraction(-1 if k % 2 else 1, k))
     return w

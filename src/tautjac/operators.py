@@ -8,11 +8,11 @@ multiset of partials are stored as monomials of :mod:`tautjac.poly`.
 Operators carry a validity *window* W: every term of the (possibly
 infinite) ideal operator whose partial multiset has index-sum <= W is
 present, which makes application to any polynomial of weight <= W
-exact.  ``window=None`` marks an operator that is stored in full
-(multiplication operators, finite hand-built operators), valid at every
-weight.  Composition propagates windows so validity is never
-overstated, and discards product terms that fall outside the resulting
-window.
+exact.  The window ``math.inf`` (``window=None`` gives it too) marks an
+operator stored in full (multiplication operators, finite hand-built
+operators), valid at every weight.  Composition propagates windows by
+``min``, so validity is never overstated, and discards product terms
+that fall outside the resulting window.
 
 Every product is the Leibniz rule, read from indexes each operator
 builds on first use.  An image looks each sub-multiset of a monomial up
@@ -55,20 +55,15 @@ from .poly import (MONO_ONE, P_KIND, Q_KIND, Poly, merged_terms, mono_mul, mono_
 EXPONENT_BOUND = 128  # half the range of a byte field: a sum of two never carries
 
 
-def _min_window(a, b):
-    """The smaller of two windows, None (unbounded) being the larger."""
-    return b if a is None else a if b is None or a < b else b
-
-
 def _compose_window(a, b):
     """Window of a o b: b's own, and a's lowered by b's largest shift."""
     sb = b.max_weight_shift()
-    return _min_window(b.window, None if a.window is None else a.window - (sb or 0))
+    return min(b.window, a.window - (sb or 0))
 
 
 def _commute_window(a, b):
     """Window of [a, b]: the smaller of the two compositions' windows."""
-    return _min_window(_compose_window(a, b), _compose_window(b, a))
+    return min(_compose_window(a, b), _compose_window(b, a))
 
 
 def _bit(i, k):
@@ -142,9 +137,9 @@ class Operator:
 
     __slots__ = ("terms", "window", "_cache", "__weakref__")
 
-    def __init__(self, terms=None, window=None):
+    def __init__(self, terms=None, window=inf):
         object.__setattr__(self, "terms", nonzero_terms(terms))
-        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "window", inf if window is None else window)
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -161,7 +156,7 @@ class Operator:
         return op
 
     @classmethod
-    def zero(cls, window=None):
+    def zero(cls, window=inf):
         return cls({}, window)
 
     @classmethod
@@ -199,8 +194,7 @@ class Operator:
     def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        window = _min_window(self.window, other.window)
-        return Operator(merged_terms(self.terms, other.terms), window)
+        return Operator(merged_terms(self.terms, other.terms), min(self.window, other.window))
 
     def __sub__(self, other):
         return self + -other if isinstance(other, Operator) else NotImplemented
@@ -217,10 +211,9 @@ class Operator:
 
     def apply(self, f):
         """Act on a polynomial.  Exact for weights up to the window."""
-        if self.window is not None:
-            w = f.max_weight()
-            if w > self.window:
-                raise WindowExceeded(w, self.window)
+        w = f.max_weight()
+        if w > self.window:
+            raise WindowExceeded(w, self.window)
         index, order, _top = self._lazy("parts")
         out = {}
         get = out.get
@@ -238,7 +231,7 @@ class Operator:
         """self(mono) as {multiplier code: coeff}, zeros kept; ``keep`` reads and fills the
         per-process code and hit tables, for a caller that images each monomial many times."""
         code, w = (_mono_code if keep else _checked_code)(mono)
-        if self.window is not None and w > self.window:
+        if w > self.window:
             raise WindowExceeded(w, self.window)
         index, order, top = self._lazy("parts")
         if top >= EXPONENT_BOUND:
@@ -261,7 +254,7 @@ class Operator:
         win = _compose_window(self, other)
         out = {}
         for bc, bsum, bcode, _mult, _parts in other._lazy("packed")[0]:  # the empty hit
-            self._add_into(out, bc, inf if win is None else win - bsum, bcode)
+            self._add_into(out, bc, win - bsum, bcode)
         self._contract(other, win, out, 1)
         return _decoded(out, win)
 
@@ -295,10 +288,10 @@ class Operator:
 
     def _contract(self, other, limit, out, sign):
         """Add ``sign`` times the contraction terms of self o other with
-        partial index-sum <= ``limit`` (all when None) into ``out``.  For
+        partial index-sum <= ``limit`` into ``out``.  For
         each hit size, other's hit table is joined with self's Leibniz
         table on the hit codes both hold."""
-        get, limit = out.get, inf if limit is None else limit
+        get = out.get
         for size, rights in other._lazy("hits").items():
             lefts_by_hit = self._lazy(size)
             for hit in rights.keys() & lefts_by_hit.keys():
@@ -365,7 +358,7 @@ class Operator:
 
     def truncated(self, w):
         """Drop terms with partial index-sum above w; window becomes w."""
-        win = w if self.window is None else min(w, self.window)
+        win = min(w, self.window)
         return Operator({k: c for k, c in self.terms.items() if mono_weight(k[1]) <= win}, win)
 
     def __str__(self):

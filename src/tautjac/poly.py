@@ -21,7 +21,7 @@ is the one column kernel of the closure's descent and the Fourier maps.
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_int
 
 MONOMIAL_ORDER_ID = "plex-interleaved-v1"
 
@@ -89,8 +89,7 @@ def variable(kind, index):
     """A variable as an ``(index, kind)`` pair; index must be >= 1."""
     if kind not in (P_KIND, Q_KIND):
         raise InvalidParameter("variable kind must be 'p' or 'q', got %r" % (kind,))
-    if index < 1:
-        raise InvalidParameter("variable index must be >= 1, got %r" % (index,))
+    check_int(index, 1, "variable index must be >= 1, got %r")
     return (index, kind)
 
 
@@ -150,8 +149,7 @@ def mono_str(m):
 def enumerate_monomials(w):
     """All monomials of weight exactly ``w``, canonically ordered with
     the largest monomial first.  Deterministic and cached."""
-    if w < 0:
-        raise ValueError("weight must be >= 0")
+    check_int(w, 0, "weight must be >= 0, got %r")
     return _monomials_below(w, w)
 
 

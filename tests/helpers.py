@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, inf, lcm, prod
 
 from tautjac import ideal as ideal_module
 from tautjac.errors import IndexZeroError, ParseError, WindowExceeded, report_entry
@@ -71,7 +71,7 @@ def equal_within(a, b, w):
     (equivalently, agreement of apply on every polynomial of weight
     <= w); WindowExceeded when w is past either window."""
     for win in (a.window, b.window):
-        if win is not None and w > win:
+        if w > win:
             raise WindowExceeded(w, win)
     mine = {k: c for k, c in a.terms.items() if mono_weight(k[1]) <= w}
     theirs = {k: c for k, c in b.terms.items() if mono_weight(k[1]) <= w}
@@ -134,7 +134,7 @@ def random_poly(rng, max_index=3, max_terms=4, max_exp=2):
 
 def random_operator(rng, max_index=3, max_terms=3):
     """A finite random operator; being finite it is exact at every
-    weight (window None)."""
+    weight (window inf)."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         mult_pairs = [
@@ -147,7 +147,7 @@ def random_operator(rng, max_index=3, max_terms=3):
         ]
         key = (mono_from_exponents(mult_pairs), mono_from_exponents(part_pairs))
         terms[key] = terms.get(key, 0) + rng.randint(-4, 4)
-    return Operator(terms, None)
+    return Operator(terms)
 
 
 def seeded(seed):
@@ -170,7 +170,7 @@ def residual_oracle(x, y, rhs, fallback):
         for k, part in enumerate(z):
             if c and part.terms:
                 res[k] = res[k] - c * part
-    finite = [w for w in windows if w is not None]
+    finite = [w for w in windows if w != inf]
     w = max(min(finite), 0) if finite else fallback
     return [r.truncated(w) for r in res], w
 
@@ -334,10 +334,9 @@ def leibniz_apply(op, f):
     """Oracle for Operator.apply: every (monomial, term) pair of f and
     op, each term differentiating the monomial by its partials
     directly, without the operator's sub-multiset table."""
-    if op.window is not None:
-        w = f.max_weight()
-        if w > op.window:
-            raise WindowExceeded(w, op.window)
+    w = f.max_weight()
+    if w > op.window:
+        raise WindowExceeded(w, op.window)
     out = {}
     terms = op.terms
     for m, c in f.terms.items():

@@ -161,8 +161,9 @@ def test_weights_above_genus_vanish(ideal_g2):
     assert ideal_g2.quotient_basis(6) == []
     assert ideal_g2.relation_basis(3) == [Poly.monomial(m) for m in enumerate_monomials(3)]
     for query in (ideal_g2.quotient_dimension, ideal_g2.quotient_basis, ideal_g2.relation_basis):
-        with pytest.raises(InvalidParameter):
-            query(-1)
+        for bad in (-1, 1.5, True, "1"):
+            with pytest.raises(InvalidParameter, match="weight must be >= 0"):
+                query(bad)
 
 
 def test_queries_reject_a_non_poly(ideal_g2):

@@ -53,6 +53,11 @@ def test_context_validation():
         LieContext(1, 8)
     with pytest.raises(ValueError):
         LieContext(2, 0)
+    for bad in (True, 1.5, "8"):
+        with pytest.raises(InvalidParameter, match="window must be a positive integer"):
+            LieContext(2, bad)
+    with pytest.raises(InvalidGenus):
+        LieContext(True, 8)
 
 
 @pytest.mark.parametrize("g", [2, 3, 5])
@@ -90,7 +95,7 @@ def test_descent_weight_shift_uniform():
 def test_field_constructors():
     ctx = LieContext(3, 10)
     assert field_op(0, 3, ctx) == mul_op(factorial(3) * p(2))
-    assert field_op(0, 3, ctx).window is None
+    assert field_op(0, 3, ctx).window == inf
     assert equal_within(field_op(2, 0, ctx), 2 * descent_op(ctx), 10)
     assert field_op(1, 1, ctx).apply(p(2)) == (3 - 3) * p(2)
     assert field_op(1, 1, LieContext(5, 10)).apply(p(2)) == 2 * p(2)
@@ -258,7 +263,7 @@ def test_family_commutators_match_apply_oracle(g, window):
     for i, a in enumerate(ops):
         for b in ops[i:]:
             bracket = a.commutator(b)
-            w = window if bracket.window is None else bracket.window
+            w = window if bracket.window == inf else bracket.window
             for f in monomials:
                 if f.max_weight() > w:
                     break
@@ -311,7 +316,7 @@ def test_genus_residuals_match_direct_brackets(kind):
                 corr = 4 * (comb(n, 2) * comb(mp, 2) - comb(np_, 2) * comb(m, 2))
                 expected = expected - corr * density_op(m + mp - 2, n + np_ - 2, ctx)
             res, w = _residual(*_bracket_identity(kind, a, b, parts), window)
-            assert w == (window if bracket.window is None else max(bracket.window, 0))
+            assert w == (window if bracket.window == inf else max(bracket.window, 0))
             direct = (bracket - expected).truncated(w)
             got = {} if res is None else _at_genus(res, g).terms
             assert got == direct.terms, (kind, a, b, g)

@@ -30,7 +30,6 @@ from tautjac.operators import (
     EXPONENT_BOUND,
     Operator,
     _decoded,
-    _min_window,
     _mono_code,
     _packed_hits,
     mul_op,
@@ -116,7 +115,7 @@ def test_commutator_apply_oracle_randomized():
         b = random_operator(rng, max_terms=4)
         multi += sum(len(mult) > 1 for mult, _parts in b.terms)
         bracket = a.commutator(b)
-        assert bracket.window is None
+        assert bracket.window == inf
         for f in all_monomials_up_to(6):
             assert bracket.apply(f) == oracle.commutator(a, b, f), (a, b, f)
         assert bracket == (a @ b) - (b @ a)
@@ -152,7 +151,7 @@ def test_products_apply_oracle_repeated_hits():
 
 def test_products_match_oracle_on_windowed_and_unbounded_pairs():
     # a windowed pair whose limit (one below its commutator's window)
-    # falls inside a Leibniz entry list, and pairs with window None on
+    # falls inside a Leibniz entry list, and pairs with window inf on
     # one or both sides
     ctx = LieContext(3, 6)
     a, b = field_op(3, 1, ctx), field_op(1, 3, ctx)
@@ -168,12 +167,12 @@ def test_products_match_oracle_on_windowed_and_unbounded_pairs():
     oracle = ApplyOracle()
     for x, y in [(a, b), (b, a), (a, unbounded), (unbounded, b), (unbounded, Operator.derivative("p1", "q1"))]:
         xy, bracket = x @ y, x.commutator(y)
-        assert bracket.window == _min_window(xy.window, (y @ x).window)
-        top = 6 if bracket.window is None else bracket.window
+        assert bracket.window == min(xy.window, (y @ x).window)
+        top = 6 if bracket.window == inf else bracket.window
         out = {}
         x._commute_into(y, out, top - 1)
         for f in all_monomials_up_to(top):
-            if xy.window is None or f.max_weight() <= xy.window:
+            if f.max_weight() <= xy.window:
                 assert xy.apply(f) == oracle.apply(x, oracle.apply(y, f)), (x, y, f)
             assert bracket.apply(f) == oracle.commutator(x, y, f), (x, y, f)
             if f.max_weight() < top:
@@ -204,7 +203,7 @@ def _contraction_floor(x, y):
 
 
 def _terms_within(op, w):
-    return op.terms if w is None else op.truncated(w).terms
+    return op.terms if w == inf else op.truncated(w).terms
 
 
 def test_contract_stops_match_oracles():
@@ -218,20 +217,20 @@ def test_contract_stops_match_oracles():
     for x in ops:
         for y in ops:
             bracket, diff = x.commutator(y), (x @ y) - (y @ x)
-            assert bracket == (diff if diff.window is None else diff.truncated(diff.window))
+            assert bracket == (diff if diff.window == inf else diff.truncated(diff.window))
             floor = min(_contraction_floor(x, y), _contraction_floor(y, x))
             if floor == inf:
                 assert bracket.is_zero()
                 continue
             joined += 1
-            top = 5 if bracket.window is None else min(bracket.window, 5)
-            for limit in (floor - 1, -1, floor, None):
+            top = 5 if bracket.window == inf else min(bracket.window, 5)
+            for limit in (floor - 1, -1, floor, inf):
                 out = {}
                 x._commute_into(y, out, limit)
-                got, w = _decoded(out, limit), _min_window(limit, bracket.window)
+                got, w = _decoded(out, limit), min(limit, bracket.window)
                 assert _terms_within(got, w) == _terms_within(bracket, w), (x, y, limit)
-                assert bool(out) == (limit is None or limit >= floor), (x, y, limit)
-                for f in all_monomials_up_to(top if limit is None else min(top, limit)):
+                assert bool(out) == (limit >= floor), (x, y, limit)
+                for f in all_monomials_up_to(top if limit == inf else min(top, limit)):
                     assert got.apply(f) == oracle.commutator(x, y, f), (x, y, limit, f)
             res, w = _residual((x,), (y,), [], 6)
             expected, ew = residual_oracle((x,), (y,), [], 6)
@@ -248,7 +247,7 @@ def test_add_into_stops_at_every_limit():
     stopped = 0
     for op in _cut_cases():
         sums = [pack_oracle(term)[0] for term in op.terms]
-        top = max(sums) if op.window is None else op.window
+        top = max(sums) if op.window == inf else op.window
         for limit in range(-1, top + 1):
             for scale in (1, -3, Fraction(1, 2)):
                 out = {}
@@ -270,12 +269,12 @@ def test_compose_reads_uncontracted_products_from_packed_rows():
         for y in ops:
             xy = x @ y
             win = xy.window
-            if win is not None:
+            if win != inf:
                 assert all(pack_oracle(term)[0] <= win for term in xy.terms), (x, y)
                 sums = [pack_oracle(a)[0] + pack_oracle(b)[0] for a in x.terms for b in y.terms]
                 cut += min(sums) <= win < max(sums)
                 negative += win < 0
-            for f in all_monomials_up_to(5 if win is None else min(win, 5)):
+            for f in all_monomials_up_to(5 if win == inf else min(win, 5)):
                 assert xy.apply(f) == oracle.apply(x, oracle.apply(y, f)), (x, y, f)
     assert cut >= 10 and negative >= 1
 
@@ -444,7 +443,7 @@ def test_composition_associative_windowed():
             for c in ops:
                 left = (a @ b) @ c
                 right = a @ (b @ c)
-                finite = [x for x in (left.window, right.window) if x is not None]
+                finite = [x for x in (left.window, right.window) if x != inf]
                 if finite:
                     assert equal_within(left, right, max(min(finite), 0))
                 else:
@@ -474,7 +473,7 @@ def test_jacobi_identity_windowed():
                     + b.commutator(c.commutator(a))
                     + c.commutator(a.commutator(b))
                 )
-                w = total.window if total.window is not None else 9
+                w = total.window if total.window != inf else 9
                 assert equal_within(total, Operator.zero(), max(w, 0))
 
 
@@ -503,14 +502,14 @@ def test_window_enforcement():
         d.apply(p(1) * p(2) ** 2)  # weight 5 > window 4
     with pytest.raises(WindowExceeded):
         equal_within(d, d, 5)
-    # window None operators never raise
+    # window inf operators never raise
     mul_op(p(1)).apply(p(4) ** 3)
 
 
 def test_window_propagation_through_compose():
     ctx = LieContext(2, 6)
     d = field_op(2, 0, ctx)  # weight shift -1
-    e = mul_op(p(1))  # shift +1, window None
+    e = mul_op(p(1))  # shift +1, window inf
     assert (d @ e).window == 6 - 1
     assert (e @ d).window == 6
     assert d.commutator(e).window == 5
@@ -536,6 +535,17 @@ def test_zero_and_scalar_algebra():
     assert (2 * a).apply(Poly.one()) == 2 * q(2)
     assert a.max_weight_shift() == 2
     assert z.max_weight_shift() is None
+
+
+def test_unbounded_window_is_inf():
+    # an operator stored in full has the window inf, however it is built,
+    # and a sum or product keeps the smaller window of its operands
+    ctx = LieContext(3, 6)
+    for op in (Operator({}), Operator({}, None), Operator.zero(None), mul_op(p(1)), field_op(0, 3, ctx)):
+        assert op.window == inf
+    assert (mul_op(p(1)) @ Operator.derivative("p1") + Operator.identity()).window == inf
+    assert (mul_op(p(1)) + field_op(2, 0, ctx)).window == 6
+    assert repr(Operator.identity()) == "Operator(1; window=inf)"
 
 
 def test_debug_text_form():

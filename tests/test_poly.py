@@ -129,6 +129,14 @@ def test_variable_validation():
         Operator.derivative("x1")
     with pytest.raises(InvalidParameter, match="name must be"):
         Operator.derivative("p")
+    # an index or a weight is an int, never a float or a bool
+    for bad in (1.5, True, Fraction(1), "1"):
+        for make in (p, q):
+            with pytest.raises(InvalidParameter, match="index must be >= 1"):
+                make(bad)
+    for bad in (-1, 2.5, True, Fraction(2)):
+        with pytest.raises(InvalidParameter, match="weight must be >= 0"):
+            enumerate_monomials(bad)
     assert issubclass(InvalidParameter, ValueError)
 
 
