@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import InvalidParameter, check_genus
 from .ideal import RelationIdeal, _Space
-from .poly import MONOMIAL_ORDER_ID
+from .poly import MONOMIAL_ORDER_ID, enumerate_monomials
 
 ENV_VAR = "TAUTJAC_CACHE_DIR"
 
@@ -70,7 +70,7 @@ def _decode(payload, genus):
         raise ValueError("weights must be one block per weight 0..%d" % genus)
     spaces = [_Space(w) for w in range(genus + 1)]
     for block, space in zip(blocks, spaces):
-        dim, pivots = space.dimension(), space.pivots
+        dim, pivots = len(enumerate_monomials(space.weight)), space.pivots
         for flat in block["rows"]:
             if not flat or len(flat) % 2 or any(type(x) is not int for x in flat):
                 raise ValueError("a row must be a nonempty flat list of ints")
@@ -88,7 +88,7 @@ def _decode(payload, genus):
             if any(i in pivots for i in row if i != piv):
                 raise ValueError("rows of weight %d are not in RREF" % space.weight)
         qdim = block["quotient_dim"]
-        if type(qdim) is not int or space.rank() != dim - qdim:
+        if type(qdim) is not int or len(pivots) != dim - qdim:
             raise ValueError("inconsistent quotient dimension at weight %d" % space.weight)
     return RelationIdeal(genus, spaces)
 

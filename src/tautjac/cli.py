@@ -116,7 +116,13 @@ def _cmd_verify(args):
     from .lie import LieContext, _require_window, run_bracket_suite, verify_bracket
 
     window = args.window if args.window is not None else args.max_order + 4
-    _require_window(window, args.max_order, 2 if args.suite in ("sl2", "all") else 0)
+    kinds = {
+        "sl2": ["sl2"],
+        "tilde": ["raw_field"],
+        "grading": ["grading"],
+        "all": ["sl2", "raw_field", "grading"],
+    }.get(args.suite, [])
+    _require_window(window, args.max_order, kinds)
     ctx = LieContext(args.genus, window)
     reports = []
     if args.suite in ("lie", "all"):
@@ -133,14 +139,8 @@ def _cmd_verify(args):
             print("  total %d" % summary["checked"])
         if summary["failures"]:
             return _failed(summary["failures"])
-    kinds = {
-        "sl2": ["sl2"],
-        "tilde": ["raw_field"],
-        "grading": ["grading"],
-        "all": ["sl2", "raw_field", "grading"],
-    }.get(args.suite, [])
     for kind in kinds:
-        entries = verify_bracket(kind, {"max_order": args.max_order}, ctx)
+        entries = verify_bracket(kind, args.max_order, ctx)
         if args.format == "json":
             reports.extend(entries)
         else:

@@ -32,9 +32,9 @@ columns of a's and of b's monomials sum above g.
 """
 
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
-from .errors import InvalidParameter, VerificationFailure, report_entry
+from .errors import InvalidParameter, VerificationFailure, check_int, report_entry
 from .ideal import _monomials
 from .lie import LieContext, density_op, descent_op, field_op
 from .operators import _code, mul_op, term_weight_shift
@@ -267,11 +267,14 @@ class FourierMap:
         over when op(m,n) at b and op(n,m) on every row of S(b) are empty.
         The first b, in quotient-basis order, where the sides differ raises
         VerificationFailure with their difference.  Raises InvalidParameter
-        for a family other than field or density, and for a member zero by
-        definition (a negative index, or a field pair with m + n < 2).  When
-        both members vanish on the quotient, the entry's status is ``vacuous``."""
+        for a family other than field or density, for an index that is not an
+        int, and for a member zero by definition (a negative index, or a field
+        pair with m + n < 2).  When both members vanish on the quotient, the
+        entry's status is ``vacuous``."""
         if family not in ("field", "density"):
             raise InvalidParameter("family must be field or density, got %r" % (family,))
+        for index in (m, n):  # ("field", True, 1) would find the cached ("field", 1, 1)
+            check_int(index, -inf, "a member index must be an int, got %r")
         if min(m, n) < 0 or (family == "field" and m + n < 2):
             raise InvalidParameter("%s(%d,%d) is zero by definition: indices must be >= 0%s"
                                    % (family, m, n, " with m + n >= 2" * (family == "field")))

@@ -106,12 +106,6 @@ class _Space:
         self.weight = weight
         self.pivots = {}
 
-    def dimension(self):
-        return len(enumerate_monomials(self.weight))
-
-    def rank(self):
-        return len(self.pivots)
-
     def reduce(self, vec):
         """Reduce a coefficient vector modulo the stored rows, fraction
         free: returns (L*r, L) with r the rational remainder and L the
@@ -262,8 +256,7 @@ class RelationIdeal:
         return self.spaces[w] if w <= self.genus else None
 
     def quotient_dimension(self, w):
-        space = self._space(w)
-        return 0 if space is None else space.dimension() - space.rank()
+        return len(self.quotient_basis(w))
 
     def quotient_dims(self):
         return {w: self.quotient_dimension(w) for w in range(self.genus + 1)}

@@ -254,7 +254,9 @@ _BUILDERS = {
 
 
 def _member(ctx, family, m=0, n=0):
-    """A family member at the context's genus: A + g*B."""
+    """A family member at the context's genus: A + g*B; any int indices."""
+    for index in (m, n):
+        check_int(index, -inf, "a member index must be an int, got %r")
     return _at_genus(ctx._parts(family, m, n), ctx.genus)
 
 
@@ -345,28 +347,25 @@ def density_params(max_order):
     ]
 
 
-def _require_window(window, max_order, extra=0):
-    """A sweep up to ``max_order`` (>= 2) is exact only from window
-    ``max_order + extra`` on; below it identities would be dropped or
+def _require_window(window, max_order, kinds=()):
+    """A sweep up to ``max_order`` (an int >= 2) is exact only from window ``max_order``
+    on, 2 more when ``kinds`` holds ``sl2``; below it identities would be dropped or
     checked past validity, and below order 2 no field member exists."""
-    if max_order < 2:
-        raise InvalidParameter("max_order must be >= 2, got %r" % (max_order,))
-    if window < max_order + extra:
+    check_int(max_order, 2, "max_order must be >= 2, got %r")
+    need = max_order + 2 * ("sl2" in kinds)
+    if window < need:
         raise InvalidParameter(
-            "window %d is too small for max_order %d: need >= %d"
-            % (window, max_order, max_order + extra)
+            "window %d is too small for max_order %d: need >= %d" % (window, max_order, need)
         )
 
 
 def _bracket_pairs(kind, max_order):
-    if kind == "field_density":
-        return [
-            (a, b)
-            for a in field_params(max_order)
-            for b in density_params(max_order)
-        ]
-    ps = density_params(max_order) if kind == "density_density" else field_params(max_order)
-    return [(a, b) for i, a in enumerate(ps) for b in ps[i + 1:]]
+    # every pair of two member families, or each unordered pair of one family once
+    left, right = _BRACKETS[kind][2:]
+    ps = {f: (density_params if f == "density" else field_params)(max_order) for f in (left, right)}
+    if left != right:
+        return [(a, b) for a in ps[left] for b in ps[right]]
+    return [(a, b) for i, a in enumerate(ps[left]) for b in ps[left][i + 1:]]
 
 
 def _residual(x, y, rhs, fallback):
@@ -441,8 +440,7 @@ def _sl2_checks(max_order, ctx):
     yield "[e,f] = h", {}, _checked(e, f, [(1, h)], ctx)[0]
     yield "[h,e] = 2e", {}, _checked(h, e, [(2, e)], ctx)[0]
     yield "[h,f] = -2f", {}, _checked(h, f, [(-2, f)], ctx)[0]
-    h_plus_field = _at_genus(h, g) + _member(ctx, "field", 1, 1)
-    yield "h = -field(1,1)", {}, h_plus_field.truncated(ctx.window)
+    yield "h = -field(1,1)", {}, _at_genus(h, g) + _member(ctx, "field", 1, 1)
     f_at_g = _at_genus(f, g)
     for n in range(1, max_order + 1):
         expected = Poly.constant(g) if n == 1 else q(n - 1)
@@ -466,22 +464,20 @@ def _sl2_checks(max_order, ctx):
                 yield name, {"n": n, "m": m}, _checked(inner, (mul_op(var),), rhs, ctx)[0]
 
 
-def _grading_checks(params, max_order, ctx):
-    """Yield (name, params, difference) for the grading laws on the
-    terms with partial index-sum <= ``max_weight``, which fix the action
-    up to that weight; terms of different shifts cannot cancel on a
-    monomial."""
-    g = ctx.genus
-    max_weight = min(params.get("max_weight", ctx.window), ctx.window)
-    if max_weight < 0:
-        raise InvalidParameter("max_weight must be >= 0, got %r" % (max_weight,))
+def _grading_checks(max_order, ctx):
+    """Yield (name, params, difference) for the grading laws on every
+    term of the members as built, whose partials have index-sum <= the
+    context window W (each law's params are ``{"max_weight": W}``); the
+    terms fix the action up to weight W, and terms of different shifts
+    cannot cancel on a monomial."""
+    g, max_weight = ctx.genus, ctx.window
     h = _sl2_parts(ctx._parts).h
     # h is diagonal: it scales each variable v by 2w(v) - s(v), minus g*id
     diagonal = {(MONO_ONE, MONO_ONE): -g}
     for i in range(1, max_weight + 1):
         for v in (_variable(P_KIND, i)[0], _variable(Q_KIND, i)[0]):
             diagonal[(v, v)] = cartan_eigenvalue(i, mono_sdeg(v), 0)
-    residual = _at_genus(h, g).truncated(max_weight) - Operator(diagonal)
+    residual = _at_genus(h, g) - Operator(diagonal)
     yield "h acts by 2w - s - g", {"max_weight": max_weight}, residual
     members = [
         ("field", m, n, n - 1, n + m - 2) for m, n in field_params(max_order)
@@ -494,34 +490,34 @@ def _grading_checks(params, max_order, ctx):
         label = "%s(%d,%d)" % (family, m, n)
         yield "[h, %s] = %d*%s" % (label, n - m, label), {"checked_window": w}, diff
         off_shift = Operator({
-            k: c for k, c in _at_genus(op, g).truncated(max_weight).terms.items()
+            k: c for k, c in _at_genus(op, g).terms.items()
             if (term_weight_shift(k), mono_sdeg(k[0]) - mono_sdeg(k[1])) != (wshift, sshift)
         })
         name = "%s is bigraded of shift (%d, %d)" % (label, wshift, sshift)
         yield name, {"max_weight": max_weight}, off_shift
 
 
-def verify_bracket(kind, params, ctx):
-    """Run one family of exact identity checks.
+def verify_bracket(kind, max_order, ctx):
+    """Run one family of exact identity checks up to ``max_order``.
 
     ``kind`` is one of ``field_field``, ``field_density``,
-    ``density_density``, ``raw_field``, ``sl2``, ``grading``.  Every
+    ``density_density``, ``raw_field``, ``sl2``, ``grading`` (the grading
+    laws are checked on every term, up to the context window).  Every
     check yields its difference (a Poly or an Operator), and this is the
     one place that records it.  Returns the list of report entries;
     raises :class:`VerificationFailure` (the difference as
     counterexample) on the first failing identity, and
     :class:`InvalidParameter` for an unknown kind, when ``max_order`` is
-    below 2, or when the context window is too small for it (below it
-    for the brackets and ``grading``, below it plus 2 for ``sl2``).
+    not an int >= 2, or when the context window is too small for it
+    (below it for the brackets and ``grading``, below it plus 2 for ``sl2``).
     """
     if kind not in _BRACKETS and kind not in ("sl2", "grading"):
         raise InvalidParameter("unknown verification kind %r" % (kind,))
-    max_order = params.get("max_order", 6 if kind == "sl2" else 4)
-    _require_window(ctx.window, max_order, 2 if kind == "sl2" else 0)
+    _require_window(ctx.window, max_order, (kind,))
     if kind == "sl2":
         checks = _sl2_checks(max_order, ctx)
     elif kind == "grading":
-        checks = _grading_checks(params, max_order, ctx)
+        checks = _grading_checks(max_order, ctx)
     else:
         bracket_checks = _bracket_checks(kind, max_order, [ctx.genus], ctx._parts)
         checks = ((name, pair, diff) for name, pair, _g, diff in bracket_checks)

@@ -37,7 +37,7 @@ def test_criterion_1_bracket_suite():
 def test_criterion_2_sl2_identities():
     for g in (2, 3, 5):
         ctx = LieContext(g, 10)
-        entries = verify_bracket("sl2", {"max_order": 8}, ctx)
+        entries = verify_bracket("sl2", 8, ctx)
         assert all(e["status"] == "ok" for e in entries)
         # explicit spot checks at full order 8
         e, f, h = sl2_triple(ctx)
@@ -190,7 +190,7 @@ def test_criterion_10_property_suites(ideals):
         assert total.is_zero()
     # grading shifts of the operator families
     ctx = LieContext(3, 8)
-    entries = verify_bracket("grading", {"max_order": 4, "max_weight": 6}, ctx)
+    entries = verify_bracket("grading", 4, ctx)
     assert all(e["status"] == "ok" for e in entries)
     # descent- and ideal-stability of every built relation ideal
     for ideal in ideals.values():

@@ -245,6 +245,11 @@ def test_conjugation_examples(fmap_g2):
                          (-1, 3, "field"), (2, -1, "density"), (-1, 0, "density")):
         with pytest.raises(InvalidParameter):
             fmap_g2.verify_conjugation(m, n, family)
+    # a non-int index is a typed error, and True is not read as 1
+    for m, n, family in ((1.5, 1, "field"), (True, 1, "field"), (1, "1", "density"),
+                         (0, True, "density")):
+        with pytest.raises(InvalidParameter, match="member index must be an int"):
+            fmap_g2.verify_conjugation(m, n, family)
     # an unknown family is a typed error, checked before the indices
     for m, n in ((0, 2), (-1, 0)):
         with pytest.raises(InvalidParameter, match="field or density"):

@@ -58,6 +58,14 @@ def test_context_validation():
             LieContext(2, bad)
     with pytest.raises(InvalidGenus):
         LieContext(True, 8)
+    # member indices are ints: a float or a string is a typed error, and
+    # True is not read as 1; any int passes, a negative one giving zero
+    ctx = LieContext(2, 4)
+    for member, m, n in ((field_op, 1.5, 2), (density_op, 0, 2.5), (raw_field_op, 2, "1"),
+                         (field_op, True, 1), (density_op, 1, False)):
+        with pytest.raises(InvalidParameter, match="member index must be an int"):
+            member(m, n, ctx)
+    assert field_op(-1, 3, ctx).is_zero() and density_op(2, -1, ctx).is_zero()
 
 
 @pytest.mark.parametrize("g", [2, 3, 5])
@@ -150,14 +158,14 @@ def test_raw_field_members():
 @pytest.mark.parametrize("g", [2, 3, 5])
 def test_raw_field_bracket_sweep(g):
     ctx = LieContext(g, 8)
-    reports = verify_bracket("raw_field", {"max_order": 5}, ctx)
+    reports = verify_bracket("raw_field", 5, ctx)
     assert reports and all(r["status"] == "ok" for r in reports)
 
 
 @pytest.mark.parametrize("g", [2, 3, 5])
 def test_sl2_identities(g):
     ctx = LieContext(g, 10)
-    reports = verify_bracket("sl2", {"max_order": 8}, ctx)
+    reports = verify_bracket("sl2", 8, ctx)
     assert reports and all(r["status"] == "ok" for r in reports)
 
 
@@ -193,8 +201,16 @@ def test_cartan_diagonal_action():
 
 def test_grading_sweep():
     ctx = LieContext(3, 9)
-    reports = verify_bracket("grading", {"max_order": 4, "max_weight": 6}, ctx)
+    reports = verify_bracket("grading", 4, ctx)
     assert reports and all(r["status"] == "ok" for r in reports)
+
+
+def test_grading_checks_to_the_context_window():
+    # the Cartan law and every bigrading law read all terms up to the window
+    reports = verify_bracket("grading", 4, LieContext(3, 9))
+    weights = [r["params"]["max_weight"] for r in reports if "max_weight" in r["params"]]
+    assert len(weights) == 1 + len(field_params(4)) + len(density_params(4))
+    assert set(weights) == {9}
 
 
 def test_structure_constant_examples():
@@ -540,7 +556,7 @@ def test_members_live_no_longer_than_their_users(monkeypatch):
     # cached on them, are freed with the last context or sweep using them
     ctx = LieContext(3, 7)
     run_bracket_suite([2, 3], 3, 7)
-    verify_bracket("sl2", {"max_order": 4}, ctx)
+    verify_bracket("sl2", 4, ctx)
     member = ctx._parts("field", 2, 1)[0]
     assert member._cache.keys() >= {"hits", 1}
     member = weakref.ref(member)
@@ -768,9 +784,9 @@ def test_planted_genus_part_error_names_exactly_the_affected_genera(monkeypatch)
     assert "[field(0,2), field(2,0)]" in by_genus[2]
     assert all(list(f) == ENTRY_KEYS + ["counterexample"] for f in failures)
     with pytest.raises(VerificationFailure) as info:
-        verify_bracket("field_field", {"max_order": 3}, LieContext(5, 6))
+        verify_bracket("field_field", 3, LieContext(5, 6))
     assert info.value.entry["genus"] == 5 and info.value.entry["status"] == "fail"
-    assert verify_bracket("field_field", {"max_order": 3}, LieContext(3, 6))
+    assert verify_bracket("field_field", 3, LieContext(3, 6))
 
 
 @pytest.mark.parametrize("g", [2, 3, 7])
@@ -793,7 +809,7 @@ def test_planted_field11_error_fails_the_h_identity(monkeypatch):
 
     monkeypatch.setitem(lie._BUILDERS, "field", planted)
     with pytest.raises(VerificationFailure) as info:
-        verify_bracket("sl2", {"max_order": 4}, LieContext(3, 8))
+        verify_bracket("sl2", 4, LieContext(3, 8))
     assert info.value.entry["identity"] == "h = -field(1,1)"
     assert info.value.entry["counterexample"] == "1 * q2 * d(q2)"
 
@@ -813,13 +829,11 @@ def test_planted_off_shift_term_fails_only_the_bigrading(monkeypatch):
     monkeypatch.setitem(lie._BUILDERS, "field", planted)
     gc.collect()  # no live context holds unplanted window 7 members
     with pytest.raises(VerificationFailure) as info:
-        verify_bracket("grading", {"max_order": 4}, LieContext(3, 7))
+        verify_bracket("grading", 4, LieContext(3, 7))
     entry = info.value.entry
     assert entry["identity"] == "field(1,2) is bigraded of shift (1, 1)"
     assert entry["params"] == {"max_weight": 7}
     assert entry["counterexample"] == "1 * q3 * d(p1)"
-    # the term's partials have index-sum 1: weight 0 alone cannot see it
-    assert verify_bracket("grading", {"max_order": 4, "max_weight": 0}, LieContext(3, 7))
 
 
 def test_planted_h_term_fails_the_cartan_law(monkeypatch):
@@ -831,7 +845,7 @@ def test_planted_h_term_fails_the_cartan_law(monkeypatch):
 
     monkeypatch.setattr(lie, "_sl2_parts", planted)
     with pytest.raises(VerificationFailure) as info:
-        verify_bracket("grading", {"max_order": 4}, LieContext(3, 7))
+        verify_bracket("grading", 4, LieContext(3, 7))
     entry = info.value.entry
     assert entry["identity"] == "h acts by 2w - s - g"
     assert entry["params"] == {"max_weight": 7}
@@ -854,29 +868,34 @@ def test_sweep_parameter_errors():
     run_bracket_suite([2], 4, 4)
     for kind in ("field_field", "raw_field", "grading"):
         with pytest.raises(InvalidParameter):
-            verify_bracket(kind, {"max_order": 4}, LieContext(2, 3))
-        assert verify_bracket(kind, {"max_order": 4}, LieContext(2, 4))
+            verify_bracket(kind, 4, LieContext(2, 3))
+        assert verify_bracket(kind, 4, LieContext(2, 4))
     with pytest.raises(InvalidParameter):
-        verify_bracket("sl2", {"max_order": 4}, LieContext(2, 5))
-    assert len(verify_bracket("sl2", {"max_order": 4}, LieContext(2, 6))) == 30
+        verify_bracket("sl2", 4, LieContext(2, 5))
+    assert len(verify_bracket("sl2", 4, LieContext(2, 6))) == 30
     # below order 2 there is no field member: an error, not a vacuous pass
     with pytest.raises(InvalidParameter):
         run_bracket_suite([2], 1, 5)
     for kind in ("field_field", "field_density", "raw_field", "sl2", "grading"):
         with pytest.raises(InvalidParameter):
-            verify_bracket(kind, {"max_order": 1}, LieContext(2, 5))
-    # a negative max_weight checks no monomial: an error, not a vacuous pass
-    with pytest.raises(InvalidParameter):
-        verify_bracket("grading", {"max_order": 2, "max_weight": -1}, LieContext(2, 4))
+            verify_bracket(kind, 1, LieContext(2, 5))
+    # max_order is an int: a float, a bool or a string is bad input, not a bare TypeError
+    for bad in (2.5, True, "3"):
+        with pytest.raises(InvalidParameter, match="max_order must be >= 2"):
+            run_bracket_suite([2], bad, 8)
+        for kind in ("field_field", "field_density", "density_density", "raw_field",
+                     "sl2", "grading"):
+            with pytest.raises(InvalidParameter, match="max_order must be >= 2"):
+                verify_bracket(kind, bad, LieContext(2, 8))
     # an unknown kind is bad input, typed like every other parameter error
     with pytest.raises(InvalidParameter):
-        verify_bracket("bogus", {"max_order": 4}, LieContext(2, 4))
+        verify_bracket("bogus", 4, LieContext(2, 4))
 
 
 def test_report_entry_key_order():
     assert list(report_entry("x", {}, 2, 5)) == ENTRY_KEYS
     assert list(report_entry("x", {}, 2, 5, "fail", "d")) == ENTRY_KEYS + ["counterexample"]
-    for entry in verify_bracket("sl2", {"max_order": 2}, LieContext(2, 4)):
+    for entry in verify_bracket("sl2", 2, LieContext(2, 4)):
         assert list(entry) == ENTRY_KEYS
 
 
